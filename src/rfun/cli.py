@@ -25,8 +25,8 @@ from .opsem import (
     apply_backward, apply_forward,
 )
 from .syntax import (
-    ParseError, Program, check_static, parse_program, parse_value,
-    render_program,
+    ParseError, Program, StaticError, check_static_or_raise, parse_program,
+    parse_value, render_program,
 )
 from .values import render_value
 
@@ -38,17 +38,17 @@ EXIT_OUT_OF_FUEL = 3
 
 def _load(path: str) -> Program:
     prog = parse_program(Path(path).read_text())
-    violations = check_static(prog)
-    if violations:
-        for v in violations:
+    try:
+        return check_static_or_raise(prog)
+    except StaticError as exc:
+        for v in exc.violations:
             print(f"{path}:{v}", file=sys.stderr)
-        raise SystemExit(EXIT_FAULT)
-    return prog
+        raise SystemExit(EXIT_FAULT) from None
 
 
 def _pick_entry(prog: Program, entry: str | None, path: str) -> str:
     if entry is not None:
-        if prog.lookup(entry) is None:
+        if entry not in prog.checked_defs:
             print(f"{path}: no function named {entry!r}", file=sys.stderr)
             raise SystemExit(EXIT_FAULT)
         return entry

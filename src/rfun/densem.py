@@ -27,7 +27,7 @@ from .invcat import (
 from .opsem import UnknownFunction
 from .syntax import (
     ECase, ELeaf, ELet, ERLet, Expr, LCtor, LDup, LeftExpr, LVar, Program,
-    check_static_or_raise, lvars,
+    check_static_or_raise, lvars, walk,
 )
 from .values import TUPLE, Value
 
@@ -99,34 +99,9 @@ class SymbolTable:
 
 def _program_ctors(prog: Program):
     for d in prog.defs:
-        yield from _expr_ctors(d.body)
-
-
-def _expr_ctors(e: Expr):
-    match e:
-        case ELeaf(left):
-            yield from _left_ctors(left)
-        case ELet(bound, _, arg, body) | ERLet(bound, _, arg, body):
-            yield from _left_ctors(arg)
-            yield from _left_ctors(bound)
-            yield from _expr_ctors(body)
-        case ECase(scrut, branches):
-            yield from _left_ctors(scrut)
-            for pat, b in branches:
-                yield from _left_ctors(pat)
-                yield from _expr_ctors(b)
-
-
-def _left_ctors(l: LeftExpr):
-    match l:
-        case LVar():
-            return
-        case LCtor(ctor, args):
-            yield ctor
-            for a in args:
-                yield from _left_ctors(a)
-        case LDup(arg):
-            yield from _left_ctors(arg)
+        for node in walk(d.body):
+            if isinstance(node, LCtor):
+                yield node.ctor
 
 
 def _value_ctors(v: Value):

@@ -28,7 +28,7 @@ from .opsem import (
     DEFAULT_FUEL as OP_FUEL, NO_MATCH, OUT_OF_FUEL, FirstMatchViolation,
     apply_forward,
 )
-from .syntax import ECase, ELeaf, ELet, ERLet, Expr, LCtor, LDup, LeftExpr, Program
+from .syntax import LCtor, Program, walk
 from .values import TUPLE, Value, render_value
 
 
@@ -37,36 +37,13 @@ def vocabulary(prog: Program) -> list[tuple[str, int]]:
     contain at least one nullary entry so that value generation grounds out."""
     seen: dict[tuple[str, int], None] = {}
     for d in prog.defs:
-        _expr_vocab(d.body, seen)
+        for node in walk(d.body):
+            if isinstance(node, LCtor):
+                seen.setdefault((node.ctor, len(node.args)), None)
     out = list(seen)
     if not any(arity == 0 for _, arity in out):
         out.append((TUPLE, 0))
     return out
-
-
-def _expr_vocab(e: Expr, seen) -> None:
-    match e:
-        case ELeaf(left):
-            _left_vocab(left, seen)
-        case ELet(bound, _, arg, body) | ERLet(bound, _, arg, body):
-            _left_vocab(arg, seen)
-            _left_vocab(bound, seen)
-            _expr_vocab(body, seen)
-        case ECase(scrut, branches):
-            _left_vocab(scrut, seen)
-            for pat, b in branches:
-                _left_vocab(pat, seen)
-                _expr_vocab(b, seen)
-
-
-def _left_vocab(l: LeftExpr, seen) -> None:
-    match l:
-        case LCtor(ctor, args):
-            seen.setdefault((ctor, len(args)), None)
-            for a in args:
-                _left_vocab(a, seen)
-        case LDup(arg):
-            _left_vocab(arg, seen)
 
 
 def gen_value(rng: random.Random, vocab: list[tuple[str, int]], depth: int) -> Value:

@@ -405,10 +405,6 @@ def restrict(f: Morph) -> Morph:
     return Morph(f.src, f.src, guard, guard, "restrict")
 
 
-def corestrict(f: Morph) -> Morph:
-    return restrict(dagger(f))
-
-
 def join(fs: list[Morph]) -> Morph:
     """Join of pairwise inverse compatible morphisms.
 

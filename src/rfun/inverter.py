@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .syntax import (
     Def, ECase, ELeaf, ELet, ERLet, Expr, LCtor, LDup, LeftExpr, LVar,
-    Program, lvars,
+    Program, walk,
 )
 
 
@@ -34,7 +34,7 @@ def invert_program(prog: Program) -> Program:
 
 def _invert_def(d: Def) -> Def:
     taken = {d.name, d.param}
-    taken.update(_all_vars(d.body))
+    taken.update(n.name for n in walk(d.body) if isinstance(n, LVar))
     fresh = d.param + "'"
     while fresh in taken:
         fresh += "'"
@@ -100,20 +100,6 @@ def _subst_expr(e: Expr, name: str, repl: LeftExpr) -> Expr:
             return ECase(_subst_left(scrut, name, repl),
                          tuple((p, _subst_expr(b, name, repl)) for p, b in branches),
                          pos=pos)
-    raise AssertionError
-
-
-def _all_vars(e: Expr) -> set[str]:
-    match e:
-        case ELeaf(left):
-            return set(lvars(left))
-        case ELet(bound, _, arg, body) | ERLet(bound, _, arg, body):
-            return set(lvars(bound)) | set(lvars(arg)) | _all_vars(body)
-        case ECase(scrut, branches):
-            out = set(lvars(scrut))
-            for pat, body in branches:
-                out |= set(lvars(pat)) | _all_vars(body)
-            return out
     raise AssertionError
 
 

@@ -2,8 +2,13 @@
 
 Evaluation follows the judgement <q, sigma> |- e v v.  Both directions are
 run on one explicit work/continuation stack, so recursion depth in the object
-language costs heap, not interpreter stack; only pattern-local helpers
-(instantiate, match) recurse, bounded by the pattern or value depth.
+language costs heap, not interpreter stack; only the pattern helpers
+(_take, _match) recurse, bounded by the pattern or value depth.
+
+A program is checked once, when either semantics first uses it, and a
+statically invalid one raises StaticError before any step.  The machine then
+trusts the static guarantees and re-checks no substitution domain and no
+linearity; only the symmetric first-match policy is checked as it runs.
 
 Fuel counts function applications (in either direction).  A result other
 than OUT_OF_FUEL obtained at fuel F is identical at every larger fuel.
@@ -14,7 +19,7 @@ from typing import Optional, Union
 
 from .syntax import (
     Def, ECase, ELeaf, ELet, ERLet, Expr, LCtor, LDup, LeftExpr, LVar,
-    Program, leaves, lvars,
+    Program, StaticError, check_expr, lvars,
 )
 from .values import Value, dupeq_value
 
@@ -48,7 +53,8 @@ class UnknownFunction(RfunRuntimeError):
 
 
 class SubstitutionError(RfunRuntimeError):
-    """A substitution domain mismatch; unreachable after static checks."""
+    """A substitution that does not fit a left expression, passed to
+    instantiate or match_pattern."""
 
 
 class FirstMatchViolation(RfunRuntimeError):
@@ -71,34 +77,14 @@ def instantiate(subst: Subst, l: LeftExpr) -> Optional[Value]:
 
     The substitution must bind exactly the variables of l.
     """
-    names = lvars(l)
-    if len(set(names)) != len(names):
-        raise SubstitutionError(f"non-linear left expression {names}")
+    names = _linear_vars(l)
     if set(names) != set(subst):
         missing = set(names) - set(subst)
         extra = set(subst) - set(names)
         if missing:
             raise SubstitutionError(f"unbound variable(s) {sorted(missing)}")
         raise SubstitutionError(f"leftover variable(s) {sorted(extra)}")
-    return _build(subst, l)
-
-
-def _build(subst: Subst, l: LeftExpr) -> Optional[Value]:
-    match l:
-        case LVar(name):
-            return subst[name]
-        case LCtor(ctor, args):
-            out = []
-            for a in args:
-                v = _build(subst, a)
-                if v is None:
-                    return None
-                out.append(v)
-            return Value(ctor, tuple(out))
-        case LDup(arg):
-            v = _build(subst, arg)
-            return None if v is None else dupeq_value(v)
-    raise AssertionError
+    return _take(dict(subst), l)
 
 
 def match_pattern(v: Value, l: LeftExpr) -> Optional[Subst]:
@@ -107,17 +93,41 @@ def match_pattern(v: Value, l: LeftExpr) -> Optional[Subst]:
     |_l_| matches v by first applying the (self-inverse) duplication/equality
     operator to v and then matching l against the result.
     """
+    _linear_vars(l)
     out: Subst = {}
-    if _match(v, l, out):
-        return out
-    return None
+    return out if _match(v, l, out) else None
+
+
+def _linear_vars(l: LeftExpr) -> list[str]:
+    names = lvars(l)
+    if len(set(names)) != len(names):
+        raise SubstitutionError(f"non-linear left expression {names}")
+    return names
+
+
+def _take(env: Subst, l: LeftExpr) -> Optional[Value]:
+    """instantiate for a linear l, removing l's variables from env."""
+    match l:
+        case LVar(name):
+            return env.pop(name)
+        case LCtor(ctor, args):
+            out = []
+            for a in args:
+                v = _take(env, a)
+                if v is None:
+                    return None
+                out.append(v)
+            return Value(ctor, tuple(out))
+        case LDup(arg):
+            v = _take(env, arg)
+            return None if v is None else dupeq_value(v)
+    raise AssertionError
 
 
 def _match(v: Value, l: LeftExpr, out: Subst) -> bool:
+    """match_pattern for a linear l, adding the bindings to out."""
     match l:
         case LVar(name):
-            if name in out:
-                raise SubstitutionError(f"non-linear pattern variable {name!r}")
             out[name] = v
             return True
         case LCtor(ctor, args):
@@ -130,55 +140,36 @@ def _match(v: Value, l: LeftExpr, out: Subst) -> bool:
     raise AssertionError
 
 
-def _split(subst: Subst, l: LeftExpr) -> tuple[Subst, Subst]:
-    """Split subst into the bindings used by l and the rest."""
-    names = set(lvars(l))
-    used: Subst = {}
-    rest: Subst = {}
-    for k, v in subst.items():
-        (used if k in names else rest)[k] = v
-    missing = names - set(used)
-    if missing:
-        raise SubstitutionError(f"unbound variable(s) {sorted(missing)}")
-    return used, rest
-
-
-def _merge(a: Subst, b: Subst) -> Subst:
-    overlap = set(a) & set(b)
-    if overlap:
-        raise SubstitutionError(f"substitution domains overlap on {sorted(overlap)}")
-    out = dict(a)
-    out.update(b)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The machine
 # ---------------------------------------------------------------------------
 
-# Work items (pushed on one stack; "K_" frames consume the result register):
+# Work items (pushed on one stack; "K_" frames consume the result register).
+# Every step that finds no match returns NO_MATCH at once: EVAL and UNEVAL
+# frames are only pushed on top of the stack, so nothing below could use it.
 #   ("EVAL", e, subst)            evaluate e, leaving a Value
 #   ("UNEVAL", e, v)              run e backward from v, leaving a Subst
 #   ("APPLY", fname)              forward-apply to the register Value
 #   ("UNAPPLY", fname)            backward-apply to the register Value
-#   ("K_LET", bound, rest, body)
-#   ("K_RLET", bound, rest, body)
-#   ("K_CASE", early_leaves)
+#   ("K_BIND", pattern, rest, body)  bind a let/rlet call's result, go on
+#   ("K_CASE", earlier_leaves)
 #   ("K_UNBODY", l_pattern, l_call_arg, fname, mode)
 #   ("K_UNCALL", l_bind, rest)
-#   ("K_UNCASE", scrutinee, early_patterns, pattern)
+#   ("K_UNCASE", scrutinee, earlier_arms, pattern, v_out)
 #   ("K_PROJ", param)             project a Subst back to the parameter value
+# Each step owns the substitution it takes and builds by removing the
+# variables it uses; what it leaves for later frames goes into a fresh dict.
 
 
-def _def_for(prog: Program, fname: str) -> Def:
-    d = prog.lookup(fname)
+def _def_for(defs: dict[str, Def], fname: str) -> Def:
+    d = defs.get(fname)
     if d is None:
         raise UnknownFunction(f"no definition for {fname!r}")
     return d
 
 
-def _run(prog: Program, work: list, fuel: int) -> EvalResult:
-    reg: Union[Value, Subst, _Outcome, None] = None
+def _run(defs: dict[str, Def], work: list, fuel: int) -> EvalResult:
+    reg: Union[Value, Subst, None] = None
     while work:
         frame = work.pop()
         tag = frame[0]
@@ -187,91 +178,64 @@ def _run(prog: Program, work: list, fuel: int) -> EvalResult:
             _, e, subst = frame
             match e:
                 case ELeaf(left):
-                    v = instantiate(subst, left)
-                    reg = NO_MATCH if v is None else v
+                    reg = _take(subst, left)
+                    if reg is None:
+                        return NO_MATCH
                 case ELet(bound, fname, arg, body):
-                    used, rest = _split(subst, arg)
-                    v_in = instantiate(used, arg)
-                    if v_in is None:
-                        reg = NO_MATCH
-                        continue
-                    work.append(("K_LET", bound, rest, body))
+                    reg = _take(subst, arg)
+                    if reg is None:
+                        return NO_MATCH
+                    work.append(("K_BIND", bound, dict(subst), body))
                     work.append(("APPLY", fname))
-                    reg = v_in
                 case ERLet(bound, fname, arg, body):
                     # rlet bound = f arg: the bound side holds f's *output*;
                     # run f backward to recover the argument bindings.
-                    used, rest = _split(subst, bound)
-                    v_in = instantiate(used, bound)
-                    if v_in is None:
-                        reg = NO_MATCH
-                        continue
-                    work.append(("K_RLET", arg, rest, body))
+                    reg = _take(subst, bound)
+                    if reg is None:
+                        return NO_MATCH
+                    work.append(("K_BIND", arg, dict(subst), body))
                     work.append(("UNAPPLY", fname))
-                    reg = v_in
-                case ECase(scrut, branches):
-                    used, rest = _split(subst, scrut)
-                    v0 = instantiate(used, scrut)
+                case ECase(scrut):
+                    v0 = _take(subst, scrut)
                     if v0 is None:
-                        reg = NO_MATCH
-                        continue
-                    chosen = None
-                    for j, (pat, body) in enumerate(branches):
-                        sigma = match_pattern(v0, pat)
-                        if sigma is not None:
-                            chosen = (j, sigma, body)
+                        return NO_MATCH
+                    for pat, body, _, earlier in e.arms:
+                        sigma: Subst = {}
+                        if _match(v0, pat, sigma):
                             break
-                    if chosen is None:
-                        reg = NO_MATCH
-                        continue
-                    j, sigma, body = chosen
-                    early = [l for _, b in branches[:j] for l in leaves(b)]
-                    if early:
-                        work.append(("K_CASE", early))
-                    work.append(("EVAL", body, _merge(sigma, rest)))
+                    else:
+                        return NO_MATCH
+                    if earlier:
+                        work.append(("K_CASE", earlier))
+                    sigma.update(subst)
+                    work.append(("EVAL", body, sigma))
 
         elif tag == "APPLY":
-            if reg is NO_MATCH:
-                continue
             if fuel <= 0:
                 return OUT_OF_FUEL
             fuel -= 1
-            d = _def_for(prog, frame[1])
+            d = _def_for(defs, frame[1])
             work.append(("EVAL", d.body, {d.param: reg}))
 
         elif tag == "UNAPPLY":
-            if reg is NO_MATCH:
-                continue
             if fuel <= 0:
                 return OUT_OF_FUEL
             fuel -= 1
-            d = _def_for(prog, frame[1])
+            d = _def_for(defs, frame[1])
             work.append(("K_PROJ", d.param))
             work.append(("UNEVAL", d.body, reg))
 
-        elif tag == "K_LET":
-            if reg is NO_MATCH:
-                continue
-            _, bound, rest, body = frame
-            sigma = match_pattern(reg, bound)
-            reg = NO_MATCH if sigma is None else reg
-            if sigma is not None:
-                work.append(("EVAL", body, _merge(sigma, rest)))
-
-        elif tag == "K_RLET":
-            if reg is NO_MATCH:
-                continue
-            _, arg, rest, body = frame
-            sigma = match_pattern(reg, arg)
-            reg = NO_MATCH if sigma is None else reg
-            if sigma is not None:
-                work.append(("EVAL", body, _merge(sigma, rest)))
+        elif tag == "K_BIND":
+            _, pat, rest, body = frame
+            sigma = {}
+            if not _match(reg, pat, sigma):
+                return NO_MATCH
+            sigma.update(rest)
+            work.append(("EVAL", body, sigma))
 
         elif tag == "K_CASE":
-            if reg is NO_MATCH:
-                continue
             for l in frame[1]:
-                if match_pattern(reg, l) is not None:
+                if _match(reg, l, {}):
                     raise FirstMatchViolation(
                         "case result matches a leaf of an earlier branch: "
                         f"{_describe(reg)} vs pattern at {l.pos}")
@@ -280,62 +244,52 @@ def _run(prog: Program, work: list, fuel: int) -> EvalResult:
             _, e, v = frame
             match e:
                 case ELeaf(left):
-                    sigma = match_pattern(v, left)
-                    reg = NO_MATCH if sigma is None else sigma
+                    reg = {}
+                    if not _match(v, left, reg):
+                        return NO_MATCH
                 case ELet(bound, fname, arg, body):
                     work.append(("K_UNBODY", bound, arg, fname, "UNAPPLY"))
                     work.append(("UNEVAL", body, v))
                 case ERLet(bound, fname, arg, body):
                     work.append(("K_UNBODY", arg, bound, fname, "APPLY"))
                     work.append(("UNEVAL", body, v))
-                case ECase(scrut, branches):
-                    chosen = None
-                    for j, (pat, body) in enumerate(branches):
-                        if any(match_pattern(v, l) is not None for l in leaves(body)):
-                            chosen = (j, pat, body)
+                case ECase(scrut):
+                    arms = e.arms
+                    for j, (pat, body, own, _) in enumerate(arms):
+                        if any(_match(v, l, {}) for l in own):
                             break
-                    if chosen is None:
-                        reg = NO_MATCH
-                        continue
-                    j, pat, body = chosen
-                    early = [(p, leaves(b)) for p, b in branches[:j]]
-                    work.append(("K_UNCASE", scrut, early, pat, v))
+                    else:
+                        return NO_MATCH
+                    work.append(("K_UNCASE", scrut, arms[:j], pat, v))
                     work.append(("UNEVAL", body, v))
 
         elif tag == "K_UNBODY":
             # After inverting a let/rlet body: rebuild the callee result from
             # the binder pattern, then run the call in the opposite direction.
-            if reg is NO_MATCH:
-                continue
             _, bound, call_arg, fname, mode = frame
-            sigma_out, rest = _split(reg, bound)
-            w = instantiate(sigma_out, bound)
+            w = _take(reg, bound)
             if w is None:
-                reg = NO_MATCH
-                continue
-            work.append(("K_UNCALL", call_arg, rest))
+                return NO_MATCH
+            work.append(("K_UNCALL", call_arg, dict(reg)))
             work.append((mode, fname))
             reg = w
 
         elif tag == "K_UNCALL":
-            if reg is NO_MATCH:
-                continue
             _, l_bind, rest = frame
-            sigma = match_pattern(reg, l_bind)
-            reg = NO_MATCH if sigma is None else _merge(sigma, rest)
+            sigma = {}
+            if not _match(reg, l_bind, sigma):
+                return NO_MATCH
+            sigma.update(rest)
+            reg = sigma
 
         elif tag == "K_UNCASE":
-            if reg is NO_MATCH:
-                continue
-            _, scrut, early, pat, v_out = frame
-            sigma_pat, rest = _split(reg, pat)
-            v_scrut = instantiate(sigma_pat, pat)
+            _, scrut, earlier_arms, pat, v_out = frame
+            v_scrut = _take(reg, pat)
             if v_scrut is None:
-                reg = NO_MATCH
-                continue
-            for p, early_leaves in early:
-                if match_pattern(v_scrut, p) is not None:
-                    if any(match_pattern(v_out, l) is not None for l in early_leaves):
+                return NO_MATCH
+            for p, _, own, _ in earlier_arms:
+                if _match(v_scrut, p, {}):
+                    if any(_match(v_out, l, {}) for l in own):
                         # Committed-choice scanning makes this unreachable, but
                         # it is the exact two-preimage condition; keep it named.
                         raise BackwardAmbiguity(
@@ -343,22 +297,18 @@ def _run(prog: Program, work: list, fuel: int) -> EvalResult:
                     raise FirstMatchViolation(
                         "backward case input matches an earlier branch pattern: "
                         f"{_describe(v_scrut)} vs pattern at {p.pos}")
-            sigma_l = match_pattern(v_scrut, scrut)
-            reg = NO_MATCH if sigma_l is None else _merge(sigma_l, rest)
+            sigma = {}
+            if not _match(v_scrut, scrut, sigma):
+                return NO_MATCH
+            sigma.update(reg)
+            reg = sigma
 
         elif tag == "K_PROJ":
-            if reg is NO_MATCH:
-                continue
-            param = frame[1]
-            if set(reg) != {param}:
-                raise SubstitutionError(
-                    f"backward run recovered bindings {sorted(reg)}, expected [{param!r}]")
-            reg = reg[param]
+            reg = reg[frame[1]]
 
         else:  # pragma: no cover
             raise AssertionError(tag)
 
-    assert reg is not None
     return reg
 
 
@@ -372,18 +322,27 @@ def _describe(v) -> str:
 # ---------------------------------------------------------------------------
 
 def eval_expr(prog: Program, subst: Subst, e: Expr, fuel: int = DEFAULT_FUEL) -> EvalResult:
-    """Evaluate e under subst; Value, NO_MATCH or OUT_OF_FUEL."""
-    return _run(prog, [("EVAL", e, dict(subst))], fuel)
+    """Evaluate e under subst; Value, NO_MATCH or OUT_OF_FUEL.
+
+    Raises StaticError unless prog is statically valid and e uses each
+    variable of subst exactly once."""
+    defs = prog.checked_defs
+    violations = check_expr(e, subst)
+    if violations:
+        raise StaticError(violations)
+    return _run(defs, [("EVAL", e, dict(subst))], fuel)
 
 
 def apply_forward(prog: Program, fname: str, v: Value, fuel: int = DEFAULT_FUEL) -> EvalResult:
-    d = _def_for(prog, fname)
-    return _run(prog, [("EVAL", d.body, {d.param: v})], fuel)
+    defs = prog.checked_defs
+    d = _def_for(defs, fname)
+    return _run(defs, [("EVAL", d.body, {d.param: v})], fuel)
 
 
 def apply_backward(prog: Program, fname: str, v: Value, fuel: int = DEFAULT_FUEL) -> EvalResult:
     """The u with apply_forward(prog, fname, u) = v, via a direct inverse
     interpreter: leaves are matched against v under the symmetric first-match
     policy, lets and rlets swap direction, cases run inside out."""
-    d = _def_for(prog, fname)
-    return _run(prog, [("K_PROJ", d.param), ("UNEVAL", d.body, v)], fuel)
+    defs = prog.checked_defs
+    d = _def_for(defs, fname)
+    return _run(defs, [("K_PROJ", d.param), ("UNEVAL", d.body, v)], fuel)

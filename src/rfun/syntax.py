@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Union
 
 from .values import TUPLE, Value
 
@@ -96,6 +97,19 @@ class ECase:
     branches: tuple[tuple[LeftExpr, "Expr"], ...]
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
+    @cached_property
+    def arms(self) -> tuple[tuple, ...]:
+        """Per branch: its pattern, its body, the body's leaves, and the
+        leaves of every earlier branch, which the symmetric first-match
+        policy checks against.  Derived once per case."""
+        out = []
+        earlier: tuple[LeftExpr, ...] = ()
+        for pat, body in self.branches:
+            own = tuple(leaves(body))
+            out.append((pat, body, own, earlier))
+            earlier += own
+        return tuple(out)
+
 
 Expr = Union[ELeaf, ELet, ERLet, ECase]
 
@@ -112,11 +126,23 @@ class Def:
 class Program:
     defs: tuple[Def, ...]
 
-    def lookup(self, fname: str) -> Optional[Def]:
+    @cached_property
+    def checked_defs(self) -> dict[str, Def]:
+        """Name -> definition, for a program that check_static accepts.
+
+        The first use runs the static checks and raises StaticError if they
+        fail; after that the program counts as checked, so both semantics
+        check a program once and then trust its guarantees.  Every case's
+        arms are derived here as well.
+        """
+        violations = check_static(self)
+        if violations:
+            raise StaticError(violations)
         for d in self.defs:
-            if d.name == fname:
-                return d
-        return None
+            for node in walk(d.body):
+                if isinstance(node, ECase):
+                    node.arms  # derived now, not mid-run
+        return {d.name: d for d in self.defs}
 
     def index_of(self, fname: str) -> int:
         for i, d in enumerate(self.defs):
@@ -338,8 +364,11 @@ def parse_program(src: str) -> Program:
     used: set[str] = set()
     for name, param, body, _ in raw:
         used.add(name)
-        used.update(_idents_left(param))
-        used.update(_idents_expr(body))
+        for node in (*walk(param), *walk(body)):
+            if isinstance(node, LVar):
+                used.add(node.name)
+            elif isinstance(node, (ELet, ERLet)):
+                used.add(node.fname)
     defs = []
     for name, param, body, pos in raw:
         if isinstance(param, LVar):
@@ -383,47 +412,44 @@ def _fresh_name(used: set[str]) -> str:
     return f"x{k}"
 
 
-def _idents_left(l: LeftExpr) -> Iterator[str]:
-    match l:
-        case LVar(name):
-            yield name
-        case LCtor(_, args):
-            for a in args:
-                yield from _idents_left(a)
-        case LDup(arg):
-            yield from _idents_left(arg)
-
-
-def _idents_expr(e: Expr) -> Iterator[str]:
-    match e:
-        case ELeaf(left):
-            yield from _idents_left(left)
-        case ELet(bound, fname, arg, body) | ERLet(bound, fname, arg, body):
-            yield fname
-            yield from _idents_left(bound)
-            yield from _idents_left(arg)
-            yield from _idents_expr(body)
-        case ECase(scrut, branches):
-            yield from _idents_left(scrut)
-            for pat, b in branches:
-                yield from _idents_left(pat)
-                yield from _idents_expr(b)
-
-
 # ---------------------------------------------------------------------------
-# Variable bookkeeping
+# Traversal and variable bookkeeping
 # ---------------------------------------------------------------------------
+
+def walk(node: Union[Expr, LeftExpr]) -> Iterator[Union[Expr, LeftExpr]]:
+    """node and every expression and left expression under it, pre-order.
+
+    Children come in source order, except that a let or rlet visits its
+    call argument before its binder.  Symbol tables and harness
+    vocabularies number constructors by first occurrence in this order.
+    """
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        yield n
+        # Exact type tests: three times faster here than class patterns.
+        kind = type(n)
+        if kind is LCtor:
+            todo.extend(reversed(n.args))
+        elif kind is LDup:
+            todo.append(n.arg)
+        elif kind is ELeaf:
+            todo.append(n.left)
+        elif kind is ELet or kind is ERLet:
+            todo += (n.body, n.bound, n.arg)
+        elif kind is ECase:
+            for pat, body in reversed(n.branches):
+                todo += (body, pat)
+            todo.append(n.scrutinee)
+
+
+def _var_nodes(l: LeftExpr) -> list[LVar]:
+    return [n for n in walk(l) if isinstance(n, LVar)]
+
 
 def lvars(l: LeftExpr) -> list[str]:
     """Variables of a left expression, first-use order, duplicates kept."""
-    match l:
-        case LVar(name):
-            return [name]
-        case LCtor(_, args):
-            return [v for a in args for v in lvars(a)]
-        case LDup(arg):
-            return lvars(arg)
-    raise AssertionError
+    return [v.name for v in _var_nodes(l)]
 
 
 def leaves(e: Expr) -> list[LeftExpr]:
@@ -480,15 +506,22 @@ def check_static(prog: Program) -> list[Violation]:
 
 
 def check_static_or_raise(prog: Program) -> Program:
-    violations = check_static(prog)
-    if violations:
-        raise StaticError(violations)
+    """prog, if check_static accepts it; raises StaticError otherwise.  The
+    verdict is kept on the program (see Program.checked_defs)."""
+    prog.checked_defs  # its first use runs the check
     return prog
+
+
+def check_expr(e: Expr, free: Iterable[str]) -> list[Violation]:
+    """check_static for one expression whose free variables are `free`."""
+    out: list[Violation] = []
+    _check_expr(e, dict.fromkeys(free), out, "expression")
+    return out
 
 
 def _pattern_vars(l: LeftExpr, out: list[Violation], where: str) -> dict[str, Optional[Pos]]:
     bound: dict[str, Optional[Pos]] = {}
-    for v in _left_var_nodes(l):
+    for v in _var_nodes(l):
         if v.name in bound:
             out.append(Violation("linearity",
                                  f"variable {v.name!r} bound twice in a pattern of {where!r}",
@@ -497,19 +530,8 @@ def _pattern_vars(l: LeftExpr, out: list[Violation], where: str) -> dict[str, Op
     return bound
 
 
-def _left_var_nodes(l: LeftExpr) -> Iterator[LVar]:
-    match l:
-        case LVar():
-            yield l
-        case LCtor(_, args):
-            for a in args:
-                yield from _left_var_nodes(a)
-        case LDup(arg):
-            yield from _left_var_nodes(arg)
-
-
 def _consume(l: LeftExpr, env: dict[str, Optional[Pos]], out: list[Violation], where: str) -> None:
-    for v in _left_var_nodes(l):
+    for v in _var_nodes(l):
         if v.name in env:
             del env[v.name]
         else:

@@ -57,10 +57,6 @@ def value_eq(a: Value, b: Value) -> bool:
     return a == b
 
 
-def is_tuple(v: Value) -> bool:
-    return v.ctor == TUPLE
-
-
 def dupeq_value(v: Value) -> Optional[Value]:
     """The duplication/equality operator on values.
 

@@ -8,6 +8,7 @@ from rfun.invcat import (
     ONE, Morph, Prod, Sum, compose, dagger, delta, identity, inj1, inj2,
     join, oplus, otimes, prod_swap, restrict, sum_swap, zero_morph,
 )
+from rfun.harness import gen_value as random_value  # noqa: F401  (re-exported)
 from rfun.syntax import Program, check_static_or_raise, parse_program
 from rfun.values import TUPLE, Value, val
 
@@ -96,13 +97,6 @@ def fib_pair(n: int) -> tuple[int, int]:
     for _ in range(n):
         a, b = b, a + b
     return a, b
-
-
-def random_value(rng: random.Random, vocab: list[tuple[str, int]], depth: int) -> Value:
-    """Depth-bounded random value over a (constructor, arity) vocabulary."""
-    options = vocab if depth > 0 else [ca for ca in vocab if ca[1] == 0]
-    ctor, arity = rng.choice(options)
-    return Value(ctor, tuple(random_value(rng, vocab, depth - 1) for _ in range(arity)))
 
 
 ARITH_VOCAB = [("Z", 0), ("S", 1), (TUPLE, 2)]

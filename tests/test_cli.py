@@ -1,14 +1,19 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def rfun(*args, **kw):
+    # the CLI runs in a child process, which must import this checkout too
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "rfun.cli", *args],
-                          capture_output=True, text=True, **kw)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, **kw)
 
 
 def test_run_fib_forward():

@@ -17,11 +17,11 @@ from rfun.invcat import (
     zero_morph,
 )
 from rfun.inverter import invert_name, invert_program
-from rfun.opsem import NO_MATCH, apply_forward
+from rfun.opsem import NO_MATCH, apply_backward, apply_forward
 from rfun.syntax import LCtor, LDup, LVar, parse_program
 from rfun.values import TUPLE, dupeq_value, tup, val
 
-from helpers import ARITH_VOCAB, load_program, peano, random_value
+from helpers import ARITH_VOCAB, FIXTURES, load_program, peano, random_value
 
 FUEL = 100_000
 
@@ -41,6 +41,9 @@ def arith():
 def test_symbol_table_orders_by_first_occurrence(arith):
     _, tbl, _ = arith
     assert tbl.names == (TUPLE, "Z", "S")
+    assert SymbolTable.from_program(load_program("extra.rfun")).names == (TUPLE, "Z", "S")
+    prog = parse_program("f x =: case x of { C(y) -> rlet D = g E(y) in let A = g B in F }")
+    assert SymbolTable.from_program(prog).names == (TUPLE, "C", "E", "D", "B", "A", "F")
     assert tbl.index(TUPLE) == 1
     assert tbl.index("S") == 3
     with pytest.raises(UnknownSymbol):
@@ -378,6 +381,19 @@ def test_sem_program_requires_static_validity():
     bad = parse_program("f x =: <x, x>")
     with pytest.raises(StaticError):
         sem_program(bad)
+
+
+def test_both_semantics_share_one_static_check(monkeypatch):
+    import rfun.syntax as syntax
+    calls = []
+    real = syntax.check_static
+    monkeypatch.setattr(syntax, "check_static", lambda p: calls.append(p) or real(p))
+    prog = parse_program((FIXTURES / "arith.rfun").read_text())
+    assert apply_forward(prog, "fib", peano(2)) == tup(peano(2), peano(3))
+    sem_program(prog)
+    assert apply_backward(prog, "fib", tup(peano(2), peano(3))) == peano(2)
+    sem_program(prog)
+    assert calls == [prog]
 
 
 def test_unknown_function_in_body():

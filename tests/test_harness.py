@@ -4,6 +4,7 @@ from rfun.harness import (
     check_function, check_program, gen_value, opsem_outcome, outcomes_agree,
     vocabulary,
 )
+from rfun.syntax import parse_program
 from rfun.values import TUPLE
 
 from helpers import load_program
@@ -12,8 +13,12 @@ import random
 
 
 def test_vocabulary_first_occurrence_order():
-    prog = load_program("arith.rfun")
-    assert vocabulary(prog) == [(TUPLE, 2), ("Z", 0), (TUPLE, 1), ("S", 1)]
+    for name in ("arith.rfun", "extra.rfun"):
+        prog = load_program(name)
+        assert vocabulary(prog) == [(TUPLE, 2), ("Z", 0), (TUPLE, 1), ("S", 1)]
+    # let and rlet contribute their call argument before their binder
+    prog = parse_program("f x =: case x of { C(y) -> rlet D = g E(y) in let A = g B in F }")
+    assert vocabulary(prog) == [("C", 1), ("E", 1), ("D", 0), ("B", 0), ("A", 0), ("F", 0)]
 
 
 def test_vocabulary_always_has_a_nullary():

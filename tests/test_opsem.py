@@ -7,7 +7,7 @@ from rfun.opsem import (
     UnknownFunction, apply_backward, apply_forward, eval_expr, instantiate,
     match_pattern,
 )
-from rfun.syntax import ELeaf, LCtor, LDup, LVar, parse_program
+from rfun.syntax import ELeaf, LCtor, LDup, LVar, StaticError, parse_program
 from rfun.values import TUPLE, Value, tup, val
 
 from helpers import ARITH_VOCAB, fib_pair, load_program, peano, random_value, unpeano
@@ -109,6 +109,19 @@ def test_fib_against_oracle():
 def test_eval_expr_direct():
     p = load_program("id.rfun")
     assert eval_expr(p, {"w": SZ}, ELeaf(LVar("w"))) == SZ
+
+
+def test_statically_invalid_input_raises_before_running():
+    twice = parse_program("f x =: <x, x>")          # x used twice
+    with pytest.raises(StaticError):
+        apply_forward(twice, "f", Z)
+    with pytest.raises(StaticError):
+        apply_backward(twice, "f", tup(Z, Z))
+    with pytest.raises(StaticError):
+        eval_expr(twice, {"w": Z}, ELeaf(LVar("w")))
+    valid = load_program("id.rfun")
+    with pytest.raises(StaticError):                # y is never used
+        eval_expr(valid, {"x": Z, "y": Z}, ELeaf(LVar("x")))
 
 
 def test_no_match_on_non_numeral():
