@@ -5,8 +5,7 @@ and compile them to fuel-bounded partial injections whose behaviour is
 cross-checked against the interpreter.
 """
 
-from . import _stack  # noqa: F401  (raises the recursion limit)
-from ._stack import run_deep
+from ._stack import run_deep  # importing _stack raises the recursion limit
 from .values import TUPLE, Value, dupeq_value, render_value, tup, val, value_eq
 from .syntax import (
     Def, ECase, ELeaf, ELet, ERLet, LCtor, LDup, LVar, ParseError, Program,
@@ -14,9 +13,9 @@ from .syntax import (
     parse_value, render_program,
 )
 from .opsem import (
-    DEFAULT_FUEL, NO_MATCH, OUT_OF_FUEL, BackwardAmbiguity,
-    FirstMatchViolation, RfunRuntimeError, SubstitutionError, UnknownFunction,
-    apply_backward, apply_forward, eval_expr, instantiate, match_pattern,
+    DEFAULT_FUEL, NO_MATCH, OUT_OF_FUEL, FirstMatchViolation,
+    RfunRuntimeError, SubstitutionError, UnknownFunction, apply_backward,
+    apply_forward, eval_expr, instantiate, match_pattern,
 )
 from .inverter import InversionError, alpha_eq, invert_name, invert_program
 from .densem import (
@@ -33,10 +32,10 @@ __all__ = [
     "ParseError", "Program", "StaticError", "check_static",
     "check_static_or_raise", "leaves", "parse_program", "parse_value",
     "render_program",
-    "DEFAULT_FUEL", "NO_MATCH", "OUT_OF_FUEL", "BackwardAmbiguity",
-    "FirstMatchViolation", "RfunRuntimeError", "SubstitutionError",
-    "UnknownFunction", "apply_backward", "apply_forward", "eval_expr",
-    "instantiate", "match_pattern",
+    "DEFAULT_FUEL", "NO_MATCH", "OUT_OF_FUEL", "FirstMatchViolation",
+    "RfunRuntimeError", "SubstitutionError", "UnknownFunction",
+    "apply_backward", "apply_forward", "eval_expr", "instantiate",
+    "match_pattern",
     "InversionError", "alpha_eq", "invert_name", "invert_program",
     "SymbolTable", "decode_value", "dupeq_morphism", "encode_value",
     "function_morphism", "run_denotation", "sem_expr", "sem_left",

@@ -22,16 +22,13 @@ if sys.getrecursionlimit() < MAIN_THREAD_LIMIT:
     sys.setrecursionlimit(MAIN_THREAD_LIMIT)
 
 
-def run_deep(fn: Callable[..., Any], *args: Any,
-             stack_bytes: int = DEEP_STACK_BYTES,
-             recursion_limit: int = DEEP_RECURSION_LIMIT,
-             **kwargs: Any) -> Any:
+def run_deep(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
     """Run fn(*args, **kwargs) on a thread with a large stack."""
     result: dict[str, Any] = {}
 
     def work() -> None:
         old = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old, recursion_limit))
+        sys.setrecursionlimit(max(old, DEEP_RECURSION_LIMIT))
         try:
             result["value"] = fn(*args, **kwargs)
         except BaseException as exc:   # noqa: BLE001  (re-raised below)
@@ -39,7 +36,7 @@ def run_deep(fn: Callable[..., Any], *args: Any,
         finally:
             sys.setrecursionlimit(old)
 
-    old_size = threading.stack_size(stack_bytes)
+    old_size = threading.stack_size(DEEP_STACK_BYTES)
     try:
         thread = threading.Thread(target=work, name="rfun-deep-stack")
         thread.start()

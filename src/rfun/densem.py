@@ -195,20 +195,19 @@ def _retuple(xs: list[Elem]) -> Elem:
     return out
 
 
+def _permute(order: tuple[int, ...]):
+    def run(x, fuel):
+        xs = _untuple(x, len(order))
+        return _retuple([xs[i] for i in order])
+
+    return run
+
+
 def perm_morph(perm: tuple[int, ...]) -> Morph:
     """Total iso on tpow(len(perm)); output slot i carries input slot perm[i]."""
     k = len(perm)
     inverse = tuple(perm.index(i) for i in range(k))
-
-    def fwd(x, fuel):
-        xs = _untuple(x, k)
-        return _retuple([xs[i] for i in perm])
-
-    def bwd(y, fuel):
-        ys = _untuple(y, k)
-        return _retuple([ys[i] for i in inverse])
-
-    return Morph(tpow(k), tpow(k), fwd, bwd, "perm")
+    return Morph(tpow(k), tpow(k), _permute(perm), _permute(inverse), "perm")
 
 
 def _perm_for(src: tuple[str, ...], tgt: tuple[str, ...]) -> Morph:
@@ -236,6 +235,7 @@ def regroup(sizes: tuple[int, ...]) -> Morph:
             at += s
         return _retuple(groups) if len(sizes) > 1 else groups[0]
 
+    # Flattening the groups back is not the grouping procedure run again.
     def bwd(y, fuel):
         groups = _untuple(y, len(sizes)) if len(sizes) > 1 else [y]
         xs = []
@@ -453,6 +453,7 @@ def case_morphism(arms, r: int, tbl: SymbolTable) -> Morph:
     through, and a flag raises IncompatibleJoin, so the dagger is the case
     of the inverted program.
     """
+    # Two bodies: forward commits on a pattern split, backward on a leaf test.
     last = len(arms) - 1
     leaf_tests: list = [None] * len(arms)
 

@@ -23,11 +23,8 @@ from .densem import (
     DEFAULT_FUEL as DEN_FUEL, SymbolTable, function_morphism, run_denotation,
     sem_program,
 )
-from .invcat import NO_FUEL as DEN_NO_FUEL, IncompatibleJoin, Morph, UNDEF
-from .opsem import (
-    DEFAULT_FUEL as OP_FUEL, NO_MATCH, OUT_OF_FUEL, FirstMatchViolation,
-    apply_forward,
-)
+from .invcat import NO_FUEL, UNDEF, IncompatibleJoin, Morph
+from .opsem import DEFAULT_FUEL as OP_FUEL, FirstMatchViolation, apply_forward
 from .syntax import LCtor, Program, walk
 from .values import TUPLE, Value, render_value
 
@@ -52,16 +49,21 @@ def gen_value(rng: random.Random, vocab: list[tuple[str, int]], depth: int) -> V
     return Value(ctor, tuple(gen_value(rng, vocab, depth - 1) for _ in range(arity)))
 
 
+def _status(r, undefined_name: str) -> dict:
+    """Report a Value, UNDEF (NO_MATCH) or NO_FUEL (OUT_OF_FUEL)."""
+    if r is UNDEF:
+        return {"status": undefined_name}
+    if r is NO_FUEL:
+        return {"status": "out-of-fuel"}
+    return {"status": "value", "value": render_value(r)}
+
+
 def opsem_outcome(prog: Program, fname: str, v: Value, fuel: int) -> dict:
     try:
         r = apply_forward(prog, fname, v, fuel)
     except FirstMatchViolation as exc:
         return {"status": "violation", "detail": str(exc)}
-    if r is NO_MATCH:
-        return {"status": "no-match"}
-    if r is OUT_OF_FUEL:
-        return {"status": "out-of-fuel"}
-    return {"status": "value", "value": render_value(r)}
+    return _status(r, "no-match")
 
 
 def densem_outcome(morph: Morph, v: Value, tbl: SymbolTable, fuel: int) -> dict:
@@ -69,11 +71,7 @@ def densem_outcome(morph: Morph, v: Value, tbl: SymbolTable, fuel: int) -> dict:
         r = run_denotation(morph, v, tbl, fuel)
     except IncompatibleJoin as exc:
         return {"status": "violation", "detail": str(exc)}
-    if r is UNDEF:
-        return {"status": "undefined"}
-    if r is DEN_NO_FUEL:
-        return {"status": "out-of-fuel"}
-    return {"status": "value", "value": render_value(r)}
+    return _status(r, "undefined")
 
 
 _AGREEING = {

@@ -6,8 +6,15 @@ evaluators ``fwd`` and ``bwd`` mapping an element and a fuel budget to an
 element, ``UNDEF`` or ``NO_FUEL``, and forming a partial isomorphism
 pointwise: whenever ``fwd(x) = y`` is defined, ``bwd(y) = x`` and conversely.
 
+Partial inverses are unique, so the combinators commute with the dagger
+((g . f)^ = f^ . g^, and likewise for sums, products, joins, trace and fixed
+points): each is one factory from component evaluators to an evaluator,
+applied to the forward parts for ``fwd`` and to the backward parts for
+``bwd``.  Only maps whose inverse is given as data have two bodies.
+
 The three-valued outcome separates decidable failure (UNDEF, stable under
 more fuel) from exhausted recursion (NO_FUEL, which more fuel may refine).
+The interpreter's NO_MATCH and OUT_OF_FUEL are these same two objects.
 Join compatibility is not certified at construction time; the join evaluator
 checks it lazily on the points it actually visits and raises
 IncompatibleJoin when two components disagree.
@@ -349,15 +356,34 @@ class Morph:
 
 
 def _iso(src: ObjDesc, tgt: ObjDesc, f, g, label: str = "") -> Morph:
+    # A structural iso's inverse is given as data, not derived from f.
     return Morph(src, tgt, lambda x, fuel: f(x), lambda y, fuel: g(y), label)
 
 
+def _same(x, fuel):
+    return x
+
+
+def _undef(x, fuel):
+    return UNDEF
+
+
 def identity(a: ObjDesc) -> Morph:
-    return _iso(a, a, lambda x: x, lambda y: y, "id")
+    return Morph(a, a, _same, _same, "id")
 
 
 def zero_morph(a: ObjDesc, b: ObjDesc) -> Morph:
-    return Morph(a, b, lambda x, fuel: UNDEF, lambda y, fuel: UNDEF, "zero")
+    return Morph(a, b, _undef, _undef, "zero")
+
+
+def _then(first: Evaluator, second: Evaluator) -> Evaluator:
+    def run(x, fuel):
+        r = first(x, fuel)
+        if isinstance(r, _Outcome):
+            return r
+        return second(r, fuel)
+
+    return run
 
 
 def compose(g: Morph, f: Morph) -> Morph:
@@ -365,20 +391,7 @@ def compose(g: Morph, f: Morph) -> Morph:
     if f.tgt != g.src:
         raise TypeMismatch(
             f"cannot compose {g!r} after {f!r}: {obj_str(f.tgt)} != {obj_str(g.src)}")
-
-    def fwd(x, fuel):
-        r = f.fwd(x, fuel)
-        if isinstance(r, _Outcome):
-            return r
-        return g.fwd(r, fuel)
-
-    def bwd(y, fuel):
-        r = g.bwd(y, fuel)
-        if isinstance(r, _Outcome):
-            return r
-        return f.bwd(r, fuel)
-
-    return Morph(f.src, g.tgt, fwd, bwd)
+    return Morph(f.src, g.tgt, _then(f.fwd, g.fwd), _then(g.bwd, f.bwd))
 
 
 def compose_all(*ms: Morph) -> Morph:
@@ -395,9 +408,10 @@ def dagger(f: Morph) -> Morph:
 
 def restrict(f: Morph) -> Morph:
     """The restriction idempotent: identity exactly where f is defined."""
+    fwd = f.fwd
 
     def guard(x, fuel):
-        r = f.fwd(x, fuel)
+        r = fwd(x, fuel)
         if isinstance(r, _Outcome):
             return r
         return x
@@ -421,44 +435,43 @@ def join(fs: list[Morph]) -> Morph:
         if f.src != src or f.tgt != tgt:
             raise TypeMismatch("join of non-parallel morphisms")
 
-    def scan(x, fuel, through, back):
-        first = None
-        first_i = None
-        for i, f in enumerate(fs):
-            r = through(f)(x, fuel)
-            if r is NO_FUEL:
+    def scan(through: list[Evaluator], back: list[Evaluator]) -> Evaluator:
+        def run(x, fuel):
+            first = None
+            first_i = None
+            for i, f in enumerate(through):
+                r = f(x, fuel)
+                if r is NO_FUEL:
+                    if first is None:
+                        return NO_FUEL
+                    continue        # best effort once an answer exists
+                if r is UNDEF:
+                    continue
                 if first is None:
-                    return NO_FUEL
-                continue        # best effort once an answer exists
-            if r is UNDEF:
-                continue
+                    first, first_i = r, i
+                elif r != first:
+                    raise IncompatibleJoin(
+                        f"components {first_i} and {i} disagree at a visited point")
             if first is None:
-                first, first_i = r, i
-            elif r != first:
-                raise IncompatibleJoin(
-                    f"components {first_i} and {i} disagree at a visited point")
-        if first is None:
-            return UNDEF
-        # An earlier component reaching the same output from elsewhere would
-        # make the join non-injective; checked against the components before
-        # the producing one.
-        for i in range(first_i):
-            r = back(fs[i])(first, fuel)
-            if r is NO_FUEL:
-                return NO_FUEL
-            if r is not UNDEF:
-                raise IncompatibleJoin(
-                    f"output of component {first_i} is already reachable "
-                    f"through component {i}")
-        return first
+                return UNDEF
+            # An earlier component reaching the same output from elsewhere
+            # would make the join non-injective; checked against the
+            # components before the producing one.
+            for i in range(first_i):
+                r = back[i](first, fuel)
+                if r is NO_FUEL:
+                    return NO_FUEL
+                if r is not UNDEF:
+                    raise IncompatibleJoin(
+                        f"output of component {first_i} is already reachable "
+                        f"through component {i}")
+            return first
 
-    def fwd(x, fuel):
-        return scan(x, fuel, lambda f: f.fwd, lambda f: f.bwd)
+        return run
 
-    def bwd(y, fuel):
-        return scan(y, fuel, lambda f: f.bwd, lambda f: f.fwd)
-
-    return Morph(src, tgt, fwd, bwd, "join")
+    fwds = [f.fwd for f in fs]
+    bwds = [f.bwd for f in fs]
+    return Morph(src, tgt, scan(fwds, bwds), scan(bwds, fwds), "join")
 
 
 # -- disjointness tensor ------------------------------------------------------
@@ -477,28 +490,23 @@ def inj2(a: ObjDesc, b: ObjDesc) -> Morph:
                 "inj2")
 
 
-def oplus(f: Morph, g: Morph) -> Morph:
-    def fwd(x, fuel):
+def _oplus(left: Evaluator, right: Evaluator) -> Evaluator:
+    def run(x, fuel):
         match x:
             case InL(v):
-                r = f.fwd(v, fuel)
+                r = left(v, fuel)
                 return r if isinstance(r, _Outcome) else InL(r)
             case InR(v):
-                r = g.fwd(v, fuel)
+                r = right(v, fuel)
                 return r if isinstance(r, _Outcome) else InR(r)
         raise TypeMismatch(f"not a sum element: {x!r}")
 
-    def bwd(y, fuel):
-        match y:
-            case InL(v):
-                r = f.bwd(v, fuel)
-                return r if isinstance(r, _Outcome) else InL(r)
-            case InR(v):
-                r = g.bwd(v, fuel)
-                return r if isinstance(r, _Outcome) else InR(r)
-        raise TypeMismatch(f"not a sum element: {y!r}")
+    return run
 
-    return Morph(Sum(f.src, g.src), Sum(f.tgt, g.tgt), fwd, bwd)
+
+def oplus(f: Morph, g: Morph) -> Morph:
+    return Morph(Sum(f.src, g.src), Sum(f.tgt, g.tgt),
+                 _oplus(f.fwd, g.fwd), _oplus(f.bwd, g.bwd))
 
 
 def oplus_all(ms: list[Morph]) -> Morph:
@@ -529,34 +537,29 @@ def _sum_all(objs: list[ObjDesc]) -> ObjDesc:
 
 # -- inverse product ----------------------------------------------------------
 
-def otimes(f: Morph, g: Morph) -> Morph:
-    def fwd(x, fuel):
+def _otimes(left: Evaluator, right: Evaluator) -> Evaluator:
+    def run(x, fuel):
         if not isinstance(x, Pair):
             raise TypeMismatch(f"not a product element: {x!r}")
-        a = f.fwd(x.fst, fuel)
+        a = left(x.fst, fuel)
         if isinstance(a, _Outcome):
             return a
-        b = g.fwd(x.snd, fuel)
+        b = right(x.snd, fuel)
         if isinstance(b, _Outcome):
             return b
         return Pair(a, b)
 
-    def bwd(y, fuel):
-        if not isinstance(y, Pair):
-            raise TypeMismatch(f"not a product element: {y!r}")
-        a = f.bwd(y.fst, fuel)
-        if isinstance(a, _Outcome):
-            return a
-        b = g.bwd(y.snd, fuel)
-        if isinstance(b, _Outcome):
-            return b
-        return Pair(a, b)
+    return run
 
-    return Morph(Prod(f.src, g.src), Prod(f.tgt, g.tgt), fwd, bwd)
+
+def otimes(f: Morph, g: Morph) -> Morph:
+    return Morph(Prod(f.src, g.src), Prod(f.tgt, g.tgt),
+                 _otimes(f.fwd, g.fwd), _otimes(f.bwd, g.bwd))
 
 
 def delta(a: ObjDesc) -> Morph:
     """Duplication; its dagger is the partial equality test."""
+    # The inverse compares the two copies, which the forward map never does.
     return _iso(a, Prod(a, a),
                 lambda x: Pair(x, x),
                 lambda y: y.fst if y.fst == y.snd else UNDEF,
@@ -669,11 +672,11 @@ def dist_r(a: ObjDesc, b: ObjDesc, c: ObjDesc) -> Morph:
 
 def annihil_l(a: ObjDesc) -> Morph:
     # 0 * A -> 0 has an empty domain; both directions are vacuously total.
-    return _iso(Prod(ZERO, a), ZERO, lambda x: UNDEF, lambda y: UNDEF, "annihil_l")
+    return Morph(Prod(ZERO, a), ZERO, _undef, _undef, "annihil_l")
 
 
 def annihil_r(a: ObjDesc) -> Morph:
-    return _iso(Prod(a, ZERO), ZERO, lambda x: UNDEF, lambda y: UNDEF, "annihil_r")
+    return Morph(Prod(a, ZERO), ZERO, _undef, _undef, "annihil_r")
 
 
 def fold(mu: Mu) -> Morph:
@@ -742,9 +745,10 @@ def decidable_restriction(f: Morph) -> DecIdem:
     enough fuel.  Pattern-matching morphisms and the equality test satisfy
     this; arbitrary fixed points need not.
     """
+    fwd = f.fwd
 
     def decide(x, fuel):
-        r = f.fwd(x, fuel)
+        r = fwd(x, fuel)
         if r is NO_FUEL:
             return NO_FUEL
         return r is not UNDEF
@@ -814,21 +818,21 @@ def trace(f: Morph) -> Morph:
         raise TypeMismatch(f"trace needs A+U -> B+U, got {f!r}")
     a, u, b = f.src.left, f.src.right, f.tgt.left
 
-    def run(step: Evaluator, start: Elem, fuel: int):
-        z: Union[Elem, _Outcome] = InL(start)
-        for _ in range(fuel + 1):
-            r = step(z, fuel)
-            if isinstance(r, _Outcome):
-                return r
-            if isinstance(r, InL):
-                return r.value
-            z = r
-        return NO_FUEL
+    def run(step: Evaluator) -> Evaluator:
+        def loop(start, fuel):
+            z: Union[Elem, _Outcome] = InL(start)
+            for _ in range(fuel + 1):
+                r = step(z, fuel)
+                if isinstance(r, _Outcome):
+                    return r
+                if isinstance(r, InL):
+                    return r.value
+                z = r
+            return NO_FUEL
 
-    return Morph(a, b,
-                 lambda x, fuel: run(f.fwd, x, fuel),
-                 lambda y, fuel: run(f.bwd, y, fuel),
-                 "trace")
+        return loop
+
+    return Morph(a, b, run(f.fwd), run(f.bwd), "trace")
 
 
 def fix(scheme: Callable[[Morph], Morph], src: ObjDesc, tgt: ObjDesc) -> Morph:
@@ -838,23 +842,21 @@ def fix(scheme: Callable[[Morph], Morph], src: ObjDesc, tgt: ObjDesc) -> Morph:
     consumes one unit of fuel; exhausting the fuel approximates bottom, so a
     result other than NO_FUEL at fuel F is stable at every larger fuel.
     """
-    knot: dict[str, Morph] = {}
+    knot: list[Evaluator] = []       # [built.fwd, built.bwd], tied below
 
-    def fwd(x, fuel):
-        if fuel <= 0:
-            return NO_FUEL
-        return knot["m"].fwd(x, fuel - 1)
+    def ref(i: int) -> Evaluator:
+        def call(x, fuel):
+            if fuel <= 0:
+                return NO_FUEL
+            return knot[i](x, fuel - 1)
 
-    def bwd(y, fuel):
-        if fuel <= 0:
-            return NO_FUEL
-        return knot["m"].bwd(y, fuel - 1)
+        return call
 
-    built = scheme(Morph(src, tgt, fwd, bwd, "fix-ref"))
+    built = scheme(Morph(src, tgt, ref(0), ref(1), "fix-ref"))
     if built.src != src or built.tgt != tgt:
         raise TypeMismatch(
             f"scheme changed the type: {built!r} is not {obj_str(src)} -> {obj_str(tgt)}")
-    knot["m"] = built
+    knot += [built.fwd, built.bwd]
     return built
 
 

@@ -12,34 +12,22 @@ linearity; only the symmetric first-match policy is checked as it runs.
 
 Fuel counts function applications (in either direction).  A result other
 than OUT_OF_FUEL obtained at fuel F is identical at every larger fuel.
+NO_MATCH and OUT_OF_FUEL are the same objects as invcat's UNDEF and NO_FUEL.
 """
 from __future__ import annotations
 
 from typing import Optional, Union
 
+from .invcat import NO_FUEL as OUT_OF_FUEL, UNDEF as NO_MATCH, _Outcome
 from .syntax import (
     Def, ECase, ELeaf, ELet, ERLet, Expr, LCtor, LDup, LeftExpr, LVar,
     Program, StaticError, check_expr, lvars,
 )
-from .values import Value, dupeq_value
+from .values import Value, dupeq_value, render_value
 
 DEFAULT_FUEL = 10_000
 
 Subst = dict[str, Value]
-
-
-class _Outcome:
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __repr__(self) -> str:
-        return self.name
-
-
-NO_MATCH = _Outcome("NO_MATCH")
-OUT_OF_FUEL = _Outcome("OUT_OF_FUEL")
 
 EvalResult = Union[Value, _Outcome]
 
@@ -60,11 +48,6 @@ class SubstitutionError(RfunRuntimeError):
 class FirstMatchViolation(RfunRuntimeError):
     """A case produced (or, backward, consumed) a value that the symmetric
     first-match policy assigns to an earlier branch."""
-
-
-class BackwardAmbiguity(RfunRuntimeError):
-    """Two distinct preimages found; unreachable for statically accepted,
-    first-match-respecting programs."""
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +138,7 @@ def _match(v: Value, l: LeftExpr, out: Subst) -> bool:
 #   ("K_CASE", earlier_leaves)
 #   ("K_UNBODY", l_pattern, l_call_arg, fname, mode)
 #   ("K_UNCALL", l_bind, rest)
-#   ("K_UNCASE", scrutinee, earlier_arms, pattern, v_out)
+#   ("K_UNCASE", scrutinee, earlier_arms, pattern)
 #   ("K_PROJ", param)             project a Subst back to the parameter value
 # Each step owns the substitution it takes and builds by removing the
 # variables it uses; what it leaves for later frames goes into a fresh dict.
@@ -238,7 +221,7 @@ def _run(defs: dict[str, Def], work: list, fuel: int) -> EvalResult:
                 if _match(reg, l, {}):
                     raise FirstMatchViolation(
                         "case result matches a leaf of an earlier branch: "
-                        f"{_describe(reg)} vs pattern at {l.pos}")
+                        f"{render_value(reg)} vs pattern at {l.pos}")
 
         elif tag == "UNEVAL":
             _, e, v = frame
@@ -260,7 +243,7 @@ def _run(defs: dict[str, Def], work: list, fuel: int) -> EvalResult:
                             break
                     else:
                         return NO_MATCH
-                    work.append(("K_UNCASE", scrut, arms[:j], pat, v))
+                    work.append(("K_UNCASE", scrut, arms[:j], pat))
                     work.append(("UNEVAL", body, v))
 
         elif tag == "K_UNBODY":
@@ -283,20 +266,15 @@ def _run(defs: dict[str, Def], work: list, fuel: int) -> EvalResult:
             reg = sigma
 
         elif tag == "K_UNCASE":
-            _, scrut, earlier_arms, pat, v_out = frame
+            _, scrut, earlier_arms, pat = frame
             v_scrut = _take(reg, pat)
             if v_scrut is None:
                 return NO_MATCH
-            for p, _, own, _ in earlier_arms:
+            for p, _, _, _ in earlier_arms:
                 if _match(v_scrut, p, {}):
-                    if any(_match(v_out, l, {}) for l in own):
-                        # Committed-choice scanning makes this unreachable, but
-                        # it is the exact two-preimage condition; keep it named.
-                        raise BackwardAmbiguity(
-                            f"two backward derivations for {_describe(v_out)}")
                     raise FirstMatchViolation(
                         "backward case input matches an earlier branch pattern: "
-                        f"{_describe(v_scrut)} vs pattern at {p.pos}")
+                        f"{render_value(v_scrut)} vs pattern at {p.pos}")
             sigma = {}
             if not _match(v_scrut, scrut, sigma):
                 return NO_MATCH
@@ -310,11 +288,6 @@ def _run(defs: dict[str, Def], work: list, fuel: int) -> EvalResult:
             raise AssertionError(tag)
 
     return reg
-
-
-def _describe(v) -> str:
-    from .values import render_value
-    return render_value(v) if isinstance(v, Value) else repr(v)
 
 
 # ---------------------------------------------------------------------------

@@ -421,6 +421,35 @@ def test_trace_dagger_symmetry():
             assert lhs.fwd(y, FUEL) == rhs.fwd(y, FUEL)
 
 
+def _same_both_ways(f, g):
+    assert f.src == g.src and f.tgt == g.tgt
+    for x in elems(f.src):
+        assert f.fwd(x, FUEL) == g.fwd(x, FUEL), (f, x)
+    for y in elems(f.tgt):
+        assert f.bwd(y, FUEL) == g.bwd(y, FUEL), (f, y)
+
+
+def test_dagger_is_functorial():
+    rng = random.Random(0xDA66)
+    tried = 0
+    while tried < 60:
+        src = rng.choice(SMALL_OBJS)
+        f = gen_morphism(rng, src, 2)
+        g = gen_morphism(rng, f.tgt, 2)
+        h = gen_morphism(rng, rng.choice(SMALL_OBJS), 2)
+        if max(count_elems(m.src) * count_elems(m.tgt) for m in (f, g, h)) > 400:
+            continue                    # keep the enumerations small
+        tried += 1
+        _same_both_ways(dagger(compose(g, f)), compose(dagger(f), dagger(g)))
+        _same_both_ways(dagger(oplus(f, h)), oplus(dagger(f), dagger(h)))
+        _same_both_ways(dagger(otimes(f, h)), otimes(dagger(f), dagger(h)))
+        # f restricted to each point of its source: a disjoint family
+        pts = elems(src)
+        parts = [compose_all(f, _point(src, p), dagger(_point(src, p)))
+                 for p in pts]
+        _same_both_ways(dagger(join(parts)), join([dagger(p) for p in parts]))
+
+
 def test_trace_type_check():
     with pytest.raises(TypeMismatch):
         trace(identity(ONE))        # not a sum

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rfun import invcat
 from rfun.opsem import (
     NO_MATCH, OUT_OF_FUEL, FirstMatchViolation, SubstitutionError,
     UnknownFunction, apply_backward, apply_forward, eval_expr, instantiate,
@@ -128,6 +129,11 @@ def test_no_match_on_non_numeral():
     p = load_program("arith.rfun")
     assert apply_forward(p, "fib", val("Q")) is NO_MATCH
     assert apply_forward(p, "plus", tup(Z, val("Q"))) is NO_MATCH
+
+
+def test_outcomes_are_the_categorys_own():
+    assert NO_MATCH is invcat.UNDEF
+    assert OUT_OF_FUEL is invcat.NO_FUEL
 
 
 def test_unknown_function():
