@@ -68,11 +68,7 @@ def cmd_run(args) -> int:
         print(f"input: {exc}", file=sys.stderr)
         return EXIT_FAULT
     apply = apply_backward if args.backward else apply_forward
-    try:
-        result = apply(prog, entry, value, fuel=args.fuel)
-    except RfunRuntimeError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_FAULT
+    result = apply(prog, entry, value, fuel=args.fuel)
     if result is NO_MATCH:
         print("no match", file=sys.stderr)
         return EXIT_NO_MATCH
@@ -155,6 +151,9 @@ def main(argv=None) -> None:
         code = run_deep(args.handler, args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        code = EXIT_FAULT
+    except RfunRuntimeError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         code = EXIT_FAULT
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_FAULT

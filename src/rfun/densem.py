@@ -7,11 +7,12 @@ denotes the same shape relative to a program context xi : T(S)^{+n} ->
 T(S)^{+n}; a program is the least fixed point of the scheme assembling the
 sum of its definition bodies.
 
-Wire discipline: a context is an ordered tuple of variable names; the k-fold
-product is right-nested, with the empty context denoting the unit object.
-Sub-expressions receive the unconsumed wires first, then the wires a pattern
-produced.  Permutations and regroupings between those layouts are total
-structural isomorphisms built directly as evaluator pairs.
+Wire discipline: a layout is a variable name (one wire, T(S)), () (the unit
+object) or a pair of layouts (their product); a flat context of k names is
+the right-nested layout on T(S)^{*k}.  Each binding site rewires its input
+once, by the total iso between two layouts of the same wires, into the pair
+(unconsumed wires, consumed wires); a sub-expression receives the pair
+(unconsumed wires, wires a pattern produced) as it is, not flattened.
 """
 from __future__ import annotations
 
@@ -20,9 +21,9 @@ from functools import lru_cache
 
 from .invcat import (
     ONE, UNDEF, Elem, IncompatibleJoin, InL, InR, Morph, ObjDesc, Pair, Prod,
-    Roll, STAR, Star, Sum, _Outcome, complement, compose, compose_all, dagger,
-    decidable_restriction, delta, fix, fold, identity, inj_n, join, obj_L,
-    obj_S, obj_T, oplus_all, otimes, prod_unitl, prod_unitr,
+    Roll, STAR, Star, _Outcome, _sum_all, complement, compose, compose_all,
+    dagger, decidable_restriction, delta, fix, fold, identity, inj_n, join,
+    obj_L, obj_S, obj_T, oplus_all, otimes, prod_unitl, prod_unitr,
 )
 from .opsem import UnknownFunction
 from .syntax import (
@@ -162,7 +163,7 @@ def decode_value(e: Elem, tbl: SymbolTable) -> Value:
 
 
 # ---------------------------------------------------------------------------
-# Wiring: tensor powers, permutations, regroupings
+# Wiring: tensor powers, layouts, rewiring
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -175,75 +176,72 @@ def tpow(k: int) -> ObjDesc:
     return Prod(TS, tpow(k - 1))
 
 
-def _untuple(e: Elem, k: int) -> list[Elem]:
-    if k == 0:
+def _nest(items) -> tuple | str:
+    """Right-nested layout of a sequence of layouts; for wire names, the flat
+    layout on tpow(len(names))."""
+    items = tuple(items)
+    out = items[-1] if items else ()
+    for item in reversed(items[:-1]):
+        out = (item, out)
+    return out
+
+
+def _obj(layout) -> ObjDesc:
+    if isinstance(layout, str):
+        return TS
+    if not layout:
+        return ONE
+    return Prod(_obj(layout[0]), _obj(layout[1]))
+
+
+def _wires(layout, at: str = "x") -> list[tuple[str, str]]:
+    """(wire, expression reading it from an element x), left to right."""
+    if isinstance(layout, str):
+        return [(layout, at)]
+    if not layout:
         return []
-    out = []
-    for _ in range(k - 1):
-        out.append(e.fst)
-        e = e.snd
-    out.append(e)
-    return out
+    return _wires(layout[0], at + ".fst") + _wires(layout[1], at + ".snd")
 
 
-def _retuple(xs: list[Elem]) -> Elem:
-    if not xs:
-        return STAR
-    out = xs[-1]
-    for x in reversed(xs[:-1]):
-        out = Pair(x, out)
-    return out
+def _names(layout) -> list[str]:
+    return [w for w, _ in _wires(layout)]
 
 
-def _permute(order: tuple[int, ...]):
-    def run(x, fuel):
-        xs = _untuple(x, len(order))
-        return _retuple([xs[i] for i in order])
+def _move(src, tgt):
+    """Evaluator taking an element laid out as src to the layout tgt."""
+    at = dict(_wires(src))
 
-    return run
+    def build(layout) -> str:
+        if isinstance(layout, str):
+            return at[layout]
+        if not layout:
+            return "STAR"
+        return f"Pair({build(layout[0])}, {build(layout[1])})"
 
-
-def perm_morph(perm: tuple[int, ...]) -> Morph:
-    """Total iso on tpow(len(perm)); output slot i carries input slot perm[i]."""
-    k = len(perm)
-    inverse = tuple(perm.index(i) for i in range(k))
-    return Morph(tpow(k), tpow(k), _permute(perm), _permute(inverse), "perm")
-
-
-def _perm_for(src: tuple[str, ...], tgt: tuple[str, ...]) -> Morph:
-    if sorted(src) != sorted(tgt):
-        raise ContextMismatch(f"cannot permute {src} into {tgt}")
-    return perm_morph(tuple(src.index(v) for v in tgt))
+    return _evaluator(build(tgt))
 
 
-def regroup(sizes: tuple[int, ...]) -> Morph:
-    """Total iso tpow(sum) -> tpow(s1) * (tpow(s2) * ...)."""
-    if not sizes:
-        raise ContextMismatch("regroup of no groups")
-    total = sum(sizes)
-    objs = [tpow(s) for s in sizes]
-    tgt = objs[-1]
-    for o in reversed(objs[:-1]):
-        tgt = Prod(o, tgt)
+@lru_cache(maxsize=1024)
+def _evaluator(expr: str):
+    # One generated expression makes a move one call however deep the
+    # layouts.  Its text holds access paths only, never wire names, so moves
+    # of one shape share one evaluator (the nine fixtures need 14).
+    return eval(f"lambda x, fuel: {expr}", {"Pair": Pair, "STAR": STAR})
 
-    def fwd(x, fuel):
-        xs = _untuple(x, total)
-        groups = []
-        at = 0
-        for s in sizes:
-            groups.append(_retuple(xs[at:at + s]))
-            at += s
-        return _retuple(groups) if len(sizes) > 1 else groups[0]
 
-    # Flattening the groups back is not the grouping procedure run again.
-    def bwd(y, fuel):
-        groups = _untuple(y, len(sizes)) if len(sizes) > 1 else [y]
-        xs = []
-        for g, s in zip(groups, sizes):
-            xs.extend(_untuple(g, s))
-        return _retuple(xs)
+def rewire(src, tgt) -> Morph:
+    """The total iso moving the wires laid out as src into the layout tgt."""
+    wires = _names(src)
+    if len(set(wires)) != len(wires) or sorted(wires) != sorted(_names(tgt)):
+        raise ContextMismatch(f"cannot rewire {src} into {tgt}")
+    if src == tgt:
+        return identity(_obj(src))
+    return Morph(_obj(src), _obj(tgt), _move(src, tgt), _move(tgt, src), "wire")
 
-    return Morph(tpow(total), tgt, fwd, bwd, "regroup")
+
+def _rest(layout, used: list[str]):
+    """The flat layout of the wires of layout not in used, in order."""
+    return _nest(w for w in _names(layout) if w not in used)
 
 
 # ---------------------------------------------------------------------------
@@ -329,33 +327,25 @@ def dupeq_morphism(tbl: SymbolTable) -> Morph:
 
 def sem_left(l: LeftExpr, ctx: tuple[str, ...], tbl: SymbolTable) -> Morph:
     """tpow(|ctx|) -> T(S); the dagger is the pattern semantics."""
-    order = tuple(lvars(l))
-    if len(set(order)) != len(order):
-        raise ContextMismatch(f"non-linear left expression over {order}")
-    if set(order) != set(ctx) or len(ctx) != len(set(ctx)):
-        raise ContextMismatch(f"context {ctx} does not match variables {order}")
-    return _sem_left(l, ctx, tbl)
+    return _sem_left(l, _nest(ctx), tbl)
 
 
-def _sem_left(l: LeftExpr, ctx: tuple[str, ...], tbl: SymbolTable) -> Morph:
+def _sem_left(l: LeftExpr, layout, tbl: SymbolTable) -> Morph:
     match l:
-        case LVar():
-            return identity(TS)
+        case LVar(name):
+            return rewire(layout, name)
         case LDup(arg):
-            return compose(dupeq_morphism(tbl), _sem_left(arg, ctx, tbl))
+            return compose(dupeq_morphism(tbl), _sem_left(arg, layout, tbl))
         case LCtor(ctor, args):
-            child_orders = [tuple(lvars(a)) for a in args]
-            flat = tuple(v for o in child_orders for v in o)
-            phi = _perm_for(ctx, flat)
-            builder = node_morphism(ctor, len(args), tbl)
-            if not args:
-                return compose(builder, phi)
-            children = [_sem_left(a, o, tbl) for a, o in zip(args, child_orders)]
-            tensor = children[-1]
-            for c in reversed(children[:-1]):
-                tensor = otimes(c, tensor)
-            grouped = regroup(tuple(len(o) for o in child_orders))
-            return compose_all(builder, tensor, grouped, phi)
+            kids = [_nest(lvars(a)) for a in args]
+            m = node_morphism(ctor, len(args), tbl)
+            if args:
+                parts = [_sem_left(a, k, tbl) for a, k in zip(args, kids)]
+                tensor = parts[-1]
+                for p in reversed(parts[:-1]):
+                    tensor = otimes(p, tensor)
+                m = compose(m, tensor)
+            return compose(m, rewire(layout, _nest(kids)))
     raise AssertionError
 
 
@@ -377,10 +367,14 @@ def xi_component(xi: Morph, i: int, n: int) -> Morph:
 def sem_expr(e: Expr, ctx: tuple[str, ...], xi: Morph,
              fn_index: dict[str, int], tbl: SymbolTable) -> Morph:
     """tpow(|ctx|) -> T(S) relative to the program context xi."""
-    n = len(fn_index)
+    return _sem_expr(e, _nest(ctx), xi, fn_index, tbl)
+
+
+def _sem_expr(e: Expr, layout, xi: Morph,
+              fn_index: dict[str, int], tbl: SymbolTable) -> Morph:
     match e:
         case ELeaf(left):
-            return sem_left(left, ctx, tbl)
+            return _sem_left(left, layout, tbl)
 
         case ELet() | ERLet():
             # let consumes the call argument and binds the result pattern;
@@ -392,60 +386,50 @@ def sem_expr(e: Expr, ctx: tuple[str, ...], xi: Morph,
                 consumed, produced = e.bound, e.arg
             if e.fname not in fn_index:
                 raise UnknownFunction(f"no definition for {e.fname!r}")
-            call = xi_component(xi, fn_index[e.fname], n)
+            call = xi_component(xi, fn_index[e.fname], len(fn_index))
             if isinstance(e, ERLet):
                 call = dagger(call)
-            in_vars = tuple(lvars(consumed))
-            rest = tuple(v for v in ctx if v not in set(in_vars))
-            out_vars = tuple(lvars(produced))
-            phi = _perm_for(ctx, rest + in_vars)
-            grouped = regroup((len(rest), len(in_vars)))
+            in_vars = lvars(consumed)
+            rest, ins = _rest(layout, in_vars), _nest(in_vars)
+            outs = _nest(lvars(produced))
             through = compose_all(
-                dagger(sem_left(produced, out_vars, tbl)),
+                dagger(_sem_left(produced, outs, tbl)),
                 call,
-                sem_left(consumed, in_vars, tbl),
+                _sem_left(consumed, ins, tbl),
             )
-            body = sem_expr(e.body, rest + out_vars, xi, fn_index, tbl)
             return compose_all(
-                body,
-                dagger(regroup((len(rest), len(out_vars)))),
-                otimes(identity(tpow(len(rest))), through),
-                grouped,
-                phi,
+                _sem_expr(e.body, (rest, outs), xi, fn_index, tbl),
+                otimes(identity(_obj(rest)), through),
+                rewire(layout, (rest, ins)),
             )
 
         case ECase(scrut):
-            s_vars = tuple(lvars(scrut))
-            rest = tuple(v for v in ctx if v not in set(s_vars))
-            r = len(rest)
-            pre = compose_all(
-                otimes(identity(tpow(r)), sem_left(scrut, s_vars, tbl)),
-                regroup((r, len(s_vars))),
-                _perm_for(ctx, rest + s_vars),
-            )
+            s_vars = lvars(scrut)
+            rest, scrutinee = _rest(layout, s_vars), _nest(s_vars)
             arms = []
             for pat, body, own, _ in e.arms:
-                p_vars = tuple(lvars(pat))
-                split = dagger(sem_left(pat, p_vars, tbl))
-                body_m = compose(
-                    sem_expr(body, rest + p_vars, xi, fn_index, tbl),
-                    dagger(regroup((r, len(p_vars)))),
-                )
+                p_vars = _nest(lvars(pat))
+                split = dagger(_sem_left(pat, p_vars, tbl))
+                body_m = _sem_expr(body, (rest, p_vars), xi, fn_index, tbl)
                 arms.append((split, body_m, own, isinstance(body, ELeaf)))
             # Not a join of the arms: the case commits to the first arm
             # whose pattern (forward) or leaf (backward) matches and raises
             # IncompatibleJoin on a value that an earlier arm claims.
-            return compose(case_morphism(arms, r, tbl), pre)
+            return compose_all(
+                case_morphism(arms, _obj(rest), tbl),
+                otimes(identity(_obj(rest)), _sem_left(scrut, scrutinee, tbl)),
+                rewire(layout, (rest, scrutinee)),
+            )
 
     raise AssertionError
 
 
-def case_morphism(arms, r: int, tbl: SymbolTable) -> Morph:
-    """tpow(r) * T(S) -> T(S): a case under the symmetric first-match policy.
+def case_morphism(arms, rest: ObjDesc, tbl: SymbolTable) -> Morph:
+    """rest * T(S) -> T(S): a case under the symmetric first-match policy.
 
     Each arm is (split, body, leaves, leaf_body): split, the dagger of the
-    pattern, takes the scrutinee to tpow(k); body maps tpow(r) * tpow(k) to
-    T(S); leaves are the body's leaves; leaf_body says the body is one leaf.
+    pattern, takes the scrutinee to the pattern's wires P; body maps rest * P
+    to T(S); leaves are the body's leaves; leaf_body says the body is one leaf.
     As in the interpreter, forward commits to the first arm whose pattern
     matches, and flags a result matching a leaf of an earlier arm; backward
     commits to the first arm with a leaf matching, and flags a recovered
@@ -501,7 +485,7 @@ def case_morphism(arms, r: int, tbl: SymbolTable) -> Morph:
             return Pair(z.fst, s)
         return UNDEF
 
-    return Morph(Prod(tpow(r), TS), TS, fwd, bwd, "case")
+    return Morph(Prod(rest, TS), TS, fwd, bwd, "case")
 
 
 # ---------------------------------------------------------------------------
@@ -515,32 +499,26 @@ def sem_program(prog: Program, tbl: SymbolTable | None = None) -> Morph:
     if tbl is None:
         tbl = SymbolTable.from_program(prog)
     fn_index = {d.name: i for i, d in enumerate(prog.defs)}
-    n = len(prog.defs)
-    obj = _nsum(n)
+    obj = _sum_all([TS] * len(prog.defs))
 
     def scheme(xi: Morph) -> Morph:
         return oplus_all([
-            sem_expr(d.body, (d.param,), xi, fn_index, tbl) for d in prog.defs
+            _sem_expr(d.body, d.param, xi, fn_index, tbl) for d in prog.defs
         ])
 
     return fix(scheme, obj, obj)
-
-
-def _nsum(n: int) -> ObjDesc:
-    obj: ObjDesc = TS
-    for _ in range(n - 1):
-        obj = Sum(TS, obj)
-    return obj
 
 
 def function_morphism(prog: Program, fname: str,
                       tbl: SymbolTable | None = None,
                       program_morph: Morph | None = None) -> Morph:
     """T(S) -> T(S): the denotation of one function of the program."""
+    names = list(prog.checked_defs)
+    if fname not in names:
+        raise UnknownFunction(f"no definition for {fname!r}")
     if program_morph is None:
         program_morph = sem_program(prog, tbl)
-    i = prog.index_of(fname)
-    return xi_component(program_morph, i, len(prog.defs))
+    return xi_component(program_morph, names.index(fname), len(names))
 
 
 def run_denotation(m: Morph, v: Value, tbl: SymbolTable,

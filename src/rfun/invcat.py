@@ -10,7 +10,11 @@ Partial inverses are unique, so the combinators commute with the dagger
 ((g . f)^ = f^ . g^, and likewise for sums, products, joins, trace and fixed
 points): each is one factory from component evaluators to an evaluator,
 applied to the forward parts for ``fwd`` and to the backward parts for
-``bwd``.  Only maps whose inverse is given as data have two bodies.
+``bwd``.  Only maps whose inverse is given as data have two bodies: the
+structural isos, injections and duplication are plain evaluator pairs.
+The unit laws are applied when a morphism is built: composing with an
+identity returns the other side, and the tensor of two identities is an
+identity.
 
 The three-valued outcome separates decidable failure (UNDEF, stable under
 more fuel) from exhausted recursion (NO_FUEL, which more fuel may refine).
@@ -355,11 +359,6 @@ class Morph:
         return f"<{name}: {obj_str(self.src)} -> {obj_str(self.tgt)}>"
 
 
-def _iso(src: ObjDesc, tgt: ObjDesc, f, g, label: str = "") -> Morph:
-    # A structural iso's inverse is given as data, not derived from f.
-    return Morph(src, tgt, lambda x, fuel: f(x), lambda y, fuel: g(y), label)
-
-
 def _same(x, fuel):
     return x
 
@@ -370,6 +369,10 @@ def _undef(x, fuel):
 
 def identity(a: ObjDesc) -> Morph:
     return Morph(a, a, _same, _same, "id")
+
+
+def _is_identity(f: Morph) -> bool:
+    return f.fwd is _same and f.bwd is _same
 
 
 def zero_morph(a: ObjDesc, b: ObjDesc) -> Morph:
@@ -391,6 +394,10 @@ def compose(g: Morph, f: Morph) -> Morph:
     if f.tgt != g.src:
         raise TypeMismatch(
             f"cannot compose {g!r} after {f!r}: {obj_str(f.tgt)} != {obj_str(g.src)}")
+    if _is_identity(f):
+        return g
+    if _is_identity(g):
+        return f
     return Morph(f.src, g.tgt, _then(f.fwd, g.fwd), _then(g.bwd, f.bwd))
 
 
@@ -476,18 +483,21 @@ def join(fs: list[Morph]) -> Morph:
 
 # -- disjointness tensor ------------------------------------------------------
 
+# The injections and the structural isos below give their inverses as data,
+# not derived from the forward maps, so they keep two bodies.
+
 def inj1(a: ObjDesc, b: ObjDesc) -> Morph:
-    return _iso(a, Sum(a, b),
-                lambda x: InL(x),
-                lambda y: y.value if isinstance(y, InL) else UNDEF,
-                "inj1")
+    return Morph(a, Sum(a, b),
+                 lambda x, fuel: InL(x),
+                 lambda y, fuel: y.value if isinstance(y, InL) else UNDEF,
+                 "inj1")
 
 
 def inj2(a: ObjDesc, b: ObjDesc) -> Morph:
-    return _iso(b, Sum(a, b),
-                lambda x: InR(x),
-                lambda y: y.value if isinstance(y, InR) else UNDEF,
-                "inj2")
+    return Morph(b, Sum(a, b),
+                 lambda x, fuel: InR(x),
+                 lambda y, fuel: y.value if isinstance(y, InR) else UNDEF,
+                 "inj2")
 
 
 def _oplus(left: Evaluator, right: Evaluator) -> Evaluator:
@@ -553,6 +563,8 @@ def _otimes(left: Evaluator, right: Evaluator) -> Evaluator:
 
 
 def otimes(f: Morph, g: Morph) -> Morph:
+    if _is_identity(f) and _is_identity(g):
+        return identity(Prod(f.src, g.src))
     return Morph(Prod(f.src, g.src), Prod(f.tgt, g.tgt),
                  _otimes(f.fwd, g.fwd), _otimes(f.bwd, g.bwd))
 
@@ -560,55 +572,57 @@ def otimes(f: Morph, g: Morph) -> Morph:
 def delta(a: ObjDesc) -> Morph:
     """Duplication; its dagger is the partial equality test."""
     # The inverse compares the two copies, which the forward map never does.
-    return _iso(a, Prod(a, a),
-                lambda x: Pair(x, x),
-                lambda y: y.fst if y.fst == y.snd else UNDEF,
-                "delta")
+    return Morph(a, Prod(a, a),
+                 lambda x, fuel: Pair(x, x),
+                 lambda y, fuel: y.fst if y.fst == y.snd else UNDEF,
+                 "delta")
 
 
 # -- structural isomorphisms --------------------------------------------------
 
 def prod_unitl(a: ObjDesc) -> Morph:
-    return _iso(Prod(ONE, a), a, lambda x: x.snd, lambda y: Pair(STAR, y), "unitl")
+    return Morph(Prod(ONE, a), a, lambda x, fuel: x.snd,
+                 lambda y, fuel: Pair(STAR, y), "unitl")
 
 
 def prod_unitr(a: ObjDesc) -> Morph:
-    return _iso(Prod(a, ONE), a, lambda x: x.fst, lambda y: Pair(y, STAR), "unitr")
+    return Morph(Prod(a, ONE), a, lambda x, fuel: x.fst,
+                 lambda y, fuel: Pair(y, STAR), "unitr")
 
 
 def prod_assoc(a: ObjDesc, b: ObjDesc, c: ObjDesc) -> Morph:
     """A * (B * C) -> (A * B) * C"""
-    return _iso(Prod(a, Prod(b, c)), Prod(Prod(a, b), c),
-                lambda x: Pair(Pair(x.fst, x.snd.fst), x.snd.snd),
-                lambda y: Pair(y.fst.fst, Pair(y.fst.snd, y.snd)),
-                "assoc")
+    return Morph(Prod(a, Prod(b, c)), Prod(Prod(a, b), c),
+                 lambda x, fuel: Pair(Pair(x.fst, x.snd.fst), x.snd.snd),
+                 lambda y, fuel: Pair(y.fst.fst, Pair(y.fst.snd, y.snd)),
+                 "assoc")
 
 
 def prod_swap(a: ObjDesc, b: ObjDesc) -> Morph:
-    return _iso(Prod(a, b), Prod(b, a),
-                lambda x: Pair(x.snd, x.fst),
-                lambda y: Pair(y.snd, y.fst),
-                "swap")
+    return Morph(Prod(a, b), Prod(b, a),
+                 lambda x, fuel: Pair(x.snd, x.fst),
+                 lambda y, fuel: Pair(y.snd, y.fst),
+                 "swap")
 
 
 def sum_unitl(a: ObjDesc) -> Morph:
-    return _iso(Sum(ZERO, a), a,
-                lambda x: x.value,
-                lambda y: InR(y),
-                "sum_unitl")
+    return Morph(Sum(ZERO, a), a,
+                 lambda x, fuel: x.value,
+                 lambda y, fuel: InR(y),
+                 "sum_unitl")
 
 
 def sum_unitr(a: ObjDesc) -> Morph:
-    return _iso(Sum(a, ZERO), a,
-                lambda x: x.value,
-                lambda y: InL(y),
-                "sum_unitr")
+    return Morph(Sum(a, ZERO), a,
+                 lambda x, fuel: x.value,
+                 lambda y, fuel: InL(y),
+                 "sum_unitr")
 
 
 def sum_assoc(a: ObjDesc, b: ObjDesc, c: ObjDesc) -> Morph:
     """A + (B + C) -> (A + B) + C"""
 
-    def f(x):
+    def f(x, fuel):
         match x:
             case InL(v):
                 return InL(InL(v))
@@ -618,7 +632,7 @@ def sum_assoc(a: ObjDesc, b: ObjDesc, c: ObjDesc) -> Morph:
                 return InR(v)
         raise TypeMismatch(repr(x))
 
-    def g(y):
+    def g(y, fuel):
         match y:
             case InL(InL(v)):
                 return InL(v)
@@ -628,46 +642,46 @@ def sum_assoc(a: ObjDesc, b: ObjDesc, c: ObjDesc) -> Morph:
                 return InR(InR(v))
         raise TypeMismatch(repr(y))
 
-    return _iso(Sum(a, Sum(b, c)), Sum(Sum(a, b), c), f, g, "sum_assoc")
+    return Morph(Sum(a, Sum(b, c)), Sum(Sum(a, b), c), f, g, "sum_assoc")
 
 
 def sum_swap(a: ObjDesc, b: ObjDesc) -> Morph:
-    def f(x):
+    def f(x, fuel):
         return InR(x.value) if isinstance(x, InL) else InL(x.value)
 
-    return _iso(Sum(a, b), Sum(b, a), f, f, "sum_swap")
+    return Morph(Sum(a, b), Sum(b, a), f, f, "sum_swap")
 
 
 def dist_l(a: ObjDesc, b: ObjDesc, c: ObjDesc) -> Morph:
     """A * (B + C) -> (A * B) + (A * C)"""
 
-    def f(x):
+    def f(x, fuel):
         if isinstance(x.snd, InL):
             return InL(Pair(x.fst, x.snd.value))
         return InR(Pair(x.fst, x.snd.value))
 
-    def g(y):
+    def g(y, fuel):
         if isinstance(y, InL):
             return Pair(y.value.fst, InL(y.value.snd))
         return Pair(y.value.fst, InR(y.value.snd))
 
-    return _iso(Prod(a, Sum(b, c)), Sum(Prod(a, b), Prod(a, c)), f, g, "dist_l")
+    return Morph(Prod(a, Sum(b, c)), Sum(Prod(a, b), Prod(a, c)), f, g, "dist_l")
 
 
 def dist_r(a: ObjDesc, b: ObjDesc, c: ObjDesc) -> Morph:
     """(A + B) * C -> (A * C) + (B * C)"""
 
-    def f(x):
+    def f(x, fuel):
         if isinstance(x.fst, InL):
             return InL(Pair(x.fst.value, x.snd))
         return InR(Pair(x.fst.value, x.snd))
 
-    def g(y):
+    def g(y, fuel):
         if isinstance(y, InL):
             return Pair(InL(y.value.fst), y.value.snd)
         return Pair(InR(y.value.fst), y.value.snd)
 
-    return _iso(Prod(Sum(a, b), c), Sum(Prod(a, c), Prod(b, c)), f, g, "dist_r")
+    return Morph(Prod(Sum(a, b), c), Sum(Prod(a, c), Prod(b, c)), f, g, "dist_r")
 
 
 def annihil_l(a: ObjDesc) -> Morph:
@@ -680,11 +694,13 @@ def annihil_r(a: ObjDesc) -> Morph:
 
 
 def fold(mu: Mu) -> Morph:
-    return _iso(unfold_obj(mu), mu, lambda x: Roll(x), lambda y: y.value, "fold")
+    return Morph(unfold_obj(mu), mu, lambda x, fuel: Roll(x),
+                 lambda y, fuel: y.value, "fold")
 
 
 def unfold(mu: Mu) -> Morph:
-    return _iso(mu, unfold_obj(mu), lambda x: x.value, lambda y: Roll(y), "unfold")
+    return Morph(mu, unfold_obj(mu), lambda x, fuel: x.value,
+                 lambda y, fuel: Roll(y), "unfold")
 
 
 _STRUCTURAL = {

@@ -144,12 +144,6 @@ class Program:
                     node.arms  # derived now, not mid-run
         return {d.name: d for d in self.defs}
 
-    def index_of(self, fname: str) -> int:
-        for i, d in enumerate(self.defs):
-            if d.name == fname:
-                return i
-        raise KeyError(fname)
-
 
 # ---------------------------------------------------------------------------
 # Lexer

@@ -65,6 +65,15 @@ def test_static_error_exit_code(tmp_path):
     assert "linearity" in r.stderr or "unbound" in r.stderr
 
 
+def test_undefined_function_is_a_fault(tmp_path):
+    prog = tmp_path / "undef.rfun"
+    prog.write_text("f x =: let y = g x in y")
+    for args in (("run", str(prog), "--input", "Z"), ("check", str(prog))):
+        r = rfun(*args)
+        assert r.returncode == 1
+        assert r.stderr.strip() == "UnknownFunction: no definition for 'g'"
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "nope.rfun"
     bad.write_text("f x =:")

@@ -6,7 +6,7 @@ import pytest
 from rfun.densem import (
     LTS, S, TS, ContextMismatch, SymbolTable, UnknownSymbol, decode_value,
     dupeq_morphism, encode_value, function_morphism, node_morphism, pack,
-    pattern_idem, perm_morph, regroup, run_denotation, sem_expr, sem_left,
+    DEFAULT_FUEL, pattern_idem, rewire, run_denotation, sem_expr, sem_left,
     sem_program, sym_elem, symbol_morphism, tpow, tuple_morphism, unpack,
     xi_component,
 )
@@ -16,8 +16,10 @@ from rfun.invcat import (
     identity, join, obj_L, restrict, sample_elem, unfold, well_formed,
     zero_morph,
 )
+from rfun._stack import run_deep
+from rfun.harness import check_program
 from rfun.inverter import invert_name, invert_program
-from rfun.opsem import NO_MATCH, apply_backward, apply_forward
+from rfun.opsem import NO_MATCH, UnknownFunction, apply_backward, apply_forward
 from rfun.syntax import LCtor, LDup, LVar, parse_program
 from rfun.values import TUPLE, dupeq_value, tup, val
 
@@ -208,22 +210,39 @@ def test_dupeq_is_the_encoded_value_operator():
 # Wiring
 # ---------------------------------------------------------------------------
 
-def test_perm_and_regroup_are_isos(arith):
-    _, tbl, _ = arith
+REWIRINGS = [
+    # permutations (1,0), (2,0,1), (3,1,0,2) of flat layouts
+    (("a", "b"), ("b", "a")),
+    (("a", ("b", "c")), ("c", ("a", "b"))),
+    (("a", ("b", ("c", "d"))), ("d", ("b", ("a", "c")))),
+    # groupings (2,1), (0,2), (1,0), (1,2,1) of flat layouts
+    (("a", ("b", "c")), (("a", "b"), "c")),
+    (("a", "b"), ((), ("a", "b"))),
+    ("a", ("a", ())),
+    (("a", ("b", ("c", "d"))), ("a", (("b", "c"), "d"))),
+    # nested to nested
+    ((("a", "b"), ("c", ())), (("c", ("a", ())), "b")),
+    (((("a", ()), "b"), "c"), ("c", ("b", "a"))),
+    (((), ()), ()),
+]
+
+
+def test_rewire_is_an_iso():
     rng = random.Random(77)
-    for k, perm in ((2, (1, 0)), (3, (2, 0, 1)), (4, (3, 1, 0, 2))):
-        m = perm_morph(perm)
+    for src, tgt in REWIRINGS:
+        m = rewire(src, tgt)
+        assert compose(m, rewire(src, src)) is m
+        assert compose(rewire(tgt, tgt), m) is m
         for _ in range(20):
-            x = sample_elem(rng, tpow(k), 8)
+            x = sample_elem(rng, m.src, 8)
             y = m.fwd(x, FUEL)
+            assert well_formed(y, m.tgt)
             assert m.bwd(y, FUEL) == x
-    for sizes in ((2, 1), (0, 2), (1, 0), (1, 2, 1)):
-        g = regroup(sizes)
-        for _ in range(20):
-            x = sample_elem(rng, tpow(sum(sizes)), 8)
-            y = g.fwd(x, FUEL)
-            assert well_formed(y, g.tgt)
-            assert g.bwd(y, FUEL) == x
+            assert rewire(tgt, src).fwd(y, FUEL) == x
+    for src, tgt in ((("a", "b"), "a"), ("a", ("a", "b")), ("a", "b"),
+                     (("a", "a"), ("a", "a")), (("a", "b"), ("a", "a"))):
+        with pytest.raises(ContextMismatch):
+            rewire(src, tgt)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +362,22 @@ def test_divergent_program_denotes_bottom():
     m = function_morphism(loop, "loop", tbl)
     for fuel in (1, 10, 100, 500):
         assert run_denotation(m, val("Z"), tbl, fuel=fuel) is NO_FUEL
+
+
+def test_loop_at_default_fuel_fits_the_deep_stack():
+    loop = load_program("loop.rfun")
+    tbl = SymbolTable.from_program(loop, extra=["Z"])
+    m = function_morphism(loop, "loop", tbl)
+    assert run_deep(run_denotation, m, val("Z"), tbl,
+                    fuel=DEFAULT_FUEL) is NO_FUEL
+
+
+def test_unknown_entry_raises_unknown_function(arith):
+    prog, tbl, morph = arith
+    with pytest.raises(UnknownFunction, match="'nope'"):
+        function_morphism(prog, "nope", tbl, morph)
+    with pytest.raises(UnknownFunction, match="'nope'"):
+        check_program(prog, "nope", samples=1)
 
 
 def test_adequacy_spot_checks(arith):

@@ -165,6 +165,15 @@ def test_compose_unit_and_zero():
     assert all(z.fwd(x, FUEL) is UNDEF for x in xs)
 
 
+def test_unit_laws_hold_when_built():
+    f = delta(BOOL)
+    assert compose(f, identity(f.src)) is f
+    assert compose(identity(f.tgt), f) is f
+    assert compose(f, dagger(identity(f.src))) is f
+    ids = otimes(identity(BOOL), identity(TRI))
+    _same_both_ways(ids, identity(Prod(BOOL, TRI)))
+
+
 def test_compose_type_mismatch():
     with pytest.raises(TypeMismatch):
         compose(delta(BOOL), delta(TRI))
