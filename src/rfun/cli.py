@@ -16,7 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-from ._stack import run_deep
 from .densem import DEFAULT_FUEL as DEN_FUEL
 from .harness import check_program
 from .inverter import invert_program
@@ -148,12 +147,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> None:
     args = build_parser().parse_args(argv)
     try:
-        code = run_deep(args.handler, args)
+        code = args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         code = EXIT_FAULT
     except RfunRuntimeError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        code = EXIT_FAULT
+    except RecursionError:      # passes over program text recurse per nesting level
+        print("fault: the program nests too deeply", file=sys.stderr)
         code = EXIT_FAULT
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_FAULT

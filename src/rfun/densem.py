@@ -7,6 +7,11 @@ denotes the same shape relative to a program context xi : T(S)^{+n} ->
 T(S)^{+n}; a program is the least fixed point of the scheme assembling the
 sum of its definition bodies.
 
+Denotations are invcat nodes, run by its evaluator; the case of the
+symmetric first-match policy is a node of its own (Case), its forward and
+backward rules generator frames.  A symbol is a primitive point of S whose
+inverse, an equality test, is given as data.
+
 Wire discipline: a layout is a variable name (one wire, T(S)), () (the unit
 object) or a pair of layouts (their product); a flat context of k names is
 the right-nested layout on T(S)^{*k}.  Each binding site rewires its input
@@ -20,21 +25,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .invcat import (
-    ONE, UNDEF, Elem, IncompatibleJoin, InL, InR, Morph, ObjDesc, Pair, Prod,
-    Roll, STAR, Star, _Outcome, _sum_all, complement, compose, compose_all,
-    dagger, decidable_restriction, delta, fix, fold, identity, inj_n, join,
-    obj_L, obj_S, obj_T, oplus_all, otimes, prod_unitl, prod_unitr,
+    ONE, UNDEF, Elem, IncompatibleJoin, InL, InR, Morph, Node, ObjDesc, Pair,
+    Prod, Roll, STAR, _Outcome, _sum_all, complement, compose, compose_all,
+    dagger, delta, fix, fold, identity, inj_n, join, obj_L, obj_S, obj_T,
+    oplus_all, otimes, prod_unitl, prod_unitr, restrict,
 )
 from .opsem import UnknownFunction
 from .syntax import (
     ECase, ELeaf, ELet, ERLet, Expr, LCtor, LDup, LeftExpr, LVar, Program,
     check_static_or_raise, lvars, walk,
 )
-from .values import TUPLE, Value
+from .values import TUPLE, Value, fold_tree
 
 S = obj_S()
 TS = obj_T(S)
 LTS = obj_L(TS)
+_NIL = Roll(InL(STAR))      # the empty list of L(T(S)), and symbol 1 of S
 
 DEFAULT_FUEL = 100_000
 
@@ -115,6 +121,7 @@ def _value_ctors(v: Value):
 # Value encoding
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def sym_elem(index: int) -> Elem:
     """The element of S identifying symbol number `index` (1-based)."""
     e: Elem = InL(STAR)
@@ -124,42 +131,38 @@ def sym_elem(index: int) -> Elem:
 
 
 def encode_value(v: Value, tbl: SymbolTable) -> Elem:
-    idx = tbl.index(v.ctor)
-    spine: Elem = Roll(InL(STAR))
-    for child in reversed(v.args):
-        spine = Roll(InR(Pair(encode_value(child, tbl), spine)))
-    return Roll(Pair(sym_elem(idx), spine))
+    return fold_tree(v, lambda w: (tbl.index(w.ctor), w.args), _encode_node)
+
+
+def _encode_node(index: int, children: list[Elem]) -> Elem:
+    spine: Elem = _NIL
+    for child in reversed(children):
+        spine = Roll(InR(Pair(child, spine)))
+    return Roll(Pair(sym_elem(index), spine))
 
 
 def decode_value(e: Elem, tbl: SymbolTable) -> Value:
-    if not isinstance(e, Roll) or not isinstance(e.value, Pair):
+    return fold_tree(e, _decode_node,
+                     lambda index, args: Value(tbl.name(index), tuple(args)))
+
+
+def _decode_node(e: Elem) -> tuple[int, list[Elem]]:
+    """The symbol index of a tree element and its children's elements."""
+    if type(e) is not Roll or type(e.value) is not Pair:
         raise DecodeError(f"not a tree element: {e!r}")
     sym, spine = e.value.fst, e.value.snd
-    index = 0
-    while True:
-        if not isinstance(sym, Roll):
-            raise DecodeError(f"not a symbol element: {sym!r}")
-        index += 1
-        match sym.value:
-            case InL(Star()):
-                break
-            case InR(rest):
-                sym = rest
-            case _:
-                raise DecodeError(f"not a symbol element: {sym!r}")
-    args = []
-    while True:
-        if not isinstance(spine, Roll):
-            raise DecodeError(f"not a list element: {spine!r}")
-        match spine.value:
-            case InL(Star()):
-                break
-            case InR(Pair(hd, tl)):
-                args.append(decode_value(hd, tbl))
-                spine = tl
-            case _:
-                raise DecodeError(f"not a list element: {spine!r}")
-    return Value(tbl.name(index), tuple(args))
+    index = 1                           # symbol n is n - 1 successors of _NIL
+    while type(sym) is Roll and type(sym.value) is InR:
+        sym, index = sym.value.value, index + 1
+    if sym != _NIL:
+        raise DecodeError(f"not a symbol element: {sym!r}")
+    children = []                       # a list is cons cells ending in _NIL
+    while type(spine) is Roll and type(spine.value) is InR and type(spine.value.value) is Pair:
+        children.append(spine.value.value.fst)
+        spine = spine.value.value.snd
+    if spine != _NIL:
+        raise DecodeError(f"not a list element: {spine!r}")
+    return index, children
 
 
 # ---------------------------------------------------------------------------
@@ -250,23 +253,10 @@ def _rest(layout, used: list[str]):
 
 def symbol_morphism(name: str, tbl: SymbolTable) -> Morph:
     """The total injection 1 -> S identifying the symbol; its dagger asserts it."""
-    index = tbl.index(name)
-    m = compose(fold(S), inj_n(0, [ONE, S]))
-    for _ in range(index - 1):
-        m = compose_all(fold(S), inj_n(1, [ONE, S]), m)
-    return m
-
-
-@lru_cache(maxsize=None)
-def _nil(obj: ObjDesc) -> Morph:
-    lst = obj_L(obj)
-    return compose(fold(lst), inj_n(0, [ONE, Prod(obj, lst)]))
-
-
-@lru_cache(maxsize=None)
-def _cons(obj: ObjDesc) -> Morph:
-    lst = obj_L(obj)
-    return compose(fold(lst), inj_n(1, [ONE, Prod(obj, lst)]))
+    # A point of S: its inverse, an equality test, is given as data.
+    sym = sym_elem(tbl.index(name))
+    return Morph(ONE, S, lambda x, fuel: sym,
+                 lambda y, fuel: STAR if y == sym else UNDEF, "symbol")
 
 
 @lru_cache(maxsize=None)
@@ -274,12 +264,13 @@ def pack(n: int, obj: ObjDesc = TS) -> Morph:
     """The n-th tupling map into lists, X^{*n} -> L(X); by default X = T(S)."""
     if n < 0:
         raise ContextMismatch("pack of negative arity")
+    lst = obj_L(obj)
+    nil, cons = (compose(fold(lst), inj_n(i, [ONE, Prod(obj, lst)])) for i in (0, 1))
     if n == 0:
-        return _nil(obj)
+        return nil
     if n == 1:
-        return compose_all(_cons(obj), otimes(identity(obj), _nil(obj)),
-                           dagger(prod_unitr(obj)))
-    return compose(_cons(obj), otimes(identity(obj), pack(n - 1, obj)))
+        return compose_all(cons, otimes(identity(obj), nil), dagger(prod_unitr(obj)))
+    return compose(cons, otimes(identity(obj), pack(n - 1, obj)))
 
 
 def unpack(n: int, obj: ObjDesc = TS) -> Morph:
@@ -314,7 +305,7 @@ def dupeq_morphism(tbl: SymbolTable) -> Morph:
     t1 = tuple_morphism(1, tbl)
     t2 = tuple_morphism(2, tbl)
     eq = dagger(delta(TS))
-    neq = complement(decidable_restriction(eq)).as_morph()
+    neq = complement(restrict(eq))
     contract = compose_all(t1, eq, dagger(t2))
     keep = compose_all(t2, neq, dagger(t2))
     duplicate = compose_all(t2, delta(TS), dagger(t1))
@@ -349,9 +340,9 @@ def _sem_left(l: LeftExpr, layout, tbl: SymbolTable) -> Morph:
     raise AssertionError
 
 
-def pattern_idem(l: LeftExpr, tbl: SymbolTable):
-    """The decidable restriction idempotent of matching against l."""
-    return decidable_restriction(dagger(sem_left(l, tuple(lvars(l)), tbl)))
+def pattern_idem(l: LeftExpr, tbl: SymbolTable) -> Morph:
+    """The guard of matching against l: the identity on the trees l matches."""
+    return restrict(dagger(sem_left(l, tuple(lvars(l)), tbl)))
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +375,6 @@ def _sem_expr(e: Expr, layout, xi: Morph,
                 consumed, produced = e.arg, e.bound
             else:
                 consumed, produced = e.bound, e.arg
-            if e.fname not in fn_index:
-                raise UnknownFunction(f"no definition for {e.fname!r}")
             call = xi_component(xi, fn_index[e.fname], len(fn_index))
             if isinstance(e, ERLet):
                 call = dagger(call)
@@ -416,7 +405,8 @@ def _sem_expr(e: Expr, layout, xi: Morph,
             # whose pattern (forward) or leaf (backward) matches and raises
             # IncompatibleJoin on a value that an earlier arm claims.
             return compose_all(
-                case_morphism(arms, _obj(rest), tbl),
+                Case(Prod(_obj(rest), TS), TS, tuple(arms), tbl,
+                     [None] * len(arms), label="case"),
                 otimes(identity(_obj(rest)), _sem_left(scrut, scrutinee, tbl)),
                 rewire(layout, (rest, scrutinee)),
             )
@@ -424,7 +414,7 @@ def _sem_expr(e: Expr, layout, xi: Morph,
     raise AssertionError
 
 
-def case_morphism(arms, rest: ObjDesc, tbl: SymbolTable) -> Morph:
+class Case(Node):
     """rest * T(S) -> T(S): a case under the symmetric first-match policy.
 
     Each arm is (split, body, leaves, leaf_body): split, the dagger of the
@@ -437,55 +427,57 @@ def case_morphism(arms, rest: ObjDesc, tbl: SymbolTable) -> Morph:
     through, and a flag raises IncompatibleJoin, so the dagger is the case
     of the inverted program.
     """
-    # Two bodies: forward commits on a pattern split, backward on a leaf test.
-    last = len(arms) - 1
-    leaf_tests: list = [None] * len(arms)
+    __slots__ = ("arms", "tbl", "tests")
 
-    def matches_leaf(i, y, fuel):
-        if leaf_tests[i] is None:       # built on first use
-            leaf_tests[i] = [pattern_idem(l, tbl).decide for l in arms[i][2]]
-        return any(test(y, fuel) for test in leaf_tests[i])
+    def frames(self, forward, x, fuel):
+        return self._forward(x) if forward else self._backward(x)
 
-    def fwd(x, fuel):
-        for i, (split, body, _, _) in enumerate(arms):
-            p = split.fwd(x.snd, fuel)
+    def leaf_test(self, i: int) -> Morph:
+        """The guard of the trees that match a leaf of arm i; built on first use."""
+        if self.tests[i] is None:
+            guards = [pattern_idem(l, self.tbl) for l in self.arms[i][2]]
+            self.tests[i] = guards[0] if len(guards) == 1 else join(guards)
+        return self.tests[i]
+
+    def _forward(self, x):
+        for i, (split, body, _, _) in enumerate(self.arms):
+            p = yield split, True, x.snd
             if p is UNDEF:
                 continue
-            y = body.fwd(Pair(x.fst, p), fuel)
-            if not isinstance(y, _Outcome):
+            y = yield body, True, Pair(x.fst, p)
+            if type(y) is not _Outcome:
                 for j in range(i):
-                    if matches_leaf(j, y, fuel):
+                    if (yield self.leaf_test(j), True, y) is not UNDEF:
                         raise IncompatibleJoin(
                             f"case result of arm {i} matches a leaf of arm {j}")
             return y
         return UNDEF
 
-    def bwd(y, fuel):
-        for i, (split, body, _, leaf_body) in enumerate(arms):
+    def _backward(self, y):
+        last = len(self.arms) - 1
+        for i, (split, body, _, leaf_body) in enumerate(self.arms):
             if leaf_body or i == last:
                 # the body's own leaf match decides the commit; on the last
                 # arm an undefined body is undefined either way
-                z = body.bwd(y, fuel)
+                z = yield body, False, y
                 if z is UNDEF:
                     continue
-            elif matches_leaf(i, y, fuel):
-                z = body.bwd(y, fuel)
+            elif (yield self.leaf_test(i), True, y) is not UNDEF:
+                z = yield body, False, y
             else:
                 continue
-            if isinstance(z, _Outcome):
+            if type(z) is _Outcome:
                 return z
-            s = split.bwd(z.snd, fuel)
-            if isinstance(s, _Outcome):
+            s = yield split, False, z.snd
+            if type(s) is _Outcome:
                 return s
             for j in range(i):
-                if arms[j][0].fwd(s, fuel) is not UNDEF:
+                if (yield self.arms[j][0], True, s) is not UNDEF:
                     raise IncompatibleJoin(
                         f"case input recovered by arm {i} matches the "
                         f"pattern of arm {j}")
             return Pair(z.fst, s)
         return UNDEF
-
-    return Morph(Prod(rest, TS), TS, fwd, bwd, "case")
 
 
 # ---------------------------------------------------------------------------

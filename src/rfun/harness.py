@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from ._stack import run_deep
 from .densem import (
     DEFAULT_FUEL as DEN_FUEL, SymbolTable, function_morphism, run_denotation,
     sem_program,
@@ -74,20 +73,13 @@ def densem_outcome(morph: Morph, v: Value, tbl: SymbolTable, fuel: int) -> dict:
     return _status(r, "undefined")
 
 
-_AGREEING = {
-    ("value", "value"),
-    ("no-match", "undefined"),
-    ("out-of-fuel", "out-of-fuel"),
-    ("violation", "violation"),
-}
+_AGREEING = {"value": "value", "no-match": "undefined",
+             "out-of-fuel": "out-of-fuel", "violation": "violation"}
 
 
 def outcomes_agree(op: dict, den: dict) -> bool:
-    if (op["status"], den["status"]) not in _AGREEING:
-        return False
-    if op["status"] == "value":
-        return op["value"] == den["value"]
-    return True
+    return (_AGREEING[op["status"]] == den["status"]
+            and op.get("value") == den.get("value"))
 
 
 def check_function(prog: Program, entry: str, samples: int, seed: int,
@@ -102,20 +94,15 @@ def check_function(prog: Program, entry: str, samples: int, seed: int,
     vocab = vocabulary(prog)
     rng = random.Random(seed)
     inputs = [gen_value(rng, vocab, depth) for _ in range(samples)]
-
-    def work():
-        cases = []
-        mismatches = 0
-        for i, v in enumerate(inputs):
-            op = opsem_outcome(prog, entry, v, op_fuel)
-            den = densem_outcome(morph, v, tbl, den_fuel)
-            verdict = "match" if outcomes_agree(op, den) else "mismatch"
-            mismatches += verdict == "mismatch"
-            cases.append({"index": i, "input": render_value(v),
-                          "opsem": op, "densem": den, "verdict": verdict})
-        return cases, mismatches
-
-    cases, mismatches = run_deep(work)
+    cases = []
+    mismatches = 0
+    for i, v in enumerate(inputs):
+        op = opsem_outcome(prog, entry, v, op_fuel)
+        den = densem_outcome(morph, v, tbl, den_fuel)
+        verdict = "match" if outcomes_agree(op, den) else "mismatch"
+        mismatches += verdict == "mismatch"
+        cases.append({"index": i, "input": render_value(v),
+                      "opsem": op, "densem": den, "verdict": verdict})
     return {
         "program": None,          # caller fills in the file name
         "entry": entry,

@@ -1,33 +1,33 @@
 """A concrete join inverse rig category of fuel-bounded partial injections.
 
 Objects are shape descriptors (empty, unit, sum, product, least fixed point);
-elements are the finite trees inhabiting them.  A morphism is a pair of
-evaluators ``fwd`` and ``bwd`` mapping an element and a fuel budget to an
-element, ``UNDEF`` or ``NO_FUEL``, and forming a partial isomorphism
-pointwise: whenever ``fwd(x) = y`` is defined, ``bwd(y) = x`` and conversely.
+elements are the finite trees inhabiting them.  A morphism maps an element
+and a fuel budget to an element, ``UNDEF`` or ``NO_FUEL`` both ways, through
+``m.fwd`` and ``m.bwd``, and is a partial isomorphism pointwise: whenever
+``fwd(x) = y`` is defined, ``bwd(y) = x`` and conversely.
 
-Partial inverses are unique, so the combinators commute with the dagger
-((g . f)^ = f^ . g^, and likewise for sums, products, joins, trace and fixed
-points): each is one factory from component evaluators to an evaluator,
-applied to the forward parts for ``fwd`` and to the backward parts for
-``bwd``.  Only maps whose inverse is given as data have two bodies: the
-structural isos, injections and duplication are plain evaluator pairs.
-The unit laws are applied when a morphism is built: composing with an
-identity returns the other side, and the tensor of two identities is an
-identity.
+A primitive morphism (``Morph``: the structural isos, the injections,
+duplication) is a pair of evaluators, its inverse given as data.  Every
+combinator builds a ``Node`` that holds its parts as data: an n-ary
+composition (flattened when built), the dagger, both tensors, joins, guards
+(restriction idempotents and their complements), trace and the fixed-point
+reference.  One function, ``run``, evaluates any node in either direction
+on an explicit stack of frames, so no evaluation recurses in Python.  The
+combinators commute with the dagger ((g . f)^ = f^ . g^, and likewise for
+the others), so the dagger is a direction flag that ``run`` flips, and
+each combinator's rule is written once for both directions.  The unit laws
+are applied when a morphism is built: composing with an identity returns
+the other side, and the tensor of two identities is an identity.
 
 The three-valued outcome separates decidable failure (UNDEF, stable under
 more fuel) from exhausted recursion (NO_FUEL, which more fuel may refine).
 The interpreter's NO_MATCH and OUT_OF_FUEL are these same two objects.
-Join compatibility is not certified at construction time; the join evaluator
-checks it lazily on the points it actually visits and raises
-IncompatibleJoin when two components disagree.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Union
 
@@ -191,29 +191,58 @@ def obj_T(a: ObjDesc) -> Mu:
 # Elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Star:
+class _Element:
+    """Equality and hashing shared by the element classes, spelled out so
+    that neither recurses along the depth of an element (encodings of
+    numerals get deep quickly)."""
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        todo = []
+        a, b = self, other
+        while True:
+            if a is not b:
+                kind = type(a)
+                if kind is not type(b):
+                    return False
+                if kind is Pair:
+                    todo.append((a.snd, b.snd))
+                    a, b = a.fst, b.fst
+                    continue
+                if kind is not Star:
+                    a, b = a.value, b.value
+                    continue
+            if not todo:
+                return True
+            a, b = todo.pop()
+
+    def __hash__(self) -> int:
+        return hash(type(self))     # shallow, like Value's
+
+
+@dataclass(frozen=True, eq=False)
+class Star(_Element):
     pass
 
 
-@dataclass(frozen=True)
-class Pair:
+@dataclass(frozen=True, eq=False)
+class Pair(_Element):
     fst: "Elem"
     snd: "Elem"
 
 
-@dataclass(frozen=True)
-class InL:
+@dataclass(frozen=True, eq=False)
+class InL(_Element):
     value: "Elem"
 
 
-@dataclass(frozen=True)
-class InR:
+@dataclass(frozen=True, eq=False)
+class InR(_Element):
     value: "Elem"
 
 
-@dataclass(frozen=True)
-class Roll:
+@dataclass(frozen=True, eq=False)
+class Roll(_Element):
     value: "Elem"
 
 
@@ -346,17 +375,118 @@ def _sample(rng: random.Random, obj: ObjDesc, budget: int) -> Elem:
 Evaluator = Callable[[Elem, int], Union[Elem, _Outcome]]
 
 
-@dataclass(frozen=True, eq=False)
 class Morph:
-    src: ObjDesc
-    tgt: ObjDesc
-    fwd: Evaluator
-    bwd: Evaluator
-    label: str = field(default="", compare=False)
+    """A morphism src -> tgt: a primitive, given as a pair of evaluators, or
+    a Node, which holds a combinator's parts as data for run to evaluate.
+    On either, m.fwd(x, fuel) and m.bwd(y, fuel) evaluate."""
+    __slots__ = ("src", "tgt", "fwd", "bwd", "label")
+
+    def __init__(self, src: ObjDesc, tgt: ObjDesc, fwd: Evaluator,
+                 bwd: Evaluator, label: str = ""):
+        self.src, self.tgt, self.fwd, self.bwd = src, tgt, fwd, bwd
+        self.label = label
 
     def __repr__(self) -> str:
         name = self.label or "morph"
         return f"<{name}: {obj_str(self.src)} -> {obj_str(self.tgt)}>"
+
+
+class Node(Morph):
+    """A combinator applied to morphisms; its parts fill the subclass's slots
+    in order.  A node that run has no rule for gives frames(forward, x, fuel):
+    a generator that yields (morphism, forward?, element) for each evaluation
+    it needs, is sent each result, and returns its own."""
+    __slots__ = ()
+
+    def __init__(self, src: ObjDesc, tgt: ObjDesc, *parts, label: str = ""):
+        self.src, self.tgt, self.label = src, tgt, label
+        for name, part in zip(self.__slots__, parts):
+            setattr(self, name, part)
+
+    # Methods: they shadow the evaluator slots, which a node leaves empty.
+    def fwd(self, x: Elem, fuel: int):
+        return run(self, True, x, fuel)
+
+    def bwd(self, y: Elem, fuel: int):
+        return run(self, False, y, fuel)
+
+
+class Compose(Node):
+    """parts applied in order."""
+    __slots__ = ("parts",)
+
+
+class Dagger(Node):
+    __slots__ = ("inner",)
+
+
+class Oplus(Node):
+    __slots__ = ("left", "right")
+
+
+class Otimes(Node):
+    __slots__ = ("left", "right")
+
+
+class Guard(Node):
+    """The identity where inner's forward map is defined (keep) or where it
+    is undefined (not keep), in both directions."""
+    __slots__ = ("inner", "keep")
+
+
+class FixRef(Node):
+    """A fixed point's reference to itself; each use costs one unit of fuel."""
+    __slots__ = ("knot",)
+
+
+class Join(Node):
+    __slots__ = ("parts",)
+
+    def frames(self, forward, x, fuel):
+        # The first component defined at x answers.  Compatibility is
+        # checked on the visited point: a second component defined with a
+        # different output, or an earlier component whose opposite map hits
+        # the produced output (a second preimage), raises IncompatibleJoin.
+        first = first_i = None
+        for i, f in enumerate(self.parts):
+            r = yield f, forward, x
+            if r is NO_FUEL:
+                if first is None:
+                    return NO_FUEL
+                continue        # best effort once an answer exists
+            if r is UNDEF:
+                continue
+            if first is None:
+                first, first_i = r, i
+            elif r != first:
+                raise IncompatibleJoin(
+                    f"components {first_i} and {i} disagree at a visited point")
+        if first is None:
+            return UNDEF
+        for i in range(first_i):
+            r = yield self.parts[i], not forward, first
+            if r is NO_FUEL:
+                return NO_FUEL
+            if r is not UNDEF:
+                raise IncompatibleJoin(
+                    f"output of component {first_i} is already reachable "
+                    f"through component {i}")
+        return first
+
+
+class Trace(Node):
+    __slots__ = ("step",)
+
+    def frames(self, forward, x, fuel):
+        z = InL(x)
+        for _ in range(fuel + 1):
+            r = yield self.step, forward, z
+            if type(r) is _Outcome:
+                return r
+            if type(r) is InL:
+                return r.value
+            z = r
+        return NO_FUEL
 
 
 def _same(x, fuel):
@@ -379,16 +509,6 @@ def zero_morph(a: ObjDesc, b: ObjDesc) -> Morph:
     return Morph(a, b, _undef, _undef, "zero")
 
 
-def _then(first: Evaluator, second: Evaluator) -> Evaluator:
-    def run(x, fuel):
-        r = first(x, fuel)
-        if isinstance(r, _Outcome):
-            return r
-        return second(r, fuel)
-
-    return run
-
-
 def compose(g: Morph, f: Morph) -> Morph:
     """g after f."""
     if f.tgt != g.src:
@@ -398,7 +518,11 @@ def compose(g: Morph, f: Morph) -> Morph:
         return g
     if _is_identity(g):
         return f
-    return Morph(f.src, g.tgt, _then(f.fwd, g.fwd), _then(g.bwd, f.bwd))
+    return Compose(f.src, g.tgt, _parts(f) + _parts(g))
+
+
+def _parts(f: Morph) -> tuple:
+    return f.parts if type(f) is Compose else (f,)
 
 
 def compose_all(*ms: Morph) -> Morph:
@@ -410,30 +534,31 @@ def compose_all(*ms: Morph) -> Morph:
 
 
 def dagger(f: Morph) -> Morph:
-    return Morph(f.tgt, f.src, f.bwd, f.fwd, f.label and f.label + "^")
+    label = f.label and f.label + "^"
+    if type(f) is Morph:
+        return Morph(f.tgt, f.src, f.bwd, f.fwd, label)
+    if type(f) is Dagger:
+        return f.inner
+    return Dagger(f.tgt, f.src, f, label=label)
 
 
 def restrict(f: Morph) -> Morph:
     """The restriction idempotent: identity exactly where f is defined."""
-    fwd = f.fwd
+    return Guard(f.src, f.src, f, True, label="restrict")
 
-    def guard(x, fuel):
-        r = fwd(x, fuel)
-        if isinstance(r, _Outcome):
-            return r
-        return x
 
-    return Morph(f.src, f.src, guard, guard, "restrict")
+def complement(e: Morph) -> Morph:
+    """The complement of a guard e (a decidable restriction idempotent): the
+    identity exactly where e is undefined.  e.fwd must answer an element or
+    UNDEF given enough fuel, as pattern guards and equality tests do."""
+    return Guard(e.src, e.src, e, False, label="complement")
 
 
 def join(fs: list[Morph]) -> Morph:
     """Join of pairwise inverse compatible morphisms.
 
-    The forward evaluator answers with the first component defined at the
-    point.  Compatibility is checked lazily on the visited point: a second
-    component defined with a different output, or an earlier component whose
-    backward map hits the produced output (a second preimage), raises
-    IncompatibleJoin.  The backward evaluator is symmetric.
+    Compatibility is not certified here but checked lazily on the points
+    visited (see Join); the dagger of a join is the join of the daggers.
     """
     if not fs:
         raise TypeMismatch("join of no morphisms has no type; use zero_morph")
@@ -441,44 +566,7 @@ def join(fs: list[Morph]) -> Morph:
     for f in fs[1:]:
         if f.src != src or f.tgt != tgt:
             raise TypeMismatch("join of non-parallel morphisms")
-
-    def scan(through: list[Evaluator], back: list[Evaluator]) -> Evaluator:
-        def run(x, fuel):
-            first = None
-            first_i = None
-            for i, f in enumerate(through):
-                r = f(x, fuel)
-                if r is NO_FUEL:
-                    if first is None:
-                        return NO_FUEL
-                    continue        # best effort once an answer exists
-                if r is UNDEF:
-                    continue
-                if first is None:
-                    first, first_i = r, i
-                elif r != first:
-                    raise IncompatibleJoin(
-                        f"components {first_i} and {i} disagree at a visited point")
-            if first is None:
-                return UNDEF
-            # An earlier component reaching the same output from elsewhere
-            # would make the join non-injective; checked against the
-            # components before the producing one.
-            for i in range(first_i):
-                r = back[i](first, fuel)
-                if r is NO_FUEL:
-                    return NO_FUEL
-                if r is not UNDEF:
-                    raise IncompatibleJoin(
-                        f"output of component {first_i} is already reachable "
-                        f"through component {i}")
-            return first
-
-        return run
-
-    fwds = [f.fwd for f in fs]
-    bwds = [f.bwd for f in fs]
-    return Morph(src, tgt, scan(fwds, bwds), scan(bwds, fwds), "join")
+    return Join(src, tgt, tuple(fs), label="join")
 
 
 # -- disjointness tensor ------------------------------------------------------
@@ -500,23 +588,8 @@ def inj2(a: ObjDesc, b: ObjDesc) -> Morph:
                  "inj2")
 
 
-def _oplus(left: Evaluator, right: Evaluator) -> Evaluator:
-    def run(x, fuel):
-        match x:
-            case InL(v):
-                r = left(v, fuel)
-                return r if isinstance(r, _Outcome) else InL(r)
-            case InR(v):
-                r = right(v, fuel)
-                return r if isinstance(r, _Outcome) else InR(r)
-        raise TypeMismatch(f"not a sum element: {x!r}")
-
-    return run
-
-
 def oplus(f: Morph, g: Morph) -> Morph:
-    return Morph(Sum(f.src, g.src), Sum(f.tgt, g.tgt),
-                 _oplus(f.fwd, g.fwd), _oplus(f.bwd, g.bwd))
+    return Oplus(Sum(f.src, g.src), Sum(f.tgt, g.tgt), f, g)
 
 
 def oplus_all(ms: list[Morph]) -> Morph:
@@ -547,26 +620,10 @@ def _sum_all(objs: list[ObjDesc]) -> ObjDesc:
 
 # -- inverse product ----------------------------------------------------------
 
-def _otimes(left: Evaluator, right: Evaluator) -> Evaluator:
-    def run(x, fuel):
-        if not isinstance(x, Pair):
-            raise TypeMismatch(f"not a product element: {x!r}")
-        a = left(x.fst, fuel)
-        if isinstance(a, _Outcome):
-            return a
-        b = right(x.snd, fuel)
-        if isinstance(b, _Outcome):
-            return b
-        return Pair(a, b)
-
-    return run
-
-
 def otimes(f: Morph, g: Morph) -> Morph:
     if _is_identity(f) and _is_identity(g):
         return identity(Prod(f.src, g.src))
-    return Morph(Prod(f.src, g.src), Prod(f.tgt, g.tgt),
-                 _otimes(f.fwd, g.fwd), _otimes(f.bwd, g.bwd))
+    return Otimes(Prod(f.src, g.src), Prod(f.tgt, g.tgt), f, g)
 
 
 def delta(a: ObjDesc) -> Morph:
@@ -732,95 +789,6 @@ def structural(name: str, *objs: ObjDesc) -> Morph:
 
 
 # ---------------------------------------------------------------------------
-# Decidable restriction idempotents
-# ---------------------------------------------------------------------------
-
-Decider = Callable[[Elem, int], Union[bool, _Outcome]]
-
-
-@dataclass(frozen=True, eq=False)
-class DecIdem:
-    """A restriction idempotent together with a total decision procedure."""
-    obj: ObjDesc
-    decide: Decider
-
-    def as_morph(self) -> Morph:
-        def guard(x, fuel):
-            r = self.decide(x, fuel)
-            if r is NO_FUEL:
-                return NO_FUEL
-            return x if r else UNDEF
-
-        return Morph(self.obj, self.obj, guard, guard, "idem")
-
-
-def decidable_restriction(f: Morph) -> DecIdem:
-    """View the domain of f as a decidable idempotent.
-
-    The caller asserts decidability: f.fwd must answer Elem or UNDEF given
-    enough fuel.  Pattern-matching morphisms and the equality test satisfy
-    this; arbitrary fixed points need not.
-    """
-    fwd = f.fwd
-
-    def decide(x, fuel):
-        r = fwd(x, fuel)
-        if r is NO_FUEL:
-            return NO_FUEL
-        return r is not UNDEF
-
-    return DecIdem(f.src, decide)
-
-
-def identity_idem(a: ObjDesc) -> DecIdem:
-    return DecIdem(a, lambda x, fuel: True)
-
-
-def zero_idem(a: ObjDesc) -> DecIdem:
-    return DecIdem(a, lambda x, fuel: False)
-
-
-def complement(e: DecIdem) -> DecIdem:
-    def decide(x, fuel):
-        r = e.decide(x, fuel)
-        if r is NO_FUEL:
-            return NO_FUEL
-        return not r
-
-    return DecIdem(e.obj, decide)
-
-
-def meet_idem(a: DecIdem, b: DecIdem) -> DecIdem:
-    if a.obj != b.obj:
-        raise TypeMismatch("meet of idempotents on different objects")
-
-    def decide(x, fuel):
-        ra = a.decide(x, fuel)
-        if ra is NO_FUEL:
-            return NO_FUEL
-        if not ra:
-            return False
-        return b.decide(x, fuel)
-
-    return DecIdem(a.obj, decide)
-
-
-def join_idem(a: DecIdem, b: DecIdem) -> DecIdem:
-    if a.obj != b.obj:
-        raise TypeMismatch("join of idempotents on different objects")
-
-    def decide(x, fuel):
-        ra = a.decide(x, fuel)
-        if ra is NO_FUEL:
-            return NO_FUEL
-        if ra:
-            return True
-        return b.decide(x, fuel)
-
-    return DecIdem(a.obj, decide)
-
-
-# ---------------------------------------------------------------------------
 # Trace and fixed points
 # ---------------------------------------------------------------------------
 
@@ -832,23 +800,7 @@ def trace(f: Morph) -> Morph:
     if not (isinstance(f.src, Sum) and isinstance(f.tgt, Sum)
             and f.src.right == f.tgt.right):
         raise TypeMismatch(f"trace needs A+U -> B+U, got {f!r}")
-    a, u, b = f.src.left, f.src.right, f.tgt.left
-
-    def run(step: Evaluator) -> Evaluator:
-        def loop(start, fuel):
-            z: Union[Elem, _Outcome] = InL(start)
-            for _ in range(fuel + 1):
-                r = step(z, fuel)
-                if isinstance(r, _Outcome):
-                    return r
-                if isinstance(r, InL):
-                    return r.value
-                z = r
-            return NO_FUEL
-
-        return loop
-
-    return Morph(a, b, run(f.fwd), run(f.bwd), "trace")
+    return Trace(f.src.left, f.tgt.left, f, label="trace")
 
 
 def fix(scheme: Callable[[Morph], Morph], src: ObjDesc, tgt: ObjDesc) -> Morph:
@@ -858,22 +810,120 @@ def fix(scheme: Callable[[Morph], Morph], src: ObjDesc, tgt: ObjDesc) -> Morph:
     consumes one unit of fuel; exhausting the fuel approximates bottom, so a
     result other than NO_FUEL at fuel F is stable at every larger fuel.
     """
-    knot: list[Evaluator] = []       # [built.fwd, built.bwd], tied below
-
-    def ref(i: int) -> Evaluator:
-        def call(x, fuel):
-            if fuel <= 0:
-                return NO_FUEL
-            return knot[i](x, fuel - 1)
-
-        return call
-
-    built = scheme(Morph(src, tgt, ref(0), ref(1), "fix-ref"))
+    ref = FixRef(src, tgt, label="fix-ref")
+    built = scheme(ref)
     if built.src != src or built.tgt != tgt:
         raise TypeMismatch(
             f"scheme changed the type: {built!r} is not {obj_str(src)} -> {obj_str(tgt)}")
-    knot += [built.fwd, built.bwd]
+    ref.knot = built
     return built
+
+
+# ---------------------------------------------------------------------------
+# The evaluator
+# ---------------------------------------------------------------------------
+
+# Frames: (_SEQ, steps, next step, forward?, fuel), (_TIMES, right, second
+# component, forward?, fuel), (_PAIR, first result), (_WRAP, InL or InR),
+# (_GUARD, input, keep), (_GEN, generator, fuel).  The frames numbered
+# below _GUARD pass UNDEF and NO_FUEL up unchanged.
+_SEQ, _TIMES, _PAIR, _WRAP, _GUARD, _GEN = range(6)
+_WRAP_L, _WRAP_R = (_WRAP, InL), (_WRAP, InR)
+
+
+def run(m: Morph, forward: bool, x: Elem, fuel: int) -> Union[Elem, _Outcome]:
+    """m's forward map at x, or its backward map if not forward: an element,
+    UNDEF or NO_FUEL.
+
+    One loop over an explicit stack of frames: entering a node pushes a
+    frame for what remains of it, and each result goes to the frame on top,
+    so the Python stack stays flat however deep the morphism and its
+    recursion.  A frame keeps the direction and the fuel of its own call.
+    """
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    d = forward
+    while True:
+        while m is not None:            # enter m, in direction d, at x
+            kind = type(m)
+            if kind is Compose:
+                steps, i = m.parts if d else m.parts[::-1], 0
+                break
+            if kind is Morph:
+                x = m.fwd(x, fuel) if d else m.bwd(x, fuel)
+                m = None
+            elif kind is Otimes:
+                if type(x) is not Pair:
+                    raise TypeMismatch(f"not a product element: {x!r}")
+                push((_TIMES, m.right, x.snd, d, fuel))
+                m, x = m.left, x.fst
+            elif kind is Dagger:
+                m, d = m.inner, not d
+            elif kind is Oplus:
+                if type(x) is InL:
+                    push(_WRAP_L)
+                    m = m.left
+                elif type(x) is InR:
+                    push(_WRAP_R)
+                    m = m.right
+                else:
+                    raise TypeMismatch(f"not a sum element: {x!r}")
+                x = x.value
+            elif kind is FixRef:
+                if fuel <= 0:
+                    m, x = None, NO_FUEL
+                else:
+                    m, fuel = m.knot, fuel - 1
+            elif kind is Guard:
+                push((_GUARD, x, m.keep))
+                m, d = m.inner, True
+            else:
+                push((_GEN, m.frames(d, x, fuel), fuel))
+                m = x = None
+        else:                           # a result: hand it to the top frame
+            if not stack:
+                return x
+            frame = pop()
+            tag = frame[0]
+            if type(x) is _Outcome and tag < _GUARD:
+                continue
+            if tag != _SEQ:
+                if tag == _TIMES:
+                    _, m, second, d, fuel = frame
+                    push((_PAIR, x))
+                    x = second
+                elif tag == _PAIR:
+                    x = Pair(frame[1], x)
+                elif tag == _WRAP:
+                    x = frame[1](x)
+                elif tag == _GUARD:
+                    if x is not NO_FUEL:
+                        x = frame[1] if (x is not UNDEF) == frame[2] else UNDEF
+                else:
+                    _, gen, fuel = frame
+                    try:
+                        m, d, x = gen.send(x)
+                    except StopIteration as done:
+                        x = done.value
+                    else:
+                        push(frame)
+                continue
+            _, steps, i, d, fuel = frame
+        # A composition, entered or resumed at step i: primitive steps run
+        # here, and a node step is entered with a frame for the steps after it.
+        m = None
+        n = len(steps)
+        while i < n:
+            step = steps[i]
+            i += 1
+            if type(step) is not Morph:
+                if i < n:
+                    push((_SEQ, steps, i, d, fuel))
+                m = step
+                break
+            x = step.fwd(x, fuel) if d else step.bwd(x, fuel)
+            if type(x) is _Outcome:
+                break
 
 
 # ---------------------------------------------------------------------------

@@ -51,13 +51,9 @@ def _invert_branches(e: Expr, cont: Expr) -> list[tuple[LeftExpr, Expr]]:
     match e:
         case ELeaf(left):
             return [(left, cont)]
-        case ELet(bound, fname, arg, body):
-            # let bound = f arg  undoes to  let arg = f! bound
-            undo = ELet(arg, invert_name(fname), bound, cont)
-            return _invert_branches(body, undo)
-        case ERLet(bound, fname, arg, body):
-            # rlet bound = f arg  undoes to  rlet arg = f! bound
-            undo = ERLet(arg, invert_name(fname), bound, cont)
+        case ELet(bound, fname, arg, body) | ERLet(bound, fname, arg, body):
+            # let bound = f arg  undoes to  let arg = f! bound; rlet likewise
+            undo = type(e)(arg, invert_name(fname), bound, cont)
             return _invert_branches(body, undo)
         case ECase(scrut, branches):
             out: list[tuple[LeftExpr, Expr]] = []
@@ -128,55 +124,41 @@ def _alpha_def(a: Def, b: Def) -> bool:
     return _alpha_expr(a.body, b.body, {a.param: b.param})
 
 
-def _bind_left(a: LeftExpr, b: LeftExpr, env: _Env) -> bool:
-    """Extend env (in place, on a scope-local copy) with pattern bindings."""
+def _alpha_left(a: LeftExpr, b: LeftExpr, env: _Env, bind: bool) -> bool:
+    """a and b agree under env; or, if bind, they are patterns of one shape,
+    and env (a scope-local copy) is extended with their bindings."""
     match a, b:
         case LVar(x), LVar(y):
-            env[x] = y
-            return True
+            if bind:
+                env[x] = y
+            return bind or env.get(x) == y
         case LCtor(c1, a1), LCtor(c2, a2):
             return (c1 == c2 and len(a1) == len(a2)
-                    and all(_bind_left(x, y, env) for x, y in zip(a1, a2)))
+                    and all(_alpha_left(x, y, env, bind) for x, y in zip(a1, a2)))
         case LDup(x), LDup(y):
-            return _bind_left(x, y, env)
-    return False
-
-
-def _use_left(a: LeftExpr, b: LeftExpr, env: _Env) -> bool:
-    match a, b:
-        case LVar(x), LVar(y):
-            return env.get(x) == y
-        case LCtor(c1, a1), LCtor(c2, a2):
-            return (c1 == c2 and len(a1) == len(a2)
-                    and all(_use_left(x, y, env) for x, y in zip(a1, a2)))
-        case LDup(x), LDup(y):
-            return _use_left(x, y, env)
+            return _alpha_left(x, y, env, bind)
     return False
 
 
 def _alpha_expr(a: Expr, b: Expr, env: _Env) -> bool:
     match a, b:
         case ELeaf(l1), ELeaf(l2):
-            return _use_left(l1, l2, env)
-        case ELet(b1, f1, a1, e1), ELet(b2, f2, a2, e2):
-            if f1 != f2 or not _use_left(a1, a2, env):
+            return _alpha_left(l1, l2, env, False)
+        case (ELet(), ELet()) | (ERLet(), ERLet()):
+            # let uses its argument and binds its bound side; rlet the reverse
+            uses, binds = (a.arg, b.arg), (a.bound, b.bound)
+            if type(a) is ERLet:
+                uses, binds = binds, uses
+            if a.fname != b.fname or not _alpha_left(*uses, env, False):
                 return False
             inner = dict(env)
-            return _bind_left(b1, b2, inner) and _alpha_expr(e1, e2, inner)
-        case ERLet(b1, f1, a1, e1), ERLet(b2, f2, a2, e2):
-            # rlet uses its bound side and binds its argument pattern
-            if f1 != f2 or not _use_left(b1, b2, env):
-                return False
-            inner = dict(env)
-            return _bind_left(a1, a2, inner) and _alpha_expr(e1, e2, inner)
+            return _alpha_left(*binds, inner, True) and _alpha_expr(a.body, b.body, inner)
         case ECase(s1, br1), ECase(s2, br2):
-            if len(br1) != len(br2) or not _use_left(s1, s2, env):
+            if len(br1) != len(br2) or not _alpha_left(s1, s2, env, False):
                 return False
             for (p1, e1), (p2, e2) in zip(br1, br2):
                 inner = dict(env)
-                if not _bind_left(p1, p2, inner):
-                    return False
-                if not _alpha_expr(e1, e2, inner):
+                if not (_alpha_left(p1, p2, inner, True) and _alpha_expr(e1, e2, inner)):
                     return False
             return True
     return False

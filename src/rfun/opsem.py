@@ -145,6 +145,7 @@ def _match(v: Value, l: LeftExpr, out: Subst) -> bool:
 
 
 def _def_for(defs: dict[str, Def], fname: str) -> Def:
+    # Entry points only: check_static rejects calls to undefined functions.
     d = defs.get(fname)
     if d is None:
         raise UnknownFunction(f"no definition for {fname!r}")
@@ -197,14 +198,14 @@ def _run(defs: dict[str, Def], work: list, fuel: int) -> EvalResult:
             if fuel <= 0:
                 return OUT_OF_FUEL
             fuel -= 1
-            d = _def_for(defs, frame[1])
+            d = defs[frame[1]]
             work.append(("EVAL", d.body, {d.param: reg}))
 
         elif tag == "UNAPPLY":
             if fuel <= 0:
                 return OUT_OF_FUEL
             fuel -= 1
-            d = _def_for(defs, frame[1])
+            d = defs[frame[1]]
             work.append(("K_PROJ", d.param))
             work.append(("UNEVAL", d.body, reg))
 
@@ -300,7 +301,7 @@ def eval_expr(prog: Program, subst: Subst, e: Expr, fuel: int = DEFAULT_FUEL) ->
     Raises StaticError unless prog is statically valid and e uses each
     variable of subst exactly once."""
     defs = prog.checked_defs
-    violations = check_expr(e, subst)
+    violations = check_expr(e, subst, defs)
     if violations:
         raise StaticError(violations)
     return _run(defs, [("EVAL", e, dict(subst))], fuel)

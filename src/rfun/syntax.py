@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
-from .values import TUPLE, Value
+from .values import TUPLE, Value, fold_tree
 
 Pos = tuple[int, int]
 
@@ -253,41 +253,48 @@ class _Parser:
     # -- left expressions ---------------------------------------------------
 
     def lexpr(self) -> LeftExpr:
-        t = self.peek()
-        pos = (t.line, t.col)
-        if t.kind == "LNAME":
+        # Iterative, so that nesting depth costs heap, not Python stack: each
+        # open constructor, tuple or |_ _| waits on `opened` for its arguments.
+        opened: list[tuple[Optional[str], str, list, Pos]] = []
+        while True:
+            t = self.peek()
+            pos = (t.line, t.col)
+            if t.kind not in ("LNAME", "UNAME", "LT", "LDUP"):
+                raise self.fail(f"expected a left expression, found {t.text!r}")
             self.next()
-            if t.text.endswith("!"):
-                raise ParseError(f"{t.text!r} is not a valid variable", t.line, t.col)
-            return LVar(t.text, pos=pos)
-        if t.kind == "UNAME":
-            self.next()
-            args: tuple[LeftExpr, ...] = ()
-            if self.peek().kind == "LPAR":
+            if t.kind == "LNAME":
+                if t.text.endswith("!"):
+                    raise ParseError(f"{t.text!r} is not a valid variable", t.line, t.col)
+                done: LeftExpr = LVar(t.text, pos=pos)
+            elif t.kind == "UNAME" and self.peek().kind != "LPAR":
+                done = LCtor(t.text, (), pos=pos)
+            elif t.kind in ("UNAME", "LT"):
+                ctor, closer = (TUPLE, "GT") if t.kind == "LT" else (t.text, "RPAR")
+                if t.kind == "UNAME":
+                    self.next()
+                if self.peek().kind != closer:
+                    opened.append((ctor, closer, [], pos))
+                    continue
                 self.next()
-                args = tuple(self.lexpr_list("RPAR"))
-                self.expect("RPAR")
-            return LCtor(t.text, args, pos=pos)
-        if t.kind == "LT":
-            self.next()
-            args = tuple(self.lexpr_list("GT"))
-            self.expect("GT")
-            return LCtor(TUPLE, args, pos=pos)
-        if t.kind == "LDUP":
-            self.next()
-            inner = self.lexpr()
-            self.expect("RDUP", "'_|'")
-            return LDup(inner, pos=pos)
-        raise self.fail(f"expected a left expression, found {t.text!r}")
-
-    def lexpr_list(self, closer: str) -> list[LeftExpr]:
-        if self.peek().kind == closer:
-            return []
-        items = [self.lexpr()]
-        while self.peek().kind == "COMMA":
-            self.next()
-            items.append(self.lexpr())
-        return items
+                done = LCtor(ctor, (), pos=pos)
+            else:
+                opened.append((None, "RDUP", [], pos))
+                continue
+            while opened:               # close what `done` completes
+                ctor, closer, args, pos = opened[-1]
+                args.append(done)
+                if ctor is None:
+                    self.expect("RDUP", "'_|'")
+                    done = LDup(done, pos=pos)
+                elif self.peek().kind == "COMMA":
+                    self.next()
+                    break
+                else:
+                    self.expect(closer)
+                    done = LCtor(ctor, tuple(args), pos=pos)
+                opened.pop()
+            else:
+                return done
 
     # -- expressions ----------------------------------------------------------
 
@@ -383,20 +390,17 @@ def parse_value(src: str) -> Value:
     if t.kind != "EOF":
         raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
 
-    def conv(l: LeftExpr) -> Value:
-        match l:
-            case LCtor(ctor, args):
-                return Value(ctor, tuple(conv(a) for a in args))
-            case LVar(name):
-                raise ParseError(
-                    f"{name!r} is a variable; values use uppercase constructors",
-                    *(l.pos or (1, 1)))
-            case LDup():
-                raise ParseError("the |_._| operator cannot occur in a value",
-                                 *(l.pos or (1, 1)))
-        raise AssertionError
+    def expand(l: LeftExpr):
+        if isinstance(l, LVar):
+            raise ParseError(
+                f"{l.name!r} is a variable; values use uppercase constructors",
+                *(l.pos or (1, 1)))
+        if isinstance(l, LDup):
+            raise ParseError("the |_._| operator cannot occur in a value",
+                             *(l.pos or (1, 1)))
+        return l.ctor, l.args
 
-    return conv(left)
+    return fold_tree(left, expand, lambda ctor, args: Value(ctor, tuple(args)))
 
 
 def _fresh_name(used: set[str]) -> str:
@@ -464,7 +468,7 @@ def leaves(e: Expr) -> list[LeftExpr]:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str       # "duplicate-function" | "linearity" | "unbound-variable"
+    kind: str   # duplicate-function, linearity, unbound-variable, unknown-function
     message: str
     pos: Optional[Pos]
 
@@ -480,7 +484,8 @@ class StaticError(Exception):
 
 
 def check_static(prog: Program) -> list[Violation]:
-    """The three reversibility restrictions, plus distinct function names.
+    """The three reversibility restrictions, plus distinct function names
+    and calls to defined functions only.
 
     Patterns are linear, every bound variable is used exactly once, function
     results flow only through let/rlet binders (enforced by the grammar), and
@@ -495,7 +500,7 @@ def check_static(prog: Program) -> list[Violation]:
                                  f"function {d.name!r} defined twice", d.pos))
         seen[d.name] = d
     for d in prog.defs:
-        _check_expr(d.body, {d.param: d.pos}, out, d.name)
+        _check_expr(d.body, {d.param: d.pos}, out, d.name, seen)
     return out
 
 
@@ -506,10 +511,12 @@ def check_static_or_raise(prog: Program) -> Program:
     return prog
 
 
-def check_expr(e: Expr, free: Iterable[str]) -> list[Violation]:
-    """check_static for one expression whose free variables are `free`."""
+def check_expr(e: Expr, free: Iterable[str],
+               fnames: Iterable[str]) -> list[Violation]:
+    """check_static for one expression whose free variables are `free`, in a
+    program defining the functions `fnames`."""
     out: list[Violation] = []
-    _check_expr(e, dict.fromkeys(free), out, "expression")
+    _check_expr(e, dict.fromkeys(free), out, "expression", fnames)
     return out
 
 
@@ -534,7 +541,8 @@ def _consume(l: LeftExpr, env: dict[str, Optional[Pos]], out: list[Violation], w
                                  "(unbound, or already used once)", v.pos))
 
 
-def _check_expr(e: Expr, env: dict[str, Optional[Pos]], out: list[Violation], where: str) -> None:
+def _check_expr(e: Expr, env: dict[str, Optional[Pos]], out: list[Violation],
+                where: str, fnames) -> None:
     env = dict(env)
     match e:
         case ELeaf(left):
@@ -542,7 +550,11 @@ def _check_expr(e: Expr, env: dict[str, Optional[Pos]], out: list[Violation], wh
             for name, pos in env.items():
                 out.append(Violation("linearity",
                                      f"variable {name!r} is never used in {where!r}", pos))
-        case ELet(bound, _, arg, body) | ERLet(bound, _, arg, body):
+        case ELet(bound, fname, arg, body) | ERLet(bound, fname, arg, body):
+            if fname not in fnames:
+                out.append(Violation("unknown-function",
+                                     f"call of undefined function {fname!r} in {where!r}",
+                                     e.pos))
             # let consumes the call argument and binds the result pattern;
             # rlet consumes the bound side (the callee's output) and binds
             # the callee's argument pattern.
@@ -555,7 +567,7 @@ def _check_expr(e: Expr, env: dict[str, Optional[Pos]], out: list[Violation], wh
                                          f"binder shadows live variable {name!r} in {where!r}",
                                          pos))
                 env[name] = pos
-            _check_expr(body, env, out, where)
+            _check_expr(body, env, out, where, fnames)
         case ECase(scrut, branches):
             _consume(scrut, env, out, where)
             for pat, body in branches:
@@ -567,7 +579,7 @@ def _check_expr(e: Expr, env: dict[str, Optional[Pos]], out: list[Violation], wh
                                              f"pattern shadows live variable {name!r} in {where!r}",
                                              pos))
                     branch_env[name] = pos
-                _check_expr(body, branch_env, out, where)
+                _check_expr(body, branch_env, out, where, fnames)
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +606,9 @@ def render_expr(e: Expr, indent: int = 0) -> str:
     match e:
         case ELeaf(left):
             return pad + render_left(left)
-        case ELet(bound, fname, arg, body):
-            head = f"{pad}let {render_left(bound)} = {fname} {render_left(arg)} in"
-            return head + "\n" + render_expr(body, indent)
-        case ERLet(bound, fname, arg, body):
-            head = f"{pad}rlet {render_left(bound)} = {fname} {render_left(arg)} in"
+        case ELet(bound, fname, arg, body) | ERLet(bound, fname, arg, body):
+            kw = "let" if type(e) is ELet else "rlet"
+            head = f"{pad}{kw} {render_left(bound)} = {fname} {render_left(arg)} in"
             return head + "\n" + render_expr(body, indent)
         case ECase(scrut, branches):
             lines = [f"{pad}case {render_left(scrut)} of {{"]

@@ -111,6 +111,23 @@ def render_value(v: Value) -> str:
     return "".join(out)
 
 
+def fold_tree(root, expand, build):
+    """build(label, the children's results) at every node, bottom-up and
+    without recursion; expand(node) gives (label, children), in pre-order."""
+    nodes, todo = [], [root]
+    while todo:
+        label, kids = expand(todo.pop())
+        nodes.append((label, len(kids)))
+        todo.extend(reversed(kids))
+    results: list = []
+    # In reverse pre-order a node's children's results are the top n, first topmost.
+    for label, n in reversed(nodes):
+        args = results[:-n - 1:-1]
+        del results[len(results) - n:]
+        results.append(build(label, args))
+    return results[0]
+
+
 def value_depth(v: Value) -> int:
     depth = 0
     layer = [v]

@@ -13,7 +13,6 @@ import time
 
 import pytest
 
-from rfun._stack import run_deep
 from rfun.densem import (
     SymbolTable, dupeq_morphism, encode_value, function_morphism, pack,
     run_denotation, sem_program, unpack,
@@ -382,12 +381,9 @@ def test_acceptance_6_fuel_monotonicity():
             return True
         return outcome_at(32) == base and outcome_at(64) == base
 
-    def work():
-        for prog, fname, morph, tbl, v in pairs:
-            assert stable(lambda fu: opsem_outcome(prog, fname, v, fu)), (fname, v)
-            assert stable(lambda fu: densem_outcome(morph, v, tbl, fu)), (fname, v)
-
-    run_deep(work)
+    for prog, fname, morph, tbl, v in pairs:
+        assert stable(lambda fu: opsem_outcome(prog, fname, v, fu)), (fname, v)
+        assert stable(lambda fu: densem_outcome(morph, v, tbl, fu)), (fname, v)
     elapsed = time.time() - started
     assert elapsed < 30.0, f"monotonicity took {elapsed:.2f}s"
     report(6, f"100 seeded (program, input) pairs stable from fuel 16 to 32 "
@@ -408,13 +404,9 @@ def test_acceptance_7_divergence():
     for fuel in (1, 10, 100, 1000, 10_000, 1_000_000):
         assert apply_forward(prog, "loop", val("Z"), fuel=fuel) is OUT_OF_FUEL, fuel
 
-    # denotation: each unfolding costs a handful of Python frames, so the
-    # deeper fuels run on the big-stack worker
-    for fuel in (1, 10, 100):
+    # denotation: its frames live on the heap too
+    for fuel in (1, 10, 100, 1000, 10_000, 50_000):
         assert run_denotation(morph, val("Z"), tbl, fuel=fuel) is NO_FUEL, fuel
-    for fuel in (1000, 10_000, 50_000):
-        r = run_deep(run_denotation, morph, val("Z"), tbl, fuel=fuel)
-        assert r is NO_FUEL, fuel
 
     elapsed = time.time() - started
     assert elapsed < 10.0, f"divergence checks took {elapsed:.2f}s"

@@ -66,12 +66,37 @@ def test_static_error_exit_code(tmp_path):
 
 
 def test_undefined_function_is_a_fault(tmp_path):
+    # the call is rejected statically, before any step, even where no run
+    # reaches it (run on Z below)
     prog = tmp_path / "undef.rfun"
-    prog.write_text("f x =: let y = g x in y")
-    for args in (("run", str(prog), "--input", "Z"), ("check", str(prog))):
-        r = rfun(*args)
-        assert r.returncode == 1
-        assert r.stderr.strip() == "UnknownFunction: no definition for 'g'"
+    for text, at in (("f x =: let y = g x in y", "1:8"),
+                     ("f x =: case x of { Z -> Z; S(u) -> let v = g u in S(v) }",
+                      "1:36")):
+        prog.write_text(text)
+        for args in (("run", str(prog), "--input", "Z"), ("check", str(prog))):
+            r = rfun(*args)
+            assert r.returncode == 1
+            assert r.stdout == ""
+            assert r.stderr.strip() == (
+                f"{prog}:{at}: unknown-function: call of undefined function "
+                "'g' in 'f'")
+
+
+def test_too_deeply_nested_program_is_a_clean_fault(tmp_path):
+    # The passes over program text recurse once per nesting level, so 5,000
+    # chained lets or a 5,000-deep leaf exceed the default recursion limit;
+    # the CLI reports that as a fault, not a traceback.
+    chain = "".join(f"let x{i + 1} = id x{i} in " for i in range(5000))
+    leaf = "S(" * 5000 + "Z" + ")" * 5000
+    prog = tmp_path / "deep.rfun"
+    for text in (f"id x =: x;\nf x0 =: {chain}x5000",
+                 f"f x =: case x of {{ Z -> {leaf}; S(y) -> S(y) }}"):
+        prog.write_text(text)
+        for args in (("run", str(prog), "--entry", "f", "--input", "Z"),
+                     ("check", str(prog), "--entry", "f"), ("invert", str(prog))):
+            r = rfun(*args)
+            assert (r.returncode, r.stdout) == (1, "")
+            assert r.stderr == "fault: the program nests too deeply\n"
 
 
 def test_parse_error_exit_code(tmp_path):
@@ -155,6 +180,16 @@ def test_check_violating_program_agrees():
     statuses = {(c["opsem"]["status"], c["densem"]["status"])
                 for sub in report["reports"] for c in sub["cases"]}
     assert ("violation", "violation") in statuses
+
+
+def test_import_leaves_the_recursion_limit_alone():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys; before = sys.getrecursionlimit(); "
+         "import rfun; print(before, sys.getrecursionlimit())"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    before, after = r.stdout.split()
+    assert before == after
 
 
 def test_unknown_command_fails():

@@ -12,16 +12,14 @@ from rfun.densem import (
 )
 from rfun.invcat import (
     NO_FUEL, ONE, UNDEF, InL, InR, Pair, Roll, STAR, complement, compose,
-    compose_all, dagger, decidable_restriction, enumerate_elems, fix,
-    identity, join, obj_L, restrict, sample_elem, unfold, well_formed,
-    zero_morph,
+    compose_all, dagger, enumerate_elems, fix, identity, join, obj_L,
+    restrict, sample_elem, unfold, well_formed, zero_morph,
 )
-from rfun._stack import run_deep
 from rfun.harness import check_program
 from rfun.inverter import invert_name, invert_program
 from rfun.opsem import NO_MATCH, UnknownFunction, apply_backward, apply_forward
-from rfun.syntax import LCtor, LDup, LVar, parse_program
-from rfun.values import TUPLE, dupeq_value, tup, val
+from rfun.syntax import LCtor, LDup, LVar, parse_program, parse_value
+from rfun.values import TUPLE, dupeq_value, render_value, tup, val
 
 from helpers import ARITH_VOCAB, FIXTURES, load_program, peano, random_value
 
@@ -83,6 +81,26 @@ def test_decode_encode_roundtrip_seeded(arith):
     for _ in range(100):
         v = random_value(rng, ARITH_VOCAB, 5)
         assert decode_value(encode_value(v, tbl), tbl) == v
+
+
+DEEP = 100_000
+
+
+def test_deep_numeral_round_trips_on_the_main_thread():
+    text = "S(" * DEEP + "Z" + ")" * DEEP
+    tbl = SymbolTable.from_names(["Z", "S"])
+    e = encode_value(parse_value(text), tbl)
+    assert render_value(decode_value(e, tbl)) == text
+
+
+def test_deep_encodings_compare_without_recursion():
+    tbl = SymbolTable.from_names(["Z", "S", "Q"])
+    a, b = encode_value(peano(DEEP), tbl), encode_value(peano(DEEP), tbl)
+    assert a == b and hash(a) == hash(b)
+    q = val("Q")
+    for _ in range(DEEP):
+        q = val("S", q)
+    assert a != encode_value(q, tbl)
 
 
 def test_encode_unknown_symbol(arith):
@@ -151,8 +169,8 @@ def test_unpack_length_filter_over_one_lists():
             e = e.value.value.snd
         return n
 
-    is2 = decidable_restriction(unpack(2, ONE))
-    non2 = complement(is2).as_morph()
+    is2 = restrict(unpack(2, ONE))
+    non2 = complement(is2)
     for x in lists:
         expected = x if length(x) != 2 else UNDEF
         assert non2.fwd(x, FUEL) == expected
@@ -311,8 +329,9 @@ def test_sem_left_context_mismatch(arith):
 def test_pattern_idem_decides(arith):
     _, tbl, _ = arith
     idem = pattern_idem(LCtor("S", (LVar("u"),)), tbl)
-    assert idem.decide(encode_value(peano(2), tbl), FUEL) is True
-    assert idem.decide(encode_value(val("Z"), tbl), FUEL) is False
+    two, zero = encode_value(peano(2), tbl), encode_value(val("Z"), tbl)
+    assert idem.fwd(two, FUEL) == two
+    assert idem.fwd(zero, FUEL) is UNDEF
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +387,7 @@ def test_loop_at_default_fuel_fits_the_deep_stack():
     loop = load_program("loop.rfun")
     tbl = SymbolTable.from_program(loop, extra=["Z"])
     m = function_morphism(loop, "loop", tbl)
-    assert run_deep(run_denotation, m, val("Z"), tbl,
-                    fuel=DEFAULT_FUEL) is NO_FUEL
+    assert run_denotation(m, val("Z"), tbl, fuel=DEFAULT_FUEL) is NO_FUEL
 
 
 def test_unknown_entry_raises_unknown_function(arith):
@@ -471,9 +489,9 @@ def test_both_semantics_share_one_static_check(monkeypatch):
 
 
 def test_unknown_function_in_body():
-    from rfun.opsem import UnknownFunction
+    from rfun.syntax import StaticError
     prog = parse_program("f x =: let y = g x in y")
-    with pytest.raises(UnknownFunction):
+    with pytest.raises(StaticError, match="unknown-function"):
         sem_program(prog)
 
 

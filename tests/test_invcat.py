@@ -4,13 +4,12 @@ import random
 import pytest
 
 from rfun.invcat import (
-    NO_FUEL, UNDEF, ZERO, ONE, DecIdem, IncompatibleJoin, InL, InR, Morph, Mu,
-    Pair, Prod, Roll, STAR, Star, Sum, TypeMismatch, Var, complement, compose,
-    compose_all, count_elems, dagger, decidable_restriction, delta, dist_l,
-    enumerate_elems, fix, fold, identity, identity_idem, inj1, inj2, inj_n,
-    join, join_idem, leq_pointwise, meet_idem, min_depth, obj_L, obj_S, obj_T,
-    oplus, otimes, prod_assoc, prod_swap, prod_unitl, restrict, sample_elem,
-    structural, sum_swap, trace, unfold, unfold_obj, well_formed, zero_idem,
+    NO_FUEL, UNDEF, ZERO, ONE, IncompatibleJoin, InL, InR, Morph, Mu, Pair,
+    Prod, Roll, STAR, Star, Sum, TypeMismatch, Var, complement, compose,
+    compose_all, count_elems, dagger, delta, dist_l, enumerate_elems, fix,
+    fold, identity, inj1, inj2, inj_n, join, leq_pointwise, min_depth, obj_L,
+    obj_S, obj_T, oplus, otimes, prod_assoc, prod_swap, prod_unitl,
+    prod_unitr, restrict, sample_elem, structural, sum_swap, trace, unfold, unfold_obj, well_formed,
     zero_morph,
 )
 
@@ -377,25 +376,25 @@ def test_structural_unknown_name():
 
 
 # ---------------------------------------------------------------------------
-# Decidable idempotents
+# Decidable idempotents: guards
 # ---------------------------------------------------------------------------
 
 def test_complement_of_identity_is_zero():
-    e = complement(identity_idem(BOOL))
-    ptwise_eq(e.as_morph(), zero_idem(BOOL).as_morph(), elems(BOOL))
+    e = complement(identity(BOOL))
+    ptwise_eq(e, zero_morph(BOOL, BOOL), elems(BOOL))
 
 
 def test_double_complement():
-    e = decidable_restriction(compose(inj1(ONE, ONE), dagger(inj1(ONE, ONE))))
-    ptwise_eq(complement(complement(e)).as_morph(), e.as_morph(), elems(BOOL))
+    e = restrict(compose(inj1(ONE, ONE), dagger(inj1(ONE, ONE))))
+    ptwise_eq(complement(complement(e)), e, elems(BOOL))
 
 
 def test_decidability_e_join_not_e_is_identity():
-    e = decidable_restriction(compose(inj1(ONE, BOOL), dagger(inj1(ONE, BOOL))))
-    total = join_idem(e, complement(e))
-    ptwise_eq(total.as_morph(), identity(TRI), elems(TRI))
-    nothing = meet_idem(e, complement(e))
-    assert all(nothing.as_morph().fwd(x, FUEL) is UNDEF for x in elems(TRI))
+    e = restrict(compose(inj1(ONE, BOOL), dagger(inj1(ONE, BOOL))))
+    total = join([e, complement(e)])
+    ptwise_eq(total, identity(TRI), elems(TRI))
+    nothing = compose(e, complement(e))
+    assert all(nothing.fwd(x, FUEL) is UNDEF for x in elems(TRI))
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +512,19 @@ def test_fix_results_are_fuel_monotone():
         assert r == x
         for bigger in (2 * (k + 1), 4 * (k + 1), 100):
             assert m.fwd(x, bigger) == r
+
+
+def test_fix_under_every_combinator_runs_on_the_main_thread():
+    # The self-reference sits under dagger, oplus, trace, otimes, a guard
+    # and a join; nothing recurses in Python, so fuel 1e5 needs no big stack.
+    def scheme(h):
+        t = trace(oplus(dagger(h), identity(ONE)))
+        body = compose_all(prod_unitr(BOOL), otimes(t, identity(ONE)),
+                           dagger(prod_unitr(BOOL)))
+        return join([zero_morph(BOOL, BOOL), restrict(body)])
+
+    m = fix(scheme, BOOL, BOOL)
+    assert m.fwd(InL(STAR), 100_000) is NO_FUEL
 
 
 def test_fix_type_check():
