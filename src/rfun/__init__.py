@@ -5,11 +5,11 @@ and compile them to fuel-bounded partial injections whose behaviour is
 cross-checked against the interpreter.
 """
 
-from .values import TUPLE, Value, dupeq_value, render_value, tup, val, value_eq
+from .values import TUPLE, Value, dupeq_value, tup, val, value_eq
 from .syntax import (
     Def, ECase, ELeaf, ELet, ERLet, LCtor, LDup, LVar, ParseError, Program,
     StaticError, check_static, check_static_or_raise, leaves, parse_program,
-    parse_value, render_program,
+    parse_value, render_program, render_value,
 )
 from .opsem import (
     DEFAULT_FUEL, NO_MATCH, OUT_OF_FUEL, FirstMatchViolation,

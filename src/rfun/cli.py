@@ -25,9 +25,8 @@ from .opsem import (
 )
 from .syntax import (
     ParseError, Program, StaticError, check_static_or_raise, parse_program,
-    parse_value, render_program,
+    parse_value, render_program, render_value,
 )
-from .values import render_value
 
 EXIT_OK = 0
 EXIT_FAULT = 1

@@ -112,9 +112,11 @@ def _program_ctors(prog: Program):
 
 
 def _value_ctors(v: Value):
-    yield v.ctor
-    for a in v.args:
-        yield from _value_ctors(a)
+    todo = [v]
+    while todo:
+        w = todo.pop()
+        yield w.ctor
+        todo.extend(reversed(w.args))
 
 
 # ---------------------------------------------------------------------------

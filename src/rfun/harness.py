@@ -24,8 +24,8 @@ from .densem import (
 )
 from .invcat import NO_FUEL, UNDEF, IncompatibleJoin, Morph
 from .opsem import DEFAULT_FUEL as OP_FUEL, FirstMatchViolation, apply_forward
-from .syntax import LCtor, Program, walk
-from .values import TUPLE, Value, render_value
+from .syntax import LCtor, Program, render_value, walk
+from .values import TUPLE, Value
 
 
 def vocabulary(prog: Program) -> list[tuple[str, int]]:

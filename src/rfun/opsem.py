@@ -21,9 +21,9 @@ from typing import Optional, Union
 from .invcat import NO_FUEL as OUT_OF_FUEL, UNDEF as NO_MATCH, _Outcome
 from .syntax import (
     Def, ECase, ELeaf, ELet, ERLet, Expr, LCtor, LDup, LeftExpr, LVar,
-    Program, StaticError, check_expr, lvars,
+    Program, StaticError, check_expr, lvars, render_value,
 )
-from .values import Value, dupeq_value, render_value
+from .values import Value, dupeq_value
 
 DEFAULT_FUEL = 10_000
 

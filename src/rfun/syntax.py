@@ -19,13 +19,18 @@ function name may carry a single trailing '!' (the convention used for
 inverses).  '--' starts a line comment.  Tuples desugar to the distinguished
 constructor, and a definition whose parameter is a pattern rather than a
 variable desugars to a one-branch case over a fresh variable.
+
+Values share the concrete syntax of left expressions: ``parse_value`` reads a
+closed left expression, and ``render_value`` is ``render_left``, the one
+printer of both.  Lexing, left expressions and printing are iterative, so
+their depth costs heap, not Python stack.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .values import TUPLE, Value, fold_tree
 
@@ -151,22 +156,22 @@ class Program:
 
 _KEYWORDS = {"let", "rlet", "case", "of", "in"}
 
-_SYMBOLS = [
-    ("=:", "DEFEQ"), ("≜", "DEFEQ"),
-    ("->", "ARROW"), ("→", "ARROW"),
-    ("|_", "LDUP"), ("_|", "RDUP"),
-    ("⌊", "LDUP"), ("⌋", "RDUP"),
-    ("(", "LPAR"), (")", "RPAR"),
-    ("<", "LT"), (">", "GT"),
-    ("{", "LBRACE"), ("}", "RBRACE"),
-    (",", "COMMA"), (";", "SEMI"), ("=", "EQ"),
-]
+_SYMBOLS = {
+    "=:": "DEFEQ", "≜": "DEFEQ", "->": "ARROW", "→": "ARROW",
+    "|_": "LDUP", "_|": "RDUP", "⌊": "LDUP", "⌋": "RDUP",
+    "(": "LPAR", ")": "RPAR", "<": "LT", ">": "GT", "{": "LBRACE",
+    "}": "RBRACE", ",": "COMMA", ";": "SEMI", "=": "EQ",
+}
 
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_']*!?")
+# One alternative per lexeme class, tried in order.  A word stops before a
+# '_' that precedes '|', so |_x_| lexes; at most one '!' ends it.
+_TOKEN = re.compile(
+    r"(?P<NL>\n)|(?P<SKIP>[ \t\r]+|--[^\n]*)"
+    r"|(?P<SYM>" + "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))) + ")"
+    r"|(?P<WORD>[A-Za-z](?:[A-Za-z0-9']|_(?!\|))*!?)|(?P<BAD>.)")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -175,49 +180,30 @@ class Token:
 
 def tokenize(src: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):
+        group = m.lastgroup
+        if group == "NL":
+            line, line_start = line + 1, m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if group == "SKIP":
             continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        for text, kind in _SYMBOLS:
-            if src.startswith(text, i):
-                toks.append(Token(kind, text, line, col))
-                i += len(text)
-                col += len(text)
-                break
+        text = m.group()
+        col = m.start() - line_start + 1
+        if group == "SYM":
+            kind = _SYMBOLS[text]
+        elif group == "BAD":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        elif text in _KEYWORDS:
+            kind = text.upper()
+        elif text[0].isupper():
+            if text[-1] == "!":
+                raise ParseError(f"misplaced '!' in {text!r}", line, col)
+            kind = "UNAME"
         else:
-            m = _IDENT.match(src, i)
-            if m is None:
-                raise ParseError(f"unexpected character {c!r}", line, col)
-            word = m.group(0)
-            # Keep '_|' out of a greedy identifier match, so |_x_| lexes.
-            while word.endswith("_") and i + len(word) < n and src[i + len(word)] == "|":
-                word = word[:-1]
-            if word in _KEYWORDS:
-                kind = word.upper()
-            elif word[0].isupper():
-                kind = "UNAME"
-            else:
-                kind = "LNAME"
-            if "!" in word and (kind != "LNAME" or not word.endswith("!") or word.count("!") > 1):
-                raise ParseError(f"misplaced '!' in {word!r}", line, col)
-            toks.append(Token(kind, word, line, col))
-            i += len(word)
-            col += len(word)
-    toks.append(Token("EOF", "", line, col))
+            kind = "LNAME"
+        toks.append(Token(kind, text, line, col))
+    toks.append(Token("EOF", "", line, len(src) - line_start + 1))
     return toks
 
 
@@ -230,8 +216,8 @@ class _Parser:
         self.toks = toks
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.i]
 
     def next(self) -> Token:
         t = self.toks[self.i]
@@ -451,15 +437,8 @@ def lvars(l: LeftExpr) -> list[str]:
 
 
 def leaves(e: Expr) -> list[LeftExpr]:
-    """Left expressions in return position."""
-    match e:
-        case ELeaf(left):
-            return [left]
-        case ELet(body=body) | ERLet(body=body):
-            return leaves(body)
-        case ECase(branches=branches):
-            return [l for _, b in branches for l in leaves(b)]
-    raise AssertionError
+    """Left expressions in return position, in source order."""
+    return [n.left for n in walk(e) if type(n) is ELeaf]
 
 
 # ---------------------------------------------------------------------------
@@ -586,19 +565,44 @@ def _check_expr(e: Expr, env: dict[str, Optional[Pos]], out: list[Violation],
 # Pretty printer
 # ---------------------------------------------------------------------------
 
-def render_left(l: LeftExpr) -> str:
-    match l:
-        case LVar(name):
-            return name
-        case LCtor(ctor, args):
+def render_left(l: Union[LeftExpr, Value]) -> str:
+    """Textual form of a left expression or a value: ``x``, ``c``,
+    ``c(l1, ..., ln)``, ``<l1, ..., ln>``, ``|_ l _|``.
+
+    Round-trips through the parser.  Iterative, so deep trees never exhaust
+    the interpreter stack.
+    """
+    out: list[str] = []
+    todo: list = [l]
+    while todo:
+        item = todo.pop()
+        kind = type(item)
+        if kind is str:
+            out.append(item)
+        elif kind is LVar:
+            out.append(item.name)
+        elif kind is LDup:
+            out.append("|_ ")
+            todo += (" _|", item.arg)
+        else:                           # an LCtor or a Value
+            ctor, args = item.ctor, item.args
             if ctor == TUPLE:
-                return "<" + ", ".join(render_left(a) for a in args) + ">"
-            if not args:
-                return ctor
-            return ctor + "(" + ", ".join(render_left(a) for a in args) + ")"
-        case LDup(arg):
-            return "|_ " + render_left(arg) + " _|"
-    raise AssertionError
+                out.append("<")
+                todo.append(">")
+            elif args:
+                out.append(ctor + "(")
+                todo.append(")")
+            else:
+                out.append(ctor)
+                continue
+            for child in reversed(args):
+                todo += (child, ", ")
+            if args:
+                todo.pop()              # no separator before the first child
+    return "".join(out)
+
+
+render_value = render_left
 
 
 def render_expr(e: Expr, indent: int = 0) -> str:

@@ -3,7 +3,9 @@
 A value is ``c(v1, ..., vn)`` for a constructor name ``c`` and zero or more
 child values.  Tuples are ordinary values built with the distinguished
 constructor ``TUPLE``; they print as ``<v1, ..., vn>``.  Values are immutable
-and safe to share.
+and safe to share.  Their concrete syntax is that of closed left expressions,
+so :mod:`rfun.syntax` reads (``parse_value``) and prints (``render_value``)
+them with the same code as left expressions.
 """
 from __future__ import annotations
 
@@ -41,6 +43,7 @@ class Value:
         return hash((self.ctor, len(self.args)))
 
     def __repr__(self) -> str:
+        from .syntax import render_value    # syntax imports this module
         return f"Value({render_value(self)!r})"
 
 
@@ -79,36 +82,6 @@ def dupeq_value(v: Value) -> Optional[Value]:
             return Value(TUPLE, (x,))
         return v
     return None
-
-
-def render_value(v: Value) -> str:
-    """Textual form: ``c``, ``c(v1, ..., vn)``, ``<v1, ..., vn>``.
-
-    Round-trips through :func:`rfun.syntax.parse_value`.  Iterative so deep
-    values never exhaust the interpreter stack.
-    """
-    out: list[str] = []
-    todo: list[object] = [v]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        assert isinstance(item, Value)
-        if item.ctor == TUPLE:
-            opener, closer = "<", ">"
-        elif not item.args:
-            out.append(item.ctor)
-            continue
-        else:
-            opener, closer = item.ctor + "(", ")"
-        out.append(opener)
-        todo.append(closer)
-        for i, child in enumerate(reversed(item.args)):
-            todo.append(child)
-            if i != len(item.args) - 1:
-                todo.append(", ")
-    return "".join(out)
 
 
 def fold_tree(root, expand, build):

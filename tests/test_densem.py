@@ -18,8 +18,10 @@ from rfun.invcat import (
 from rfun.harness import check_program
 from rfun.inverter import invert_name, invert_program
 from rfun.opsem import NO_MATCH, UnknownFunction, apply_backward, apply_forward
-from rfun.syntax import LCtor, LDup, LVar, parse_program, parse_value
-from rfun.values import TUPLE, dupeq_value, render_value, tup, val
+from rfun.syntax import (
+    LCtor, LDup, LVar, parse_program, parse_value, render_value,
+)
+from rfun.values import TUPLE, dupeq_value, tup, val
 
 from helpers import ARITH_VOCAB, FIXTURES, load_program, peano, random_value
 
@@ -91,6 +93,11 @@ def test_deep_numeral_round_trips_on_the_main_thread():
     tbl = SymbolTable.from_names(["Z", "S"])
     e = encode_value(parse_value(text), tbl)
     assert render_value(decode_value(e, tbl)) == text
+
+
+def test_symbol_table_takes_a_deep_value():
+    tbl = SymbolTable.from_names(["Z"]).with_value(peano(DEEP))
+    assert tbl.names == (TUPLE, "Z", "S")
 
 
 def test_deep_encodings_compare_without_recursion():

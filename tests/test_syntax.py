@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 from rfun.syntax import (
     Def, ECase, ELeaf, ELet, ERLet, LCtor, LDup, LVar, ParseError,
     check_static, leaves, lvars, parse_program, parse_value, render_program,
+    render_value, tokenize,
 )
-from rfun.values import TUPLE, render_value
+from rfun.values import TUPLE
 
 from helpers import ARITH_VOCAB, FIXTURES, load_program, random_value
 
@@ -79,6 +80,32 @@ def test_parse_errors_carry_position():
         parse_value("x")        # lowercase is a variable, not a value
     with pytest.raises(ParseError):
         parse_value("|_ <A> _|")
+
+
+def test_lexer_positions_across_lines():
+    src = "f! x' ≜ -- a comment\r\n\tcase x' of {\r\n  Z → ⌊<x'>⌋; S(x) -> |_x_|\n}"
+    assert [(t.kind, t.text, t.line, t.col) for t in tokenize(src)] == [
+        ("LNAME", "f!", 1, 1), ("LNAME", "x'", 1, 4), ("DEFEQ", "≜", 1, 7),
+        ("CASE", "case", 2, 2), ("LNAME", "x'", 2, 7), ("OF", "of", 2, 10),
+        ("LBRACE", "{", 2, 13),
+        ("UNAME", "Z", 3, 3), ("ARROW", "→", 3, 5), ("LDUP", "⌊", 3, 7),
+        ("LT", "<", 3, 8), ("LNAME", "x'", 3, 9), ("GT", ">", 3, 11),
+        ("RDUP", "⌋", 3, 12), ("SEMI", ";", 3, 13), ("UNAME", "S", 3, 15),
+        ("LPAR", "(", 3, 16), ("LNAME", "x", 3, 17), ("RPAR", ")", 3, 18),
+        ("ARROW", "->", 3, 20), ("LDUP", "|_", 3, 23), ("LNAME", "x", 3, 25),
+        ("RDUP", "_|", 3, 26),
+        ("RBRACE", "}", 4, 1), ("EOF", "", 4, 2),
+    ]
+    for parse, text, message, line, col in (
+            (parse_program, "f x =:\n  # x", "unexpected character '#'", 2, 3),
+            (parse_value, "S!", "misplaced '!' in 'S!'", 1, 1),
+            # end of input is one column past the trailing comment
+            (parse_program, "f x =: case x of { Z -> Z -- note",
+             "expected '}', found ''", 1, 34)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"{line}:{col}: {message}"
+        assert (err.value.line, err.value.col) == (line, col)
 
 
 def test_function_names_may_end_in_bang():
@@ -163,6 +190,13 @@ def test_leaves_of_fib_body():
         LCtor(TUPLE, (LCtor("S", (LCtor("Z"),)), LCtor("S", (LCtor("Z"),)))),
         LVar("z"),
     ]
+
+
+def test_leaves_of_a_long_let_chain():
+    body: object = ELeaf(LVar("x5000"))
+    for i in reversed(range(5000)):
+        body = ELet(LVar(f"x{i + 1}"), "id", LVar(f"x{i}"), body)
+    assert leaves(body) == [LVar("x5000")]
 
 
 def test_lvars_order():

@@ -2,9 +2,9 @@ import random
 
 from hypothesis import given, strategies as st
 
+from rfun.syntax import render_value
 from rfun.values import (
-    TUPLE, Value, dupeq_value, render_value, tup, val, value_depth, value_eq,
-    value_size,
+    TUPLE, Value, dupeq_value, tup, val, value_depth, value_eq, value_size,
 )
 
 from helpers import ARITH_VOCAB, peano, random_value
