@@ -2,12 +2,13 @@
 
     rfun run FILE --entry f --input "S(Z)" [--backward] [--fuel N]
     rfun invert FILE
-    rfun check FILE [--entry f] [--samples N] [--seed N] [--fuel N]
-                    [--den-fuel N] [--json]
+    rfun check FILE [--entry f] [--samples N] [--seed N] [--fuel N] [--json]
 
+Fuel bounds the depth of nested calls, in both semantics (default 10^4).
 Exit codes for run: 0 the printed value, 2 no match, 3 out of fuel, 1 any
-parse, static or runtime fault.  check exits 0 only when every sampled case
-agrees between the interpreter and the denotation.
+parse, static or runtime fault, or a program file that cannot be read.
+check exits 0 only when every sampled case agrees between the interpreter
+and the denotation.
 """
 from __future__ import annotations
 
@@ -16,11 +17,10 @@ import json
 import sys
 from pathlib import Path
 
-from .densem import DEFAULT_FUEL as DEN_FUEL
 from .harness import check_program
 from .inverter import invert_program
 from .opsem import (
-    DEFAULT_FUEL as OP_FUEL, NO_MATCH, OUT_OF_FUEL, RfunRuntimeError,
+    DEFAULT_FUEL, NO_MATCH, OUT_OF_FUEL, RfunRuntimeError,
     apply_backward, apply_forward,
 )
 from .syntax import (
@@ -35,7 +35,12 @@ EXIT_OUT_OF_FUEL = 3
 
 
 def _load(path: str) -> Program:
-    prog = parse_program(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"{path}: cannot read: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_FAULT) from None
+    prog = parse_program(text)
     try:
         return check_static_or_raise(prog)
     except StaticError as exc:
@@ -88,8 +93,7 @@ def cmd_check(args) -> int:
     if args.entry is not None:
         _pick_entry(prog, args.entry, args.file)
     report = check_program(prog, entry=args.entry, samples=args.samples,
-                           seed=args.seed, op_fuel=args.fuel,
-                           den_fuel=args.den_fuel)
+                           seed=args.seed, fuel=args.fuel)
     report["program"] = args.file
     for sub in report.get("reports", ()):
         sub["program"] = args.file
@@ -107,6 +111,16 @@ def cmd_check(args) -> int:
     return EXIT_OK if report["mismatches"] == 0 else EXIT_FAULT
 
 
+def _count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="rfun",
@@ -120,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--input", required=True, help="value in textual syntax")
     run.add_argument("--backward", action="store_true",
                      help="apply the function's inverse")
-    run.add_argument("--fuel", type=int, default=OP_FUEL)
+    run.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
+                     help="bound on the depth of nested calls")
     run.set_defaults(handler=cmd_run)
 
     inv = sub.add_parser("invert", help="print the syntactic inverse program")
@@ -131,12 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="compare interpreter and denotation on random inputs")
     chk.add_argument("file")
     chk.add_argument("--entry", help="check one function (default: all)")
-    chk.add_argument("--samples", type=int, default=50)
+    chk.add_argument("--samples", type=_count, default=50)
     chk.add_argument("--seed", type=int, default=0)
-    chk.add_argument("--fuel", type=int, default=OP_FUEL,
-                     help="interpreter fuel")
-    chk.add_argument("--den-fuel", type=int, default=DEN_FUEL,
-                     help="denotational fuel")
+    chk.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
+                     help="bound on the depth of nested calls, in both semantics")
     chk.add_argument("--json", action="store_true",
                      help="emit the full machine-readable report")
     chk.set_defaults(handler=cmd_check)

@@ -30,7 +30,7 @@ from .invcat import (
     dagger, delta, fix, fold, identity, inj_n, join, obj_L, obj_S, obj_T,
     oplus_all, otimes, prod_unitl, prod_unitr, restrict,
 )
-from .opsem import UnknownFunction
+from .opsem import DEFAULT_FUEL, UnknownFunction
 from .syntax import (
     ECase, ELeaf, ELet, ERLet, Expr, LCtor, LDup, LeftExpr, LVar, Program,
     check_static_or_raise, lvars, walk,
@@ -41,8 +41,6 @@ S = obj_S()
 TS = obj_T(S)
 LTS = obj_L(TS)
 _NIL = Roll(InL(STAR))      # the empty list of L(T(S)), and symbol 1 of S
-
-DEFAULT_FUEL = 100_000
 
 
 class UnknownSymbol(Exception):

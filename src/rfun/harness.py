@@ -2,8 +2,8 @@
 
 For a program and an entry function the harness draws seeded, depth-bounded
 random inputs over the program's own constructor vocabulary, runs the
-operational semantics and the denotational morphism on each, and compares
-outcomes.  Statuses correspond as
+operational semantics and the denotational morphism on each at one fuel (a
+bound on call depth in both), and compares outcomes.  Statuses correspond as
 
     value        <->  value (decoded, equal)
     no-match     <->  undefined
@@ -18,12 +18,9 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .densem import (
-    DEFAULT_FUEL as DEN_FUEL, SymbolTable, function_morphism, run_denotation,
-    sem_program,
-)
+from .densem import SymbolTable, function_morphism, run_denotation, sem_program
 from .invcat import NO_FUEL, UNDEF, IncompatibleJoin, Morph
-from .opsem import DEFAULT_FUEL as OP_FUEL, FirstMatchViolation, apply_forward
+from .opsem import DEFAULT_FUEL, FirstMatchViolation, apply_forward
 from .syntax import LCtor, Program, render_value, walk
 from .values import TUPLE, Value
 
@@ -83,8 +80,7 @@ def outcomes_agree(op: dict, den: dict) -> bool:
 
 
 def check_function(prog: Program, entry: str, samples: int, seed: int,
-                   op_fuel: int = OP_FUEL, den_fuel: int = DEN_FUEL,
-                   depth: int = 6,
+                   fuel: int = DEFAULT_FUEL, depth: int = 6,
                    tbl: Optional[SymbolTable] = None,
                    program_morph: Optional[Morph] = None) -> dict:
     """Adequacy report for one entry point; deterministic in the seed."""
@@ -97,8 +93,8 @@ def check_function(prog: Program, entry: str, samples: int, seed: int,
     cases = []
     mismatches = 0
     for i, v in enumerate(inputs):
-        op = opsem_outcome(prog, entry, v, op_fuel)
-        den = densem_outcome(morph, v, tbl, den_fuel)
+        op = opsem_outcome(prog, entry, v, fuel)
+        den = densem_outcome(morph, v, tbl, fuel)
         verdict = "match" if outcomes_agree(op, den) else "mismatch"
         mismatches += verdict == "mismatch"
         cases.append({"index": i, "input": render_value(v),
@@ -107,7 +103,7 @@ def check_function(prog: Program, entry: str, samples: int, seed: int,
         "program": None,          # caller fills in the file name
         "entry": entry,
         "seed": seed,
-        "fuel": {"opsem": op_fuel, "densem": den_fuel},
+        "fuel": fuel,
         "samples": samples,
         "mismatches": mismatches,
         "cases": cases,
@@ -115,21 +111,22 @@ def check_function(prog: Program, entry: str, samples: int, seed: int,
 
 
 def check_program(prog: Program, entry: Optional[str] = None, samples: int = 50,
-                  seed: int = 0, op_fuel: int = OP_FUEL,
-                  den_fuel: int = DEN_FUEL, depth: int = 6) -> dict:
-    """Reports for one entry, or for every definition when entry is None."""
+                  seed: int = 0, fuel: int = DEFAULT_FUEL,
+                  den_fuel: Optional[int] = None, depth: int = 6) -> dict:
+    """Reports for one entry, or for every definition when entry is None.
+    den_fuel, kept for positional callers, must be None or fuel."""
+    if den_fuel not in (None, fuel):
+        raise ValueError(f"one fuel meters both semantics, not {fuel} and {den_fuel}")
     tbl = SymbolTable.from_program(prog)
     pm = sem_program(prog, tbl)
     if entry is not None:
-        return check_function(prog, entry, samples, seed, op_fuel, den_fuel,
-                              depth, tbl, pm)
-    reports = [check_function(prog, d.name, samples, seed, op_fuel, den_fuel,
-                              depth, tbl, pm)
+        return check_function(prog, entry, samples, seed, fuel, depth, tbl, pm)
+    reports = [check_function(prog, d.name, samples, seed, fuel, depth, tbl, pm)
                for d in prog.defs]
     return {
         "program": None,
         "seed": seed,
-        "fuel": {"opsem": op_fuel, "densem": den_fuel},
+        "fuel": fuel,
         "samples": samples,
         "mismatches": sum(r["mismatches"] for r in reports),
         "reports": reports,

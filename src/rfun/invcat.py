@@ -435,7 +435,7 @@ class Guard(Node):
 
 
 class FixRef(Node):
-    """A fixed point's reference to itself; each use costs one unit of fuel."""
+    """A fixed point's reference to itself: the callee runs on one unit less."""
     __slots__ = ("knot",)
 
 
@@ -806,9 +806,9 @@ def trace(f: Morph) -> Morph:
 def fix(scheme: Callable[[Morph], Morph], src: ObjDesc, tgt: ObjDesc) -> Morph:
     """Least fixed point of a morphism scheme.
 
-    The scheme is applied once to a self-reference whose every invocation
-    consumes one unit of fuel; exhausting the fuel approximates bottom, so a
-    result other than NO_FUEL at fuel F is stable at every larger fuel.
+    The scheme is applied once to a self-reference that runs the callee on
+    one unit of fuel less: fuel F bounds the depth of nested calls (the F-th
+    Kleene approximant), and a result other than NO_FUEL is stable above F.
     """
     ref = FixRef(src, tgt, label="fix-ref")
     built = scheme(ref)

@@ -10,8 +10,9 @@ statically invalid one raises StaticError before any step.  The machine then
 trusts the static guarantees and re-checks no substitution domain and no
 linearity; only the symmetric first-match policy is checked as it runs.
 
-Fuel counts function applications (in either direction).  A result other
-than OUT_OF_FUEL obtained at fuel F is identical at every larger fuel.
+Fuel bounds the depth of nested calls, as in the denotation, and not a
+terminating run's total work.  A result other than OUT_OF_FUEL at fuel F is
+the same at every larger fuel.
 NO_MATCH and OUT_OF_FUEL are the same objects as invcat's UNDEF and NO_FUEL.
 """
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional, Union
 
 from .invcat import NO_FUEL as OUT_OF_FUEL, UNDEF as NO_MATCH, _Outcome
 from .syntax import (
-    Def, ECase, ELeaf, ELet, ERLet, Expr, LCtor, LDup, LeftExpr, LVar,
+    Def, ECase, ELeaf, ELet, ERLet, Expr, LCtor, LeftExpr, LVar,
     Program, StaticError, check_expr, lvars, render_value,
 )
 from .values import Value, dupeq_value
@@ -88,39 +89,42 @@ def _linear_vars(l: LeftExpr) -> list[str]:
     return names
 
 
+# _take and _match run several times per step: dispatch on type() is two to
+# three times faster here than class patterns (an LDup is the third case).
+
 def _take(env: Subst, l: LeftExpr) -> Optional[Value]:
     """instantiate for a linear l, removing l's variables from env."""
-    match l:
-        case LVar(name):
-            return env.pop(name)
-        case LCtor(ctor, args):
-            out = []
-            for a in args:
-                v = _take(env, a)
-                if v is None:
-                    return None
-                out.append(v)
-            return Value(ctor, tuple(out))
-        case LDup(arg):
-            v = _take(env, arg)
-            return None if v is None else dupeq_value(v)
-    raise AssertionError
+    t = type(l)
+    if t is LVar:
+        return env.pop(l.name)
+    if t is LCtor:
+        out = []
+        for a in l.args:
+            v = _take(env, a)
+            if v is None:
+                return None
+            out.append(v)
+        return Value(l.ctor, tuple(out))
+    v = _take(env, l.arg)
+    return None if v is None else dupeq_value(v)
 
 
 def _match(v: Value, l: LeftExpr, out: Subst) -> bool:
     """match_pattern for a linear l, adding the bindings to out."""
-    match l:
-        case LVar(name):
-            out[name] = v
-            return True
-        case LCtor(ctor, args):
-            if v.ctor != ctor or len(v.args) != len(args):
+    t = type(l)
+    if t is LVar:
+        out[l.name] = v
+        return True
+    if t is LCtor:
+        args = l.args
+        if v.ctor != l.ctor or len(v.args) != len(args):
+            return False
+        for c, a in zip(v.args, args):
+            if not _match(c, a, out):
                 return False
-            return all(_match(c, a, out) for c, a in zip(v.args, args))
-        case LDup(arg):
-            w = dupeq_value(v)
-            return False if w is None else _match(w, arg, out)
-    raise AssertionError
+        return True
+    w = dupeq_value(v)
+    return w is not None and _match(w, l.arg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +138,14 @@ def _match(v: Value, l: LeftExpr, out: Subst) -> bool:
 #   ("UNEVAL", e, v)              run e backward from v, leaving a Subst
 #   ("APPLY", fname)              forward-apply to the register Value
 #   ("UNAPPLY", fname)            backward-apply to the register Value
-#   ("K_BIND", pattern, rest, body)  bind a let/rlet call's result, go on
+#   ("K_BIND", pattern, rest, body, fuel)  bind a let/rlet result, go on
 #   ("K_CASE", earlier_leaves)
 #   ("K_UNBODY", l_pattern, l_call_arg, fname, mode)
-#   ("K_UNCALL", l_bind, rest)
+#   ("K_UNCALL", l_bind, rest, fuel)
 #   ("K_UNCASE", scrutinee, earlier_arms, pattern)
 #   ("K_PROJ", param)             project a Subst back to the parameter value
+# A call runs its callee on one unit of fuel less; K_BIND and K_UNCALL
+# resume the caller with the fuel it had.
 # Each step owns the substitution it takes and builds by removing the
 # variables it uses; what it leaves for later frames goes into a fresh dict.
 
@@ -169,7 +175,7 @@ def _run(defs: dict[str, Def], work: list, fuel: int) -> EvalResult:
                     reg = _take(subst, arg)
                     if reg is None:
                         return NO_MATCH
-                    work.append(("K_BIND", bound, dict(subst), body))
+                    work.append(("K_BIND", bound, dict(subst), body, fuel))
                     work.append(("APPLY", fname))
                 case ERLet(bound, fname, arg, body):
                     # rlet bound = f arg: the bound side holds f's *output*;
@@ -177,7 +183,7 @@ def _run(defs: dict[str, Def], work: list, fuel: int) -> EvalResult:
                     reg = _take(subst, bound)
                     if reg is None:
                         return NO_MATCH
-                    work.append(("K_BIND", arg, dict(subst), body))
+                    work.append(("K_BIND", arg, dict(subst), body, fuel))
                     work.append(("UNAPPLY", fname))
                 case ECase(scrut):
                     v0 = _take(subst, scrut)
@@ -210,7 +216,7 @@ def _run(defs: dict[str, Def], work: list, fuel: int) -> EvalResult:
             work.append(("UNEVAL", d.body, reg))
 
         elif tag == "K_BIND":
-            _, pat, rest, body = frame
+            _, pat, rest, body, fuel = frame
             sigma = {}
             if not _match(reg, pat, sigma):
                 return NO_MATCH
@@ -254,12 +260,12 @@ def _run(defs: dict[str, Def], work: list, fuel: int) -> EvalResult:
             w = _take(reg, bound)
             if w is None:
                 return NO_MATCH
-            work.append(("K_UNCALL", call_arg, dict(reg)))
+            work.append(("K_UNCALL", call_arg, dict(reg), fuel))
             work.append((mode, fname))
             reg = w
 
         elif tag == "K_UNCALL":
-            _, l_bind, rest = frame
+            _, l_bind, rest, fuel = frame
             sigma = {}
             if not _match(reg, l_bind, sigma):
                 return NO_MATCH

@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+import pytest
+
 from rfun.invcat import (
     ONE, Morph, Prod, Sum, compose, dagger, delta, identity, inj1, inj2,
     join, oplus, otimes, prod_swap, restrict, sum_swap, zero_morph,
@@ -69,6 +71,21 @@ def gen_morphism(rng: random.Random, src, depth: int) -> Morph:
                 return dagger(delta(src.left))
             return prod_swap(src.left, src.right)
     raise AssertionError
+
+
+def no_recursion(fn, *args, **kwargs):
+    """fn(*args, **kwargs), failing the test at once if it raises
+    RecursionError.
+
+    pytest looks for the start of a recursion by comparing the locals of
+    same-line frames with ==, which walks any deep values they hold and can
+    take minutes.  Failing outside the except block, with no Python
+    traceback, leaves it nothing to compare."""
+    try:
+        return fn(*args, **kwargs)
+    except RecursionError as exc:
+        message = f"{getattr(fn, '__name__', fn)} recursed too deeply: {exc}"
+    pytest.fail(message, pytrace=False)
 
 
 def load_program(name: str) -> Program:

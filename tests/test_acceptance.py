@@ -32,7 +32,7 @@ from rfun.values import Value, tup, val
 
 from helpers import (
     ARITH_VOCAB, BOOL, PAIRB, SMALL_OBJS, TRI, fib_pair, gen_morphism,
-    load_program, peano, random_value, unpeano,
+    load_program, no_recursion, peano, random_value, unpeano,
 )
 
 SEED = 0x5EED
@@ -347,7 +347,7 @@ def test_acceptance_5_adequacy():
     total_cases = 0
     for prog, entry in corpus:
         rep = check_function(prog, entry, samples=24, seed=SEED,
-                             op_fuel=100_000, den_fuel=100_000, depth=5)
+                             fuel=100_000, depth=5)
         assert rep["mismatches"] == 0, (entry, [
             c for c in rep["cases"] if c["verdict"] == "mismatch"])
         total_cases += len(rep["cases"])
@@ -402,11 +402,13 @@ def test_acceptance_7_divergence():
 
     # interpreter: heap-allocated continuations make 1e6 cheap
     for fuel in (1, 10, 100, 1000, 10_000, 1_000_000):
-        assert apply_forward(prog, "loop", val("Z"), fuel=fuel) is OUT_OF_FUEL, fuel
+        r = no_recursion(apply_forward, prog, "loop", val("Z"), fuel=fuel)
+        assert r is OUT_OF_FUEL, fuel
 
     # denotation: its frames live on the heap too
     for fuel in (1, 10, 100, 1000, 10_000, 50_000):
-        assert run_denotation(morph, val("Z"), tbl, fuel=fuel) is NO_FUEL, fuel
+        r = no_recursion(run_denotation, morph, val("Z"), tbl, fuel=fuel)
+        assert r is NO_FUEL, fuel
 
     elapsed = time.time() - started
     assert elapsed < 10.0, f"divergence checks took {elapsed:.2f}s"

@@ -8,12 +8,13 @@ FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
 
 
-def rfun(*args, **kw):
+def rfun(*args, env=None, **kw):
     # the CLI runs in a child process, which must import this checkout too
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "rfun.cli", *args],
                           capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, **kw)
+                          env={**os.environ, **(env or {}), "PYTHONPATH": path},
+                          **kw)
 
 
 def test_run_fib_forward():
@@ -48,6 +49,24 @@ def test_run_out_of_fuel_exit_code():
     r = rfun("run", str(FIXTURES / "loop.rfun"), "--input", "Z",
              "--fuel", "50")
     assert r.returncode == 3
+
+
+def test_unreadable_program_file_is_a_one_line_fault(tmp_path):
+    r = rfun("run", str(tmp_path / "missing.rfun"), "--input", "Z")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    assert "missing.rfun: cannot read:" in r.stderr
+
+
+def test_program_file_is_utf8_under_an_ascii_locale(tmp_path):
+    src = tmp_path / "unicode.rfun"
+    src.write_text("f x ≜ case x of { Z → Z; S(y) → S(y) }\n", encoding="utf-8")
+    r = rfun("run", str(src), "--input", "S(Z)",
+             env={"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "S(Z)"
 
 
 def test_run_violation_is_a_fault():
@@ -157,7 +176,7 @@ def test_check_json_report_schema_and_determinism():
     assert report["program"].endswith("arith.rfun")
     assert report["entry"] == "plus"
     assert report["seed"] == 9
-    assert set(report["fuel"]) == {"opsem", "densem"}
+    assert report["fuel"] == 10_000
     assert len(report["cases"]) == 20
     assert {c["verdict"] for c in report["cases"]} == {"match"}
     assert all({"input", "opsem", "densem", "verdict"} <= set(c)
@@ -177,6 +196,22 @@ def test_check_zero_samples_exits_clean():
              "--json")
     assert r.returncode == 0
     assert json.loads(r.stdout)["mismatches"] == 0
+
+
+def test_check_rejects_negative_samples():
+    r = rfun("check", str(FIXTURES / "arith.rfun"), "--samples", "-3")
+    assert r.returncode == 2
+    assert "--samples" in r.stderr
+    assert r.stdout == ""
+
+
+def test_check_one_fuel_meters_both_semantics():
+    # fib S(S(Z)) needs call depth 3 but six calls: both semantics give a
+    # value at fuel 4
+    r = rfun("check", str(FIXTURES / "arith.rfun"), "--samples", "50",
+             "--seed", "2", "--fuel", "4")
+    assert r.returncode == 0, r.stdout
+    assert "fib: 50 cases, 0 mismatches" in r.stdout
 
 
 def test_check_violating_program_agrees():

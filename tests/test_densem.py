@@ -1,8 +1,11 @@
 import itertools
+import operator
 import random
 
 import pytest
 
+import rfun
+from rfun import opsem
 from rfun.densem import (
     LTS, S, TS, ContextMismatch, SymbolTable, UnknownSymbol, decode_value,
     dupeq_morphism, encode_value, function_morphism, node_morphism, pack,
@@ -23,7 +26,9 @@ from rfun.syntax import (
 )
 from rfun.values import TUPLE, dupeq_value, tup, val
 
-from helpers import ARITH_VOCAB, FIXTURES, load_program, peano, random_value
+from helpers import (
+    ARITH_VOCAB, FIXTURES, load_program, no_recursion, peano, random_value,
+)
 
 FUEL = 100_000
 
@@ -91,23 +96,24 @@ DEEP = 100_000
 def test_deep_numeral_round_trips_on_the_main_thread():
     text = "S(" * DEEP + "Z" + ")" * DEEP
     tbl = SymbolTable.from_names(["Z", "S"])
-    e = encode_value(parse_value(text), tbl)
-    assert render_value(decode_value(e, tbl)) == text
+    e = no_recursion(encode_value, no_recursion(parse_value, text), tbl)
+    assert no_recursion(render_value, no_recursion(decode_value, e, tbl)) == text
 
 
 def test_symbol_table_takes_a_deep_value():
-    tbl = SymbolTable.from_names(["Z"]).with_value(peano(DEEP))
+    tbl = no_recursion(SymbolTable.from_names(["Z"]).with_value, peano(DEEP))
     assert tbl.names == (TUPLE, "Z", "S")
 
 
 def test_deep_encodings_compare_without_recursion():
     tbl = SymbolTable.from_names(["Z", "S", "Q"])
-    a, b = encode_value(peano(DEEP), tbl), encode_value(peano(DEEP), tbl)
-    assert a == b and hash(a) == hash(b)
+    a = no_recursion(encode_value, peano(DEEP), tbl)
+    b = no_recursion(encode_value, peano(DEEP), tbl)
+    assert no_recursion(operator.eq, a, b) and hash(a) == hash(b)
     q = val("Q")
     for _ in range(DEEP):
         q = val("S", q)
-    assert a != encode_value(q, tbl)
+    assert no_recursion(operator.ne, a, no_recursion(encode_value, q, tbl))
 
 
 def test_encode_unknown_symbol(arith):
@@ -394,7 +400,11 @@ def test_loop_at_default_fuel_fits_the_deep_stack():
     loop = load_program("loop.rfun")
     tbl = SymbolTable.from_program(loop, extra=["Z"])
     m = function_morphism(loop, "loop", tbl)
-    assert run_denotation(m, val("Z"), tbl, fuel=DEFAULT_FUEL) is NO_FUEL
+    assert no_recursion(run_denotation, m, val("Z"), tbl, fuel=FUEL) is NO_FUEL
+
+
+def test_one_default_fuel_for_both_semantics():
+    assert opsem.DEFAULT_FUEL is DEFAULT_FUEL is rfun.DEFAULT_FUEL == 10_000
 
 
 def test_unknown_entry_raises_unknown_function(arith):

@@ -1,4 +1,4 @@
-"""Differential testing on randomly generated programs.
+"""Differential testing on randomly generated programs and on the corpus.
 
 Programs are built from random linear left expressions: multi-branch cases
 whose bodies reshuffle the pattern variables, wrap them in constructors,
@@ -13,8 +13,10 @@ interpreter raises FirstMatchViolation, the denotation's case raises
 IncompatibleJoin.  So every case must agree exactly, forward and backward:
 equal values, no-match with undefined, violation with violation.
 
-Out-of-fuel outcomes are skipped (the two fuel meters measure different
-quantities).
+Both semantics meter fuel as the depth of nested calls, so at equal fuel
+out-of-fuel agrees with out-of-fuel too.  Generated programs recurse too
+little to run out, so the corpus, run on a ladder of small fuels, checks
+that part of the relation.
 """
 from __future__ import annotations
 
@@ -33,10 +35,10 @@ from rfun.syntax import (
 )
 from rfun.values import TUPLE, Value
 
-from helpers import random_value
+from helpers import FIXTURES, load_program, random_value
 
-OP_FUEL = 3_000
-DEN_FUEL = 3_000
+FUEL = 3_000
+FUEL_LADDER = (0, 1, 2, 3, 5, 8, 13, 40)
 
 CTOR_POOL = [("Z", 0), ("A", 0), ("S", 1), ("W", 1), ("P", 2), (TUPLE, 1),
              (TUPLE, 2)]
@@ -123,24 +125,20 @@ def gen_program(rng: random.Random) -> Program:
 # Outcomes
 # ---------------------------------------------------------------------------
 
-def op_outcome(prog, fname, v, backward=False):
+def op_outcome(prog, fname, v, backward=False, fuel=FUEL):
     apply = apply_backward if backward else apply_forward
     try:
-        return apply(prog, fname, v, OP_FUEL)
+        return apply(prog, fname, v, fuel)
     except FirstMatchViolation:
         return "violation"
 
 
-def den_outcome(morph, v, tbl, backward=False):
+def den_outcome(morph, v, tbl, backward=False, fuel=FUEL):
     try:
         return run_denotation(dagger(morph) if backward else morph, v, tbl,
-                              DEN_FUEL)
+                              fuel)
     except IncompatibleJoin:
         return "violation"
-
-
-def fuel_out(x) -> bool:
-    return x is OUT_OF_FUEL or x is NO_FUEL
 
 
 def is_violation(x) -> bool:
@@ -150,6 +148,8 @@ def is_violation(x) -> bool:
 def strict_agree(op, den) -> bool:
     if op is NO_MATCH:
         return den is UNDEF
+    if op is OUT_OF_FUEL:
+        return den is NO_FUEL
     if isinstance(op, Value):
         return den == op
     return is_violation(op) and is_violation(den)
@@ -178,8 +178,6 @@ def test_random_programs_agree_both_ways(seed):
                 for backward in (False, True):
                     op = op_outcome(prog, d.name, v, backward)
                     den = den_outcome(morph, v, tbl, backward)
-                    if fuel_out(op) or fuel_out(den):
-                        continue
                     assert strict_agree(op, den), (
                         f"{'backward' if backward else 'forward'} disagreement "
                         f"on {d.name}: {op!r} vs {den!r}\ninput {v!r}\n"
@@ -189,6 +187,33 @@ def test_random_programs_agree_both_ways(seed):
     # the test must keep teeth: many cases, and the policy exercised
     assert checks >= 300, checks
     assert violations >= 1, violations
+
+
+def test_corpus_agrees_exactly_on_a_fuel_ladder():
+    rng = random.Random(0xF0E1)
+    fuel_outs = values = 0
+    for path in sorted(FIXTURES.glob("*.rfun")):
+        prog = load_program(path.name)
+        vocab = vocabulary(prog)
+        tbl = SymbolTable.from_program(prog)
+        pm = sem_program(prog, tbl)
+        for d in prog.defs:
+            morph = function_morphism(prog, d.name, tbl, pm)
+            for _ in range(60):
+                v = random_value(rng, vocab, 4)
+                for fuel in FUEL_LADDER:
+                    for backward in (False, True):
+                        op = op_outcome(prog, d.name, v, backward, fuel)
+                        den = den_outcome(morph, v, tbl, backward, fuel)
+                        assert strict_agree(op, den), (
+                            f"{path.name} {d.name} "
+                            f"{'backward' if backward else 'forward'} at fuel "
+                            f"{fuel} on {v!r}: {op!r} vs {den!r}")
+                        fuel_outs += op is OUT_OF_FUEL
+                        values += isinstance(op, Value)
+    # the test must keep teeth: both kinds of outcome, many times over
+    assert fuel_outs >= 1000, fuel_outs
+    assert values >= 1000, values
 
 
 def test_generated_left_expressions_are_linear():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rfun.harness import (
     check_function, check_program, gen_value, opsem_outcome, outcomes_agree,
     vocabulary,
@@ -78,9 +80,19 @@ def test_violating_program_agrees_on_violation():
 def test_divergent_program_agrees_on_out_of_fuel():
     prog = load_program("loop.rfun")
     report = check_function(prog, "loop", samples=5, seed=1,
-                            op_fuel=500, den_fuel=500, depth=2)
+                            fuel=500, depth=2)
     assert report["mismatches"] == 0
     assert all(c["opsem"]["status"] == "out-of-fuel" for c in report["cases"])
+
+
+def test_check_program_takes_a_second_fuel_only_when_it_is_the_same():
+    prog = load_program("loop.rfun")
+    args = (prog, None, 3, 1, 50)
+    report = check_program(*args)
+    assert report["fuel"] == 50
+    assert check_program(*args, 50) == report
+    with pytest.raises(ValueError):
+        check_program(*args, 60)
 
 
 def test_outcomes_agree_mapping():

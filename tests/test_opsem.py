@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rfun import invcat
+from rfun.densem import SymbolTable, function_morphism, run_denotation
 from rfun.opsem import (
     NO_MATCH, OUT_OF_FUEL, FirstMatchViolation, SubstitutionError,
     UnknownFunction, apply_backward, apply_forward, eval_expr, instantiate,
@@ -11,7 +12,10 @@ from rfun.opsem import (
 from rfun.syntax import ELeaf, LCtor, LDup, LVar, StaticError, parse_program
 from rfun.values import TUPLE, Value, tup, val
 
-from helpers import ARITH_VOCAB, fib_pair, load_program, peano, random_value, unpeano
+from helpers import (
+    ARITH_VOCAB, fib_pair, load_program, no_recursion, peano, random_value,
+    unpeano,
+)
 
 Z = val("Z")
 SZ = val("S", Z)
@@ -148,12 +152,28 @@ def test_out_of_fuel_on_divergence():
         assert apply_forward(p, "loop", Z, fuel=fuel) is OUT_OF_FUEL
 
 
-def test_fuel_counts_applications():
+def test_fuel_bounds_linear_recursion_depth():
     p = load_program("arith.rfun")
-    # plus <2, n> needs n recursive calls below the root application
+    # plus <2, n> nests n recursive calls below the root application
     v = tup(peano(2), peano(5))
     assert apply_forward(p, "plus", v, fuel=4) is OUT_OF_FUEL
     assert isinstance(apply_forward(p, "plus", v, fuel=5), Value)
+
+
+def test_fuel_bounds_call_depth_not_call_count():
+    # fib S(S(Z)) makes six calls below the root, nested at most three deep
+    # (fib S(Z), then plus <S(Z), S(Z)>, then plus <S(Z), Z>): it needs
+    # fuel 3, in both semantics and both directions.
+    p = load_program("arith.rfun")
+    tbl = SymbolTable.from_program(p)
+    m = function_morphism(p, "fib", tbl)
+    n, out = peano(2), tup(peano(2), peano(3))
+    assert apply_forward(p, "fib", n, fuel=4) == out
+    for fuel, want_fwd, want_bwd in ((2, OUT_OF_FUEL, OUT_OF_FUEL), (3, out, n)):
+        assert apply_forward(p, "fib", n, fuel=fuel) == want_fwd
+        assert run_denotation(m, n, tbl, fuel) == want_fwd
+        assert apply_backward(p, "fib", out, fuel=fuel) == want_bwd
+        assert run_denotation(invcat.dagger(m), out, tbl, fuel) == want_bwd
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +274,6 @@ def test_fuel_monotone_seeded():
 
 def test_deep_recursion_uses_heap_not_stack():
     p = load_program("arith.rfun")
-    r = apply_forward(p, "plus", tup(peano(1), peano(3000)), fuel=5000)
+    r = no_recursion(apply_forward, p, "plus", tup(peano(1), peano(3000)), fuel=5000)
     assert isinstance(r, Value)
     assert unpeano(r.args[1]) == 3001
