@@ -7,7 +7,7 @@ cross-checked against the interpreter.
 
 from .values import TUPLE, Value, dupeq_value, tup, val, value_eq
 from .syntax import (
-    Def, ECase, ELeaf, ELet, ERLet, LCtor, LDup, LVar, ParseError, Program,
+    Def, ECase, ELeaf, ELet, LCtor, LDup, LVar, ParseError, Program,
     StaticError, check_static, check_static_or_raise, leaves, parse_program,
     parse_value, render_program, render_value,
 )
@@ -33,7 +33,7 @@ def run_deep(fn, *args, **kwargs):
 
 __all__ = [
     "TUPLE", "Value", "dupeq_value", "render_value", "tup", "val", "value_eq",
-    "Def", "ECase", "ELeaf", "ELet", "ERLet", "LCtor", "LDup", "LVar",
+    "Def", "ECase", "ELeaf", "ELet", "LCtor", "LDup", "LVar",
     "ParseError", "Program", "StaticError", "check_static",
     "check_static_or_raise", "leaves", "parse_program", "parse_value",
     "render_program",

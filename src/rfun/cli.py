@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--input", required=True, help="value in textual syntax")
     run.add_argument("--backward", action="store_true",
                      help="apply the function's inverse")
-    run.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
+    run.add_argument("--fuel", type=_count, default=DEFAULT_FUEL,
                      help="bound on the depth of nested calls")
     run.set_defaults(handler=cmd_run)
 
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--entry", help="check one function (default: all)")
     chk.add_argument("--samples", type=_count, default=50)
     chk.add_argument("--seed", type=int, default=0)
-    chk.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
+    chk.add_argument("--fuel", type=_count, default=DEFAULT_FUEL,
                      help="bound on the depth of nested calls, in both semantics")
     chk.add_argument("--json", action="store_true",
                      help="emit the full machine-readable report")

@@ -32,8 +32,8 @@ from .invcat import (
 )
 from .opsem import DEFAULT_FUEL, UnknownFunction
 from .syntax import (
-    ECase, ELeaf, ELet, ERLet, Expr, LCtor, LDup, LeftExpr, LVar, Program,
-    check_static_or_raise, lvars, walk,
+    ECase, ELeaf, ELet, Expr, LCtor, LDup, LeftExpr, LVar, Program,
+    check_static_or_raise, constructors, lvars,
 )
 from .values import TUPLE, Value, fold_tree
 
@@ -85,7 +85,7 @@ class SymbolTable:
     @staticmethod
     def from_program(prog: Program, extra=()) -> "SymbolTable":
         """Indices follow first occurrence in the program text, tuples first."""
-        return SymbolTable.from_names(list(_program_ctors(prog)) + list(extra))
+        return SymbolTable.from_names([c for c, _ in constructors(prog)] + list(extra))
 
     def with_value(self, v: Value) -> "SymbolTable":
         return SymbolTable.from_names(list(self.names[1:]) + list(_value_ctors(v)))
@@ -100,13 +100,6 @@ class SymbolTable:
         if not 1 <= index <= len(self.names):
             raise UnknownSymbol(f"symbol index {index} out of range")
         return self.names[index - 1]
-
-
-def _program_ctors(prog: Program):
-    for d in prog.defs:
-        for node in walk(d.body):
-            if isinstance(node, LCtor):
-                yield node.ctor
 
 
 def _value_ctors(v: Value):
@@ -367,16 +360,10 @@ def _sem_expr(e: Expr, layout, xi: Morph,
         case ELeaf(left):
             return _sem_left(left, layout, tbl)
 
-        case ELet() | ERLet():
-            # let consumes the call argument and binds the result pattern;
-            # rlet consumes its bound side and binds the argument pattern,
-            # running the callee backward.
-            if isinstance(e, ELet):
-                consumed, produced = e.arg, e.bound
-            else:
-                consumed, produced = e.bound, e.arg
+        case ELet():
+            consumed, produced = e.uses, e.binds
             call = xi_component(xi, fn_index[e.fname], len(fn_index))
-            if isinstance(e, ERLet):
+            if e.backward:
                 call = dagger(call)
             in_vars = lvars(consumed)
             rest, ins = _rest(layout, in_vars), _nest(in_vars)

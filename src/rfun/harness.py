@@ -21,19 +21,14 @@ from typing import Optional
 from .densem import SymbolTable, function_morphism, run_denotation, sem_program
 from .invcat import NO_FUEL, UNDEF, IncompatibleJoin, Morph
 from .opsem import DEFAULT_FUEL, FirstMatchViolation, apply_forward
-from .syntax import LCtor, Program, render_value, walk
+from .syntax import Program, constructors, render_value
 from .values import TUPLE, Value
 
 
 def vocabulary(prog: Program) -> list[tuple[str, int]]:
     """(constructor, arity) pairs in first-occurrence order, guaranteed to
     contain at least one nullary entry so that value generation grounds out."""
-    seen: dict[tuple[str, int], None] = {}
-    for d in prog.defs:
-        for node in walk(d.body):
-            if isinstance(node, LCtor):
-                seen.setdefault((node.ctor, len(node.args)), None)
-    out = list(seen)
+    out = constructors(prog)
     if not any(arity == 0 for _, arity in out):
         out.append((TUPLE, 0))
     return out

@@ -760,34 +760,6 @@ def unfold(mu: Mu) -> Morph:
                  lambda y, fuel: Roll(y), "unfold")
 
 
-_STRUCTURAL = {
-    "unitl_prod": prod_unitl,
-    "unitr_prod": prod_unitr,
-    "assoc_prod": prod_assoc,
-    "swap_prod": prod_swap,
-    "unitl_sum": sum_unitl,
-    "unitr_sum": sum_unitr,
-    "assoc_sum": sum_assoc,
-    "swap_sum": sum_swap,
-    "dist_l": dist_l,
-    "dist_r": dist_r,
-    "annihil_l": annihil_l,
-    "annihil_r": annihil_r,
-    "fold": fold,
-    "unfold": unfold,
-}
-
-
-def structural(name: str, *objs: ObjDesc) -> Morph:
-    """Named structural isomorphism (unitors, associators, commutators,
-    distributors, annihilators, fold/unfold)."""
-    try:
-        builder = _STRUCTURAL[name]
-    except KeyError:
-        raise TypeMismatch(f"unknown structural morphism {name!r}") from None
-    return builder(*objs)
-
-
 # ---------------------------------------------------------------------------
 # Trace and fixed points
 # ---------------------------------------------------------------------------

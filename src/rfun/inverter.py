@@ -2,7 +2,7 @@
 
 For every definition ``f x =: e`` the inverter emits ``f! y =: e'`` where
 ``e'`` matches y against the leaves of e (in source order), undoes each
-let/rlet with the inverse call, and rebuilds the original argument.  One
+call with the inverse call, and rebuilds the original argument.  One
 cleanup keeps the output in the shape people actually write: a one-branch
 case over a variable pattern, ``case l of { v -> body }``, is inlined to
 ``body[v := l]`` (sound because bindings are linear).
@@ -13,8 +13,8 @@ statically valid program is statically valid.
 from __future__ import annotations
 
 from .syntax import (
-    Def, ECase, ELeaf, ELet, ERLet, Expr, LCtor, LDup, LeftExpr, LVar,
-    Program, walk,
+    Def, ECase, ELeaf, ELet, Expr, LCtor, LDup, LeftExpr, LVar, Program,
+    lvars, walk,
 )
 
 
@@ -51,9 +51,9 @@ def _invert_branches(e: Expr, cont: Expr) -> list[tuple[LeftExpr, Expr]]:
     match e:
         case ELeaf(left):
             return [(left, cont)]
-        case ELet(bound, fname, arg, body) | ERLet(bound, fname, arg, body):
+        case ELet(bound, fname, arg, body, backward):
             # let bound = f arg  undoes to  let arg = f! bound; rlet likewise
-            undo = type(e)(arg, invert_name(fname), bound, cont)
+            undo = ELet(arg, invert_name(fname), bound, cont, backward)
             return _invert_branches(body, undo)
         case ECase(scrut, branches):
             out: list[tuple[LeftExpr, Expr]] = []
@@ -83,20 +83,23 @@ def _subst_left(l: LeftExpr, name: str, repl: LeftExpr) -> LeftExpr:
 
 
 def _subst_expr(e: Expr, name: str, repl: LeftExpr) -> Expr:
+    """e[name := repl] for a variable name free in e.  Once used, name may be
+    bound again; the body under that binder is left as it is."""
     match e:
         case ELeaf(left, pos=pos):
             return ELeaf(_subst_left(left, name, repl), pos=pos)
-        case ELet(bound, fname, arg, body, pos=pos):
-            return ELet(bound, fname, _subst_left(arg, name, repl),
-                        _subst_expr(body, name, repl), pos=pos)
-        case ERLet(bound, fname, arg, body, pos=pos):
-            return ERLet(_subst_left(bound, name, repl), fname, arg,
-                         _subst_expr(body, name, repl), pos=pos)
+        case ELet():
+            return e.with_uses(_subst_left(e.uses, name, repl),
+                               _subst_scope(e.binds, e.body, name, repl))
         case ECase(scrut, branches, pos=pos):
             return ECase(_subst_left(scrut, name, repl),
-                         tuple((p, _subst_expr(b, name, repl)) for p, b in branches),
+                         tuple((p, _subst_scope(p, b, name, repl)) for p, b in branches),
                          pos=pos)
     raise AssertionError
+
+
+def _subst_scope(binder: LeftExpr, body: Expr, name: str, repl: LeftExpr) -> Expr:
+    return body if name in lvars(binder) else _subst_expr(body, name, repl)
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +147,12 @@ def _alpha_expr(a: Expr, b: Expr, env: _Env) -> bool:
     match a, b:
         case ELeaf(l1), ELeaf(l2):
             return _alpha_left(l1, l2, env, False)
-        case (ELet(), ELet()) | (ERLet(), ERLet()):
-            # let uses its argument and binds its bound side; rlet the reverse
-            uses, binds = (a.arg, b.arg), (a.bound, b.bound)
-            if type(a) is ERLet:
-                uses, binds = binds, uses
-            if a.fname != b.fname or not _alpha_left(*uses, env, False):
+        case ELet(), ELet():
+            if (a.fname != b.fname or a.backward != b.backward
+                    or not _alpha_left(a.uses, b.uses, env, False)):
                 return False
             inner = dict(env)
-            return _alpha_left(*binds, inner, True) and _alpha_expr(a.body, b.body, inner)
+            return _alpha_left(a.binds, b.binds, inner, True) and _alpha_expr(a.body, b.body, inner)
         case ECase(s1, br1), ECase(s2, br2):
             if len(br1) != len(br2) or not _alpha_left(s1, s2, env, False):
                 return False

@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 from .invcat import NO_FUEL as OUT_OF_FUEL, UNDEF as NO_MATCH, _Outcome
 from .syntax import (
-    Def, ECase, ELeaf, ELet, ERLet, Expr, LCtor, LeftExpr, LVar,
+    Def, ECase, ELeaf, ELet, Expr, LCtor, LeftExpr, LVar,
     Program, StaticError, check_expr, lvars, render_value,
 )
 from .values import Value, dupeq_value
@@ -136,12 +136,11 @@ def _match(v: Value, l: LeftExpr, out: Subst) -> bool:
 # frames are only pushed on top of the stack, so nothing below could use it.
 #   ("EVAL", e, subst)            evaluate e, leaving a Value
 #   ("UNEVAL", e, v)              run e backward from v, leaving a Subst
-#   ("APPLY", fname)              forward-apply to the register Value
-#   ("UNAPPLY", fname)            backward-apply to the register Value
-#   ("K_BIND", pattern, rest, body, fuel)  bind a let/rlet result, go on
+#   ("CALL", fname, backward)     apply fname, or its inverse, to the register
+#   ("K_BIND", binds, rest, body, fuel)    bind a call's result, go on
 #   ("K_CASE", earlier_leaves)
-#   ("K_UNBODY", l_pattern, l_call_arg, fname, mode)
-#   ("K_UNCALL", l_bind, rest, fuel)
+#   ("K_UNBODY", binds, uses, fname, backward)
+#   ("K_UNCALL", uses, rest, fuel)
 #   ("K_UNCASE", scrutinee, earlier_arms, pattern)
 #   ("K_PROJ", param)             project a Subst back to the parameter value
 # A call runs its callee on one unit of fuel less; K_BIND and K_UNCALL
@@ -171,20 +170,12 @@ def _run(defs: dict[str, Def], work: list, fuel: int) -> EvalResult:
                     reg = _take(subst, left)
                     if reg is None:
                         return NO_MATCH
-                case ELet(bound, fname, arg, body):
-                    reg = _take(subst, arg)
+                case ELet():
+                    reg = _take(subst, e.uses)
                     if reg is None:
                         return NO_MATCH
-                    work.append(("K_BIND", bound, dict(subst), body, fuel))
-                    work.append(("APPLY", fname))
-                case ERLet(bound, fname, arg, body):
-                    # rlet bound = f arg: the bound side holds f's *output*;
-                    # run f backward to recover the argument bindings.
-                    reg = _take(subst, bound)
-                    if reg is None:
-                        return NO_MATCH
-                    work.append(("K_BIND", arg, dict(subst), body, fuel))
-                    work.append(("UNAPPLY", fname))
+                    work.append(("K_BIND", e.binds, dict(subst), e.body, fuel))
+                    work.append(("CALL", e.fname, e.backward))
                 case ECase(scrut):
                     v0 = _take(subst, scrut)
                     if v0 is None:
@@ -200,20 +191,17 @@ def _run(defs: dict[str, Def], work: list, fuel: int) -> EvalResult:
                     sigma.update(subst)
                     work.append(("EVAL", body, sigma))
 
-        elif tag == "APPLY":
+        elif tag == "CALL":
             if fuel <= 0:
                 return OUT_OF_FUEL
             fuel -= 1
-            d = defs[frame[1]]
-            work.append(("EVAL", d.body, {d.param: reg}))
-
-        elif tag == "UNAPPLY":
-            if fuel <= 0:
-                return OUT_OF_FUEL
-            fuel -= 1
-            d = defs[frame[1]]
-            work.append(("K_PROJ", d.param))
-            work.append(("UNEVAL", d.body, reg))
+            _, fname, backward = frame
+            d = defs[fname]
+            if backward:
+                work.append(("K_PROJ", d.param))
+                work.append(("UNEVAL", d.body, reg))
+            else:
+                work.append(("EVAL", d.body, {d.param: reg}))
 
         elif tag == "K_BIND":
             _, pat, rest, body, fuel = frame
@@ -237,12 +225,9 @@ def _run(defs: dict[str, Def], work: list, fuel: int) -> EvalResult:
                     reg = {}
                     if not _match(v, left, reg):
                         return NO_MATCH
-                case ELet(bound, fname, arg, body):
-                    work.append(("K_UNBODY", bound, arg, fname, "UNAPPLY"))
-                    work.append(("UNEVAL", body, v))
-                case ERLet(bound, fname, arg, body):
-                    work.append(("K_UNBODY", arg, bound, fname, "APPLY"))
-                    work.append(("UNEVAL", body, v))
+                case ELet():
+                    work.append(("K_UNBODY", e.binds, e.uses, e.fname, e.backward))
+                    work.append(("UNEVAL", e.body, v))
                 case ECase(scrut):
                     arms = e.arms
                     for j, (pat, body, own, _) in enumerate(arms):
@@ -254,20 +239,20 @@ def _run(defs: dict[str, Def], work: list, fuel: int) -> EvalResult:
                     work.append(("UNEVAL", body, v))
 
         elif tag == "K_UNBODY":
-            # After inverting a let/rlet body: rebuild the callee result from
-            # the binder pattern, then run the call in the opposite direction.
-            _, bound, call_arg, fname, mode = frame
-            w = _take(reg, bound)
+            # After inverting a call's body: rebuild what the call bound, then
+            # run the call in the opposite direction to recover what it used.
+            _, binds, uses, fname, backward = frame
+            w = _take(reg, binds)
             if w is None:
                 return NO_MATCH
-            work.append(("K_UNCALL", call_arg, dict(reg), fuel))
-            work.append((mode, fname))
+            work.append(("K_UNCALL", uses, dict(reg), fuel))
+            work.append(("CALL", fname, not backward))
             reg = w
 
         elif tag == "K_UNCALL":
-            _, l_bind, rest, fuel = frame
+            _, uses, rest, fuel = frame
             sigma = {}
-            if not _match(reg, l_bind, sigma):
+            if not _match(reg, uses, sigma):
                 return NO_MATCH
             sigma.update(rest)
             reg = sigma
@@ -322,7 +307,7 @@ def apply_forward(prog: Program, fname: str, v: Value, fuel: int = DEFAULT_FUEL)
 def apply_backward(prog: Program, fname: str, v: Value, fuel: int = DEFAULT_FUEL) -> EvalResult:
     """The u with apply_forward(prog, fname, u) = v, via a direct inverse
     interpreter: leaves are matched against v under the symmetric first-match
-    policy, lets and rlets swap direction, cases run inside out."""
+    policy, calls swap direction, cases run inside out."""
     defs = prog.checked_defs
     d = _def_for(defs, fname)
     return _run(defs, [("K_PROJ", d.param), ("UNEVAL", d.body, v)], fuel)

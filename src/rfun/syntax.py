@@ -28,7 +28,7 @@ their depth costs heap, not Python stack.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -78,22 +78,28 @@ class ELeaf:
 
 @dataclass(frozen=True)
 class ELet:
-    """``let bound = fname arg in body`` (forward call)."""
+    """``let bound = fname arg in body``, or with backward set ``rlet``, which
+    runs the callee backward: from its output, bound, to its argument, arg."""
     bound: LeftExpr
     fname: str
     arg: LeftExpr
     body: "Expr"
+    backward: bool = False
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
+    @property
+    def uses(self) -> LeftExpr:
+        """The side the call consumes: the argument, or an rlet's bound side."""
+        return self.bound if self.backward else self.arg
 
-@dataclass(frozen=True)
-class ERLet:
-    """``rlet bound = fname arg in body`` (backward call)."""
-    bound: LeftExpr
-    fname: str
-    arg: LeftExpr
-    body: "Expr"
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False)
+    @property
+    def binds(self) -> LeftExpr:
+        """The side the call binds: the other one."""
+        return self.arg if self.backward else self.bound
+
+    def with_uses(self, uses: LeftExpr, body: "Expr") -> "ELet":
+        """This call, using uses and going on with body."""
+        return replace(self, body=body, **{"bound" if self.backward else "arg": uses})
 
 
 @dataclass(frozen=True)
@@ -116,7 +122,7 @@ class ECase:
         return tuple(out)
 
 
-Expr = Union[ELeaf, ELet, ERLet, ECase]
+Expr = Union[ELeaf, ELet, ECase]
 
 
 @dataclass(frozen=True)
@@ -295,8 +301,7 @@ class _Parser:
             arg = self.lexpr()
             self.expect("IN", "'in'")
             body = self.expr()
-            cls = ELet if t.kind == "LET" else ERLet
-            return cls(bound, fname, arg, body, pos=pos)
+            return ELet(bound, fname, arg, body, t.kind == "RLET", pos=pos)
         if t.kind == "CASE":
             self.next()
             scrut = self.lexpr()
@@ -354,7 +359,7 @@ def parse_program(src: str) -> Program:
         for node in (*walk(param), *walk(body)):
             if isinstance(node, LVar):
                 used.add(node.name)
-            elif isinstance(node, (ELet, ERLet)):
+            elif isinstance(node, ELet):
                 used.add(node.fname)
     defs = []
     for name, param, body, pos in raw:
@@ -403,9 +408,9 @@ def _fresh_name(used: set[str]) -> str:
 def walk(node: Union[Expr, LeftExpr]) -> Iterator[Union[Expr, LeftExpr]]:
     """node and every expression and left expression under it, pre-order.
 
-    Children come in source order, except that a let or rlet visits its
-    call argument before its binder.  Symbol tables and harness
-    vocabularies number constructors by first occurrence in this order.
+    Children come in source order, except that a call visits its argument
+    before its bound side.  Symbol tables and harness vocabularies number
+    constructors by first occurrence in this order (see constructors).
     """
     todo = [node]
     while todo:
@@ -419,7 +424,7 @@ def walk(node: Union[Expr, LeftExpr]) -> Iterator[Union[Expr, LeftExpr]]:
             todo.append(n.arg)
         elif kind is ELeaf:
             todo.append(n.left)
-        elif kind is ELet or kind is ERLet:
+        elif kind is ELet:
             todo += (n.body, n.bound, n.arg)
         elif kind is ECase:
             for pat, body in reversed(n.branches):
@@ -439,6 +444,13 @@ def lvars(l: LeftExpr) -> list[str]:
 def leaves(e: Expr) -> list[LeftExpr]:
     """Left expressions in return position, in source order."""
     return [n.left for n in walk(e) if type(n) is ELeaf]
+
+
+def constructors(prog: Program) -> list[tuple[str, int]]:
+    """(constructor, arity) pairs of the bodies, by first occurrence in walk
+    order: the numbering of symbol tables and harness vocabularies."""
+    return list(dict.fromkeys((n.ctor, len(n.args)) for d in prog.defs
+                              for n in walk(d.body) if type(n) is LCtor))
 
 
 # ---------------------------------------------------------------------------
@@ -529,24 +541,20 @@ def _check_expr(e: Expr, env: dict[str, Optional[Pos]], out: list[Violation],
             for name, pos in env.items():
                 out.append(Violation("linearity",
                                      f"variable {name!r} is never used in {where!r}", pos))
-        case ELet(bound, fname, arg, body) | ERLet(bound, fname, arg, body):
-            if fname not in fnames:
+        case ELet():
+            if e.fname not in fnames:
                 out.append(Violation("unknown-function",
-                                     f"call of undefined function {fname!r} in {where!r}",
+                                     f"call of undefined function {e.fname!r} in {where!r}",
                                      e.pos))
-            # let consumes the call argument and binds the result pattern;
-            # rlet consumes the bound side (the callee's output) and binds
-            # the callee's argument pattern.
-            consumed, fresh_side = (arg, bound) if isinstance(e, ELet) else (bound, arg)
-            _consume(consumed, env, out, where)
-            fresh = _pattern_vars(fresh_side, out, where)
+            _consume(e.uses, env, out, where)
+            fresh = _pattern_vars(e.binds, out, where)
             for name, pos in fresh.items():
                 if name in env:
                     out.append(Violation("linearity",
                                          f"binder shadows live variable {name!r} in {where!r}",
                                          pos))
                 env[name] = pos
-            _check_expr(body, env, out, where, fnames)
+            _check_expr(e.body, env, out, where, fnames)
         case ECase(scrut, branches):
             _consume(scrut, env, out, where)
             for pat, body in branches:
@@ -610,8 +618,8 @@ def render_expr(e: Expr, indent: int = 0) -> str:
     match e:
         case ELeaf(left):
             return pad + render_left(left)
-        case ELet(bound, fname, arg, body) | ERLet(bound, fname, arg, body):
-            kw = "let" if type(e) is ELet else "rlet"
+        case ELet(bound, fname, arg, body):
+            kw = "rlet" if e.backward else "let"
             head = f"{pad}{kw} {render_left(bound)} = {fname} {render_left(arg)} in"
             return head + "\n" + render_expr(body, indent)
         case ECase(scrut, branches):

@@ -205,6 +205,17 @@ def test_check_rejects_negative_samples():
     assert r.stdout == ""
 
 
+def test_run_and_check_reject_negative_fuel():
+    for args in (("run", str(FIXTURES / "arith.rfun"), "--entry", "plus",
+                  "--input", "<Z, Z>"),
+                 ("check", str(FIXTURES / "arith.rfun"), "--samples", "3")):
+        r = rfun(*args, "--fuel", "-3")
+        assert r.returncode == 2, args
+        assert "--fuel" in r.stderr
+        assert r.stdout == ""
+        assert rfun(*args, "--fuel", "0").returncode == 0, args
+
+
 def test_check_one_fuel_meters_both_semantics():
     # fib S(S(Z)) needs call depth 3 but six calls: both semantics give a
     # value at fuel 4

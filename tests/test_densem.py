@@ -7,7 +7,8 @@ import pytest
 import rfun
 from rfun import opsem
 from rfun.densem import (
-    LTS, S, TS, ContextMismatch, SymbolTable, UnknownSymbol, decode_value,
+    LTS, S, TS, ContextMismatch, DecodeError, SymbolTable, UnknownSymbol,
+    decode_value,
     dupeq_morphism, encode_value, function_morphism, node_morphism, pack,
     DEFAULT_FUEL, pattern_idem, rewire, run_denotation, sem_expr, sem_left,
     sem_program, sym_elem, symbol_morphism, tpow, tuple_morphism, unpack,
@@ -114,6 +115,16 @@ def test_deep_encodings_compare_without_recursion():
     for _ in range(DEEP):
         q = val("S", q)
     assert no_recursion(operator.ne, a, no_recursion(encode_value, q, tbl))
+
+
+@pytest.mark.parametrize("elem, what", [
+    (STAR, "tree"), (Roll(InL(STAR)), "tree"),
+    (Roll(Pair(STAR, STAR)), "symbol"), (Roll(Pair(Roll(InL(STAR)), STAR)), "list"),
+])
+def test_decode_rejects_an_element_that_is_not_a_tree(arith, elem, what):
+    _, tbl, _ = arith
+    with pytest.raises(DecodeError, match=f"not a {what} element"):
+        decode_value(elem, tbl)
 
 
 def test_encode_unknown_symbol(arith):

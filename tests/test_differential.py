@@ -31,7 +31,7 @@ from rfun.opsem import (
     NO_MATCH, OUT_OF_FUEL, FirstMatchViolation, apply_backward, apply_forward,
 )
 from rfun.syntax import (
-    Def, ECase, ELeaf, ELet, ERLet, LCtor, LDup, LVar, Program, check_static,
+    Def, ECase, ELeaf, ELet, LCtor, LDup, LVar, Program, check_static,
 )
 from rfun.values import TUPLE, Value
 
@@ -98,7 +98,7 @@ def gen_case_body(rng: random.Random, vs: list[str], depth: int,
         if rng.random() < 0.5:
             return ELet(bound, callee, arg, ELeaf(leaf))
         # rlet consumes its bound side and binds the argument pattern
-        return ERLet(arg, callee, bound, ELeaf(leaf))
+        return ELet(arg, callee, bound, ELeaf(leaf), backward=True)
     return ELeaf(gen_linear_left(rng, shuffled, depth))
 
 

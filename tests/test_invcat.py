@@ -5,12 +5,13 @@ import pytest
 
 from rfun.invcat import (
     NO_FUEL, UNDEF, ZERO, ONE, IncompatibleJoin, InL, InR, Morph, Mu, Pair,
-    Prod, Roll, STAR, Star, Sum, TypeMismatch, Var, complement, compose,
-    compose_all, count_elems, dagger, delta, dist_l, enumerate_elems, fix,
-    fold, identity, inj1, inj2, inj_n, join, leq_pointwise, min_depth, obj_L,
-    obj_S, obj_T, oplus, otimes, prod_assoc, prod_swap, prod_unitl,
-    prod_unitr, restrict, sample_elem, structural, sum_swap, trace, unfold, unfold_obj, well_formed,
-    zero_morph,
+    Prod, Roll, STAR, Star, Sum, TypeMismatch, Var, annihil_l, annihil_r,
+    complement, compose, compose_all, count_elems, dagger, delta, dist_l,
+    dist_r, enumerate_elems, fix, fold, identity, inj1, inj2, inj_n, join,
+    leq_pointwise, min_depth, obj_L, obj_S, obj_T, oplus, otimes,
+    prod_assoc, prod_swap, prod_unitl, prod_unitr, restrict, sample_elem,
+    sum_assoc, sum_swap, sum_unitl, sum_unitr, trace, unfold, unfold_obj,
+    well_formed, zero_morph,
 )
 
 FUEL = 1000
@@ -339,22 +340,22 @@ def test_dist_l_naturality_square():
 
 
 def test_annihilators_are_vacuous():
-    m = structural("annihil_l", BOOL)
-    assert elems(m.src) == []
-    assert elems(m.tgt) == []
+    for m in (annihil_l(BOOL), annihil_r(BOOL)):
+        assert elems(m.src) == []
+        assert elems(m.tgt) == []
 
 
 def test_structural_isos_are_total_isos():
     cases = [
-        structural("unitl_prod", BOOL), structural("unitr_prod", TRI),
-        structural("assoc_prod", ONE, BOOL, BOOL),
-        structural("swap_prod", BOOL, TRI),
-        structural("unitl_sum", BOOL), structural("unitr_sum", BOOL),
-        structural("assoc_sum", ONE, BOOL, ONE),
-        structural("swap_sum", BOOL, TRI),
-        structural("dist_l", BOOL, ONE, ONE),
-        structural("dist_r", ONE, ONE, BOOL),
-        structural("fold", obj_S()), structural("unfold", obj_S()),
+        prod_unitl(BOOL), prod_unitr(TRI),
+        prod_assoc(ONE, BOOL, BOOL),
+        prod_swap(BOOL, TRI),
+        sum_unitl(BOOL), sum_unitr(BOOL),
+        sum_assoc(ONE, BOOL, ONE),
+        sum_swap(BOOL, TRI),
+        dist_l(BOOL, ONE, ONE),
+        dist_r(ONE, ONE, BOOL),
+        fold(obj_S()), unfold(obj_S()),
     ]
     for m in cases:
         xs = elems(m.src, 6) if _needs_depth(m.src) else elems(m.src)
@@ -368,11 +369,6 @@ def test_structural_isos_are_total_isos():
 def _needs_depth(obj):
     from rfun.invcat import has_mu
     return has_mu(obj)
-
-
-def test_structural_unknown_name():
-    with pytest.raises(TypeMismatch):
-        structural("braiding", BOOL)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@ import random
 from rfun.inverter import alpha_eq, invert_name, invert_program
 from rfun.opsem import apply_backward, apply_forward
 from rfun.syntax import Program, check_static, parse_program, render_program
-from rfun.values import Value
+from rfun.values import Value, val
 
 from helpers import ARITH_VOCAB, load_program, random_value
+
+Z = val("Z")
 
 CORPUS = ("arith.rfun", "mirror.rfun", "iseq.rfun", "id.rfun", "loop.rfun")
 
@@ -126,6 +128,20 @@ def test_alpha_eq_requires_consistent_renaming():
     a = parse_program("f x =: case x of { <u, v> -> <u, v> }")
     b = parse_program("f x =: case x of { <u, v> -> <v, u> }")
     assert not alpha_eq(a, b)
+
+
+def test_inverse_keeps_variables_rebound_after_use_apart():
+    # v is used and then bound again; inlining the rebuilt input for v must
+    # stop at the new binder, in a let and in a case
+    p = parse_program(
+        "g y =: y;"
+        "f v =: let v = g v in case v of { S(w) -> w };"
+        "h v =: case <v> of { <v> -> case v of { S(w) -> w } }")
+    inv = invert_program(p)
+    assert check_static(inv) == []
+    for fname in ("f", "h"):
+        assert apply_forward(inv, invert_name(fname), Z) == val("S", Z)
+        assert apply_backward(inv, invert_name(fname), val("S", Z)) == Z
 
 
 def test_rlet_inversion_roundtrip():

@@ -140,6 +140,35 @@ def test_outcomes_are_the_categorys_own():
     assert OUT_OF_FUEL is invcat.NO_FUEL
 
 
+# |_x_| on A is outside the operator's domain: each site where a call or a
+# case consumes a value gives no match, in both semantics.
+_ID = "g y =: y; "
+_DUPEQ_SITES = {
+    "leaf": ("f x =: |_ x _|", True),
+    "let argument": (_ID + "f x =: let z = g |_ x _| in z", True),
+    "rlet bound side": (_ID + "f x =: rlet |_ x _| = g z in z", True),
+    "case scrutinee": ("f x =: case |_ x _| of { y -> y }", True),
+    "let binder": (_ID + "f x =: let |_ z _| = g x in z", False),
+    "rlet argument": (_ID + "f x =: rlet x = g |_ z _| in z", False),
+    "case pattern": ("f x =: case x of { |_ y _| -> y }", False),
+}
+
+
+@pytest.mark.parametrize("site", _DUPEQ_SITES)
+def test_dupeq_outside_its_domain_is_no_match(site):
+    src, forward = _DUPEQ_SITES[site]
+    p = parse_program(src)
+    a = val("A")
+    tbl = SymbolTable.from_program(p, ["A"])
+    m = function_morphism(p, "f", tbl)
+    if forward:
+        assert apply_forward(p, "f", a) is NO_MATCH
+        assert run_denotation(m, a, tbl) is invcat.UNDEF
+    else:
+        assert apply_backward(p, "f", a) is NO_MATCH
+        assert run_denotation(invcat.dagger(m), a, tbl) is invcat.UNDEF
+
+
 def test_unknown_function():
     p = load_program("id.rfun")
     with pytest.raises(UnknownFunction):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rfun.syntax import (
-    Def, ECase, ELeaf, ELet, ERLet, LCtor, LDup, LVar, ParseError,
+    Def, ECase, ELeaf, ELet, LCtor, LDup, LVar, ParseError,
     check_static, leaves, lvars, parse_program, parse_value, render_program,
     render_value, tokenize,
 )
@@ -53,8 +53,8 @@ def test_parse_let_rlet_case():
     p = parse_program(
         "g w =: let y = f w in rlet z = f y in case z of { A -> B; C(k) -> k }")
     d = p.defs[0]
-    assert isinstance(d.body, ELet)
-    assert isinstance(d.body.body, ERLet)
+    assert isinstance(d.body, ELet) and not d.body.backward
+    assert isinstance(d.body.body, ELet) and d.body.body.backward
     assert isinstance(d.body.body.body, ECase)
 
 
@@ -168,6 +168,11 @@ def test_shadowing_live_variable_is_rejected():
     assert "linearity" in kinds
 
 
+def test_case_pattern_shadowing_live_variable_is_rejected():
+    p = parse_program("f p =: case p of { <x, y> -> case y of { x -> <x> } }")
+    assert [v.kind for v in check_static(p)] == ["linearity"]
+
+
 # ---------------------------------------------------------------------------
 # leaves and lvars
 # ---------------------------------------------------------------------------
@@ -226,7 +231,7 @@ _lefts = st.deferred(lambda: (
 _exprs = st.deferred(lambda: (
     st.builds(ELeaf, _lefts)
     | st.builds(lambda b, a, e: ELet(b, "f", a, e), _lefts, _lefts, _exprs)
-    | st.builds(lambda b, a, e: ERLet(b, "g!", a, e), _lefts, _lefts, _exprs)
+    | st.builds(lambda b, a, e: ELet(b, "g!", a, e, backward=True), _lefts, _lefts, _exprs)
     | st.builds(lambda s, p1, e1, p2, e2: ECase(s, ((p1, e1), (p2, e2))),
                 _lefts, _lefts, _exprs, _lefts, _exprs)
 ))
