@@ -217,7 +217,7 @@ class _Element:
             a, b = todo.pop()
 
     def __hash__(self) -> int:
-        return hash(type(self))     # shallow, like Value's
+        return hash(type(self))     # shallow: deep elements stay cheap to hash
 
 
 @dataclass(frozen=True, eq=False)

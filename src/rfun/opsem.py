@@ -3,7 +3,8 @@
 Evaluation follows the judgement <q, sigma> |- e v v.  Both directions are
 run on one explicit work/continuation stack, so recursion depth in the object
 language costs heap, not interpreter stack; only the pattern helpers
-(_take, _match) recurse, bounded by the pattern or value depth.
+(_take, _match) recurse, bounded by the pattern depth.  Values are hash-consed,
+so the equality test in |_ _| is one identity test at any value depth.
 
 A program is checked once, when either semantics first uses it, and a
 statically invalid one raises StaticError before any step.  The machine then

@@ -2,49 +2,78 @@
 
 A value is ``c(v1, ..., vn)`` for a constructor name ``c`` and zero or more
 child values.  Tuples are ordinary values built with the distinguished
-constructor ``TUPLE``; they print as ``<v1, ..., vn>``.  Values are immutable
-and safe to share.  Their concrete syntax is that of closed left expressions,
-so :mod:`rfun.syntax` reads (``parse_value``) and prints (``render_value``)
-them with the same code as left expressions.
+constructor ``TUPLE``; they print as ``<v1, ..., vn>``.  Their concrete syntax
+is that of closed left expressions, so :mod:`rfun.syntax` reads
+(``parse_value``) and prints (``render_value``) them with the same code as
+left expressions.
+
+Values are hash-consed: building a value returns the live value with the same
+constructor and children if there is one, so structurally equal live values
+are one object.  Equality and hashing are therefore identity, O(1) at any
+depth.  The table holds its values weakly, so a value nobody uses is freed.
+Values are immutable and safe to share.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
 from typing import Optional
+from weakref import ref
 
 # Distinguished tuple constructor.  The surface syntax has no way to spell it
 # as an identifier, so it cannot collide with user constructors.
 TUPLE = "<>"
 
+# ctor -> args -> a weak reference to the one live value with those fields.
+# The children in args are interned already, so args hashes them by id.
+_table: defaultdict[str, dict[tuple, "_Ref"]] = defaultdict(dict)
 
-@dataclass(frozen=True, eq=False)
+
+class _Ref(ref):
+    """A weak reference to a value that knows its entry in the table."""
+    __slots__ = ("sub", "args")
+
+
+def _evict(r: _Ref) -> None:
+    # The value behind r died.  A value built again since then has its own
+    # entry under the same key, which this late callback must leave alone.
+    if r.sub.get(r.args) is r:
+        del r.sub[r.args]
+
+
 class Value:
+    __slots__ = ("ctor", "args", "__weakref__")
+    __match_args__ = ("ctor", "args")
     ctor: str
-    args: tuple["Value", ...] = ()
+    args: tuple["Value", ...]
 
-    # Equality and hashing are spelled out by hand so that neither recurses
-    # along the tree depth (Peano encodings get deep quickly).
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Value):
-            return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if a.ctor != b.ctor or len(a.args) != len(b.args):
-                return False
-            todo.extend(zip(a.args, b.args))
-        return True
+    def __new__(cls, ctor: str, args: tuple["Value", ...] = ()) -> "Value":
+        sub = _table[ctor]
+        r = sub.get(args)
+        if r is not None:
+            v = r()
+            if v is not None:
+                return v
+        v = object.__new__(cls)
+        _set_ctor(v, ctor)
+        _set_args(v, args)
+        r = sub[args] = _Ref(v, _evict)
+        r.sub, r.args = sub, args
+        return v
 
-    def __hash__(self) -> int:
-        return hash((self.ctor, len(self.args)))
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"Value is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Value, (self.ctor, self.args)
 
     def __repr__(self) -> str:
         from .syntax import render_value    # syntax imports this module
         return f"Value({render_value(self)!r})"
+
+
+_set_ctor, _set_args = Value.ctor.__set__, Value.args.__set__
 
 
 def val(ctor: str, *args: Value) -> Value:
@@ -56,8 +85,8 @@ def tup(*args: Value) -> Value:
 
 
 def value_eq(a: Value, b: Value) -> bool:
-    """Decidable structural equality."""
-    return a == b
+    """Decidable structural equality: identity, since values are hash-consed."""
+    return a is b
 
 
 def dupeq_value(v: Value) -> Optional[Value]:
@@ -78,7 +107,7 @@ def dupeq_value(v: Value) -> Optional[Value]:
         return Value(TUPLE, (x, x))
     if len(v.args) == 2:
         x, y = v.args
-        if x == y:
+        if x is y:
             return Value(TUPLE, (x,))
         return v
     return None

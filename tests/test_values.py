@@ -1,13 +1,21 @@
+import copy
+import gc
+import pickle
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
-from rfun.syntax import render_value
+from rfun import values
+from rfun.densem import SymbolTable, decode_value, encode_value
+from rfun.harness import gen_value
+from rfun.opsem import apply_backward, apply_forward
+from rfun.syntax import parse_value, render_value
 from rfun.values import (
     TUPLE, Value, dupeq_value, tup, val, value_depth, value_eq, value_size,
 )
 
-from helpers import ARITH_VOCAB, no_recursion, peano, random_value
+from helpers import ARITH_VOCAB, load_program, no_recursion, peano, random_value
 
 Z = val("Z")
 SZ = val("S", Z)
@@ -99,3 +107,82 @@ def test_depth_and_size():
     assert value_depth(peano(3)) == 4
     assert value_size(tup(Z, SZ)) == 4
     assert TUPLE == "<>"
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing: structurally equal live values are one object
+# ---------------------------------------------------------------------------
+
+def test_equal_values_built_apart_are_one_object():
+    v = tup(val("S", Z), val("Nil"))
+    assert val("S", val("Z")) is SZ
+    assert parse_value("<S(Z), Nil>") is v
+    tbl = SymbolTable.from_names(["Z", "S", "Nil"])
+    assert decode_value(encode_value(v, tbl), tbl) is v
+    assert gen_value(random.Random(5), ARITH_VOCAB, 4) is gen_value(random.Random(5), ARITH_VOCAB, 4)
+    prog = load_program("arith.rfun")
+    out = apply_forward(prog, "plus", tup(peano(2), peano(3)))
+    assert out is tup(peano(2), peano(5))
+    assert apply_backward(prog, "plus", out) is tup(peano(2), peano(3))
+
+
+def test_deep_numerals_are_identical_and_compare_in_constant_time():
+    a, b = peano(100_000), peano(100_000)
+    assert a is b
+    # Equality and hashing are object's own: no walk, whatever the depth.
+    assert Value.__eq__ is object.__eq__ and Value.__hash__ is object.__hash__
+    assert a == b and value_eq(a, b)
+    assert a != peano(99_999) and not value_eq(a, peano(100_001))
+
+
+def _table_size():
+    return sum(map(len, values._table.values()))
+
+
+def test_table_frees_values_nobody_uses():
+    gc.collect()
+    before = _table_size()
+    v = val("Leak", val("Probe"))
+    for _ in range(1_000):
+        v = val("Leak", v)
+    assert _table_size() == before + 1_002
+    del v
+    gc.collect()
+    assert _table_size() == before
+
+
+def test_stale_callback_keeps_the_newer_entry():
+    old = val("Stale", Z)
+    old_ref = values._table["Stale"][(Z,)]
+    del old
+    assert old_ref() is None and (Z,) not in values._table["Stale"]
+    new = val("Stale", Z)
+    values._evict(old_ref)          # the dead value's callback, run late
+    assert values._table["Stale"][(Z,)]() is new
+    assert val("Stale", Z) is new
+
+
+def test_values_are_immutable():
+    v = val("S", Z)
+    with pytest.raises(AttributeError):
+        v.ctor = "T"
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    with pytest.raises(AttributeError):
+        del v.args
+    assert v.ctor == "S" and v.args == (Z,)
+
+
+def test_copies_and_pickles_are_the_interned_value():
+    v = tup(SZ, val("Cons", Z, val("Nil")))
+    assert copy.copy(v) is v
+    assert copy.deepcopy(v) is v
+    assert pickle.loads(pickle.dumps(v)) is v
+
+
+def test_class_patterns_bind():
+    match SZ:
+        case Value("S", (w,)):
+            assert w is Z
+        case _:
+            raise AssertionError("S(Z) did not match Value('S', (w,))")
