@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .invcat import (
-    ONE, UNDEF, Elem, IncompatibleJoin, InL, InR, Morph, Node, ObjDesc, Pair,
-    Prod, Roll, STAR, _Outcome, _sum_all, complement, compose, compose_all,
-    dagger, delta, fix, fold, identity, inj_n, join, obj_L, obj_S, obj_T,
-    oplus_all, otimes, prod_unitl, prod_unitr, restrict,
+    ONE, UNDEF, Elem, FirstJoin, IncompatibleJoin, InL, InR, Morph, Node,
+    ObjDesc, Pair, Prod, Roll, STAR, _Outcome, _sum_all, complement, compose,
+    compose_all, dagger, delta, fix, fold, identity, inj_n, join, obj_L,
+    obj_S, obj_T, oplus_all, otimes, prod_unitl, prod_unitr, restrict,
 )
 from .opsem import DEFAULT_FUEL, UnknownFunction
 from .syntax import (
@@ -293,7 +293,9 @@ def dupeq_morphism(tbl: SymbolTable) -> Morph:
 
     Equal pairs contract, unequal pairs stay put, singletons duplicate.
     Self-adjoint: the dagger permutes the (pairwise disjoint) cases, which a
-    join cannot observe.
+    join cannot observe.  Disjoint in domain and in codomain by construction,
+    no two cases can disagree or share an output, so the join is a FirstJoin,
+    which the first defined case answers unchecked.
     """
     t1 = tuple_morphism(1, tbl)
     t2 = tuple_morphism(2, tbl)
@@ -302,7 +304,7 @@ def dupeq_morphism(tbl: SymbolTable) -> Morph:
     contract = compose_all(t1, eq, dagger(t2))
     keep = compose_all(t2, neq, dagger(t2))
     duplicate = compose_all(t2, delta(TS), dagger(t1))
-    return join([contract, keep, duplicate])
+    return FirstJoin(TS, TS, (contract, keep, duplicate), label="join")
 
 
 # ---------------------------------------------------------------------------

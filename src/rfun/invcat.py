@@ -1,10 +1,11 @@
 """A concrete join inverse rig category of fuel-bounded partial injections.
 
 Objects are shape descriptors (empty, unit, sum, product, least fixed point);
-elements are the finite trees inhabiting them.  A morphism maps an element
-and a fuel budget to an element, ``UNDEF`` or ``NO_FUEL`` both ways, through
-``m.fwd`` and ``m.bwd``, and is a partial isomorphism pointwise: whenever
-``fwd(x) = y`` is defined, ``bwd(y) = x`` and conversely.
+elements are the finite trees inhabiting them, immutable by convention and
+hashed once when built.  A morphism maps an element and a fuel budget to an
+element, ``UNDEF`` or ``NO_FUEL`` both ways, through ``m.fwd`` and
+``m.bwd``, and is a partial isomorphism pointwise: whenever ``fwd(x) = y``
+is defined, ``bwd(y) = x`` and conversely.
 
 A primitive morphism (``Morph``: the structural isos, the injections,
 duplication) is a pair of evaluators, its inverse given as data.  Every
@@ -192,10 +193,11 @@ def obj_T(a: ObjDesc) -> Mu:
 # ---------------------------------------------------------------------------
 
 class _Element:
-    """Equality and hashing shared by the element classes, spelled out so
-    that neither recurses along the depth of an element (encodings of
-    numerals get deep quickly)."""
-    __slots__ = ()
+    """Equality and hashing shared by the element classes.  The structural
+    hash h, cached when built, tells unequal elements apart at once almost
+    always; equal ones (or colliding) are walked in full, without recursion."""
+    __slots__ = ("h",)
+    __match_args__ = ()
 
     def __eq__(self, other: object) -> bool:
         todo = []
@@ -203,7 +205,7 @@ class _Element:
         while True:
             if a is not b:
                 kind = type(a)
-                if kind is not type(b):
+                if kind is not type(b) or a.h != b.h:
                     return False
                 if kind is Pair:
                     todo.append((a.snd, b.snd))
@@ -217,33 +219,45 @@ class _Element:
             a, b = todo.pop()
 
     def __hash__(self) -> int:
-        return hash(type(self))     # shallow: deep elements stay cheap to hash
+        return self.h
+
+    def __repr__(self) -> str:
+        fields = ", ".join(repr(getattr(self, f)) for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True, eq=False)
 class Star(_Element):
-    pass
+    __slots__ = ()
+    h = 0
 
 
-@dataclass(frozen=True, eq=False)
 class Pair(_Element):
-    fst: "Elem"
-    snd: "Elem"
+    __slots__ = __match_args__ = ("fst", "snd")
+
+    def __init__(self, fst: "Elem", snd: "Elem"):
+        self.fst, self.snd, self.h = fst, snd, hash((fst.h, snd.h))
 
 
-@dataclass(frozen=True, eq=False)
-class InL(_Element):
-    value: "Elem"
+class _Wrap(_Element):
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: "Elem"):
+        self.value, self.h = value, hash((self.tag, value.h))
 
 
-@dataclass(frozen=True, eq=False)
-class InR(_Element):
-    value: "Elem"
+class InL(_Wrap):
+    __slots__ = ()
+    tag = 1
 
 
-@dataclass(frozen=True, eq=False)
-class Roll(_Element):
-    value: "Elem"
+class InR(_Wrap):
+    __slots__ = ()
+    tag = 2
+
+
+class Roll(_Wrap):
+    __slots__ = ()
+    tag = 3
 
 
 Elem = Union[Star, Pair, InL, InR, Roll]
@@ -472,6 +486,19 @@ class Join(Node):
                     f"output of component {first_i} is already reachable "
                     f"through component {i}")
         return first
+
+
+class FirstJoin(Node):
+    """The join of parts disjoint by construction, in domain and in
+    codomain: the first part defined at the point answers, unchecked."""
+    __slots__ = ("parts",)
+
+    def frames(self, forward, x, fuel):
+        for f in self.parts:
+            r = yield f, forward, x
+            if r is not UNDEF:
+                return r
+        return UNDEF
 
 
 class Trace(Node):

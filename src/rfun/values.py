@@ -15,6 +15,7 @@ Values are immutable and safe to share.
 """
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 from typing import Optional
 from weakref import ref
@@ -36,8 +37,17 @@ class _Ref(ref):
 def _evict(r: _Ref) -> None:
     # The value behind r died.  A value built again since then has its own
     # entry under the same key, which this late callback must leave alone.
-    if r.sub.get(r.args) is r:
-        del r.sub[r.args]
+    sub = r.sub
+    if sub.get(r.args) is r:
+        del sub[r.args]
+        # A dict never shrinks on deletes.  When one is mostly empty, refill
+        # it in place, so that every _Ref.sub still names it.  A dict built
+        # by inserts takes at most 60 B per entry (CPython 3.11).
+        n = len(sub)
+        if n & 1023 == 0 and sys.getsizeof(sub) > 256 * (n + 1024):
+            live = sub.copy()
+            sub.clear()
+            sub.update(live)
 
 
 class Value:
@@ -66,7 +76,8 @@ class Value:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return Value, (self.ctor, self.args)
+        # Flat, so that pickling or copying a deep value does not recurse.
+        return _unflatten, (_flatten(self),)
 
     def __repr__(self) -> str:
         from .syntax import render_value    # syntax imports this module
@@ -74,6 +85,33 @@ class Value:
 
 
 _set_ctor, _set_args = Value.ctor.__set__, Value.args.__set__
+
+
+def _flatten(v: Value) -> tuple:
+    """v's distinct nodes in post-order, each (ctor, its children's indices)."""
+    index: dict[Value, int] = {}
+    nodes = []
+    todo = [v]
+    while todo:
+        w = todo[-1]
+        if w in index:
+            todo.pop()
+            continue
+        pending = [c for c in w.args if c not in index]
+        if pending:
+            todo.extend(pending)
+        else:
+            todo.pop()
+            index[w] = len(nodes)
+            nodes.append((w.ctor, tuple(index[c] for c in w.args)))
+    return tuple(nodes)
+
+
+def _unflatten(nodes: tuple) -> Value:
+    built: list[Value] = []
+    for ctor, kids in nodes:
+        built.append(Value(ctor, tuple(built[i] for i in kids)))
+    return built[-1]
 
 
 def val(ctor: str, *args: Value) -> Value:

@@ -248,6 +248,53 @@ def test_dupeq_is_the_encoded_value_operator():
         assert got == (expected if expected is not None else UNDEF), v
 
 
+def test_dupeq_agrees_with_the_checked_join_of_its_cases():
+    tbl = SymbolTable.from_names(["A", "B"])
+    d = dupeq_morphism(tbl)
+    checked = join(list(d.parts))
+    rng = random.Random(31)
+    one, two = tuple_morphism(1, tbl), tuple_morphism(2, tbl)
+    points = []
+    for _ in range(150):
+        x = sample_elem(rng, TS, rng.randrange(4, 12))
+        y = sample_elem(rng, TS, rng.randrange(4, 12))
+        points += [x, one.fwd(x, FUEL), two.fwd(Pair(x, y), FUEL),
+                   two.fwd(Pair(x, x), FUEL), two.fwd(Pair(y, y), FUEL)]
+    points += [one.fwd(x, FUEL) for x in enumerate_elems(tpow(1), 13)]
+    points += [two.fwd(xy, FUEL) for xy in enumerate_elems(tpow(2), 12)]
+    answered = {i for p in points for i, f in enumerate(d.parts)
+                if f.fwd(p, FUEL) is not UNDEF}
+    assert answered == {0, 1, 2}    # contract, keep and duplicate
+    for p in points:
+        assert d.fwd(p, FUEL) == checked.fwd(p, FUEL), p
+        assert d.bwd(p, FUEL) == checked.bwd(p, FUEL), p
+
+
+def test_denotation_of_plus_runs_deep_numerals(arith):
+    prog, tbl, morph = arith
+    m = function_morphism(prog, "plus", tbl, morph)
+    x = tup(peano(2_000), peano(2_000))
+    out = apply_forward(prog, "plus", x)
+    assert out is tup(peano(2_000), peano(4_000))
+    assert run_denotation(m, x, tbl) == out
+    assert run_denotation(dagger(m), out, tbl) == x == apply_backward(prog, "plus", out)
+
+
+def test_numeral_encodings_have_distinct_hashes():
+    tbl = SymbolTable.from_names(["Z", "S"])
+    e = encode_value(peano(2_000), tbl)
+    encodings = [e]
+    for _ in range(2_000):      # S(v) is Roll(Pair(S, [v])): step down to v
+        e = e.value.snd.value.value.fst
+        encodings.append(e)
+    encodings.reverse()
+    assert len({e.h for e in encodings}) == 2_001
+    for n in (0, 1, 7, 500, 2_000):
+        again = encode_value(peano(n), tbl)
+        assert again is not encodings[n]
+        assert again == encodings[n] and again.h == encodings[n].h
+
+
 # ---------------------------------------------------------------------------
 # Wiring
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ import random
 import pytest
 
 from rfun.invcat import (
-    NO_FUEL, UNDEF, ZERO, ONE, IncompatibleJoin, InL, InR, Morph, Mu, Pair,
-    Prod, Roll, STAR, Star, Sum, TypeMismatch, Var, annihil_l, annihil_r,
-    complement, compose, compose_all, count_elems, dagger, delta, dist_l,
-    dist_r, enumerate_elems, fix, fold, identity, inj1, inj2, inj_n, join,
-    leq_pointwise, min_depth, obj_L, obj_S, obj_T, oplus, otimes,
+    NO_FUEL, UNDEF, ZERO, ONE, FirstJoin, IncompatibleJoin, InL, InR, Morph,
+    Mu, Pair, Prod, Roll, STAR, Star, Sum, TypeMismatch, Var, annihil_l,
+    annihil_r, complement, compose, compose_all, count_elems, dagger, delta,
+    dist_l, dist_r, enumerate_elems, fix, fold, identity, inj1, inj2, inj_n,
+    join, leq_pointwise, min_depth, obj_L, obj_S, obj_T, oplus, otimes,
     prod_assoc, prod_swap, prod_unitl, prod_unitr, restrict, sample_elem,
     sum_assoc, sum_swap, sum_unitl, sum_unitr, trace, unfold, unfold_obj,
     well_formed, zero_morph,
@@ -264,6 +264,44 @@ def test_join_type_checks():
         join([])
     with pytest.raises(TypeMismatch):
         join([identity(BOOL), identity(TRI)])
+
+
+def test_first_join_answers_with_the_first_defined_part():
+    left = restrict(dagger(inj1(ONE, ONE)))
+    right = restrict(dagger(inj2(ONE, ONE)))
+    fj = FirstJoin(BOOL, BOOL, (left, right))
+    for x in elems(BOOL):
+        assert fj.fwd(x, FUEL) == x and fj.bwd(x, FUEL) == x
+    assert FirstJoin(BOOL, BOOL, (left, zero_morph(BOOL, BOOL))).fwd(
+        InR(STAR), FUEL) is UNDEF
+    # Unchecked: overlapping parts raise nothing, the first one answers.
+    flip = FirstJoin(BOOL, BOOL, (sum_swap(ONE, ONE), identity(BOOL)))
+    assert flip.fwd(InL(STAR), FUEL) == InR(STAR)
+
+
+def test_forced_hash_collision_costs_time_not_correctness():
+    pairs = [
+        (Pair(STAR, InL(STAR)), Pair(STAR, InR(STAR))),
+        (InL(Pair(STAR, STAR)), InL(STAR)),
+        (Roll(InL(STAR)), Roll(InL(Pair(STAR, STAR)))),
+    ]
+    for a, b in pairs:
+        b.h = a.h
+        assert hash(a) == hash(b)
+        assert a != b and b != a and not a == b
+        assert len({a, b}) == 2
+    deep_a, deep_b = STAR, InL(STAR)
+    for _ in range(50_000):
+        deep_a, deep_b = Roll(deep_a), Roll(deep_b)
+    deep_b.h = deep_a.h
+    assert deep_a != deep_b
+
+
+def test_equal_elements_share_their_hash():
+    a, b = Pair(InL(STAR), Roll(STAR)), Pair(InL(STAR), Roll(STAR))
+    assert a is not b and a == b and hash(a) == hash(b) == a.h
+    assert InL(STAR).h != InR(STAR).h != Roll(STAR).h
+    assert Pair(STAR, InL(STAR)).h != Pair(InL(STAR), STAR).h
 
 
 # ---------------------------------------------------------------------------

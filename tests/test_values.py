@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -151,6 +152,20 @@ def test_table_frees_values_nobody_uses():
     assert _table_size() == before
 
 
+def test_table_shrinks_after_a_large_value_dies():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        v = peano(300_000)
+        assert tracemalloc.get_traced_memory()[0] - before > 10_000_000
+        del v
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - before < 1_000_000
+    finally:
+        tracemalloc.stop()
+
+
 def test_stale_callback_keeps_the_newer_entry():
     old = val("Stale", Z)
     old_ref = values._table["Stale"][(Z,)]
@@ -178,6 +193,11 @@ def test_copies_and_pickles_are_the_interned_value():
     assert copy.copy(v) is v
     assert copy.deepcopy(v) is v
     assert pickle.loads(pickle.dumps(v)) is v
+    shared = tup(v, v)
+    assert pickle.loads(pickle.dumps(shared)) is shared
+    deep = peano(100_000)
+    assert no_recursion(lambda: pickle.loads(pickle.dumps(deep))) is deep
+    assert no_recursion(copy.deepcopy, deep) is deep
 
 
 def test_class_patterns_bind():
