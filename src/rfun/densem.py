@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .invcat import (
-    ONE, UNDEF, Elem, FirstJoin, IncompatibleJoin, InL, InR, Morph, Node,
+    ONE, UNDEF, Elem, FirstJoin, Hole, IncompatibleJoin, InL, InR, Morph, Node,
     ObjDesc, Pair, Prod, Roll, STAR, _Outcome, _sum_all, complement, compose,
-    compose_all, dagger, delta, fix, fold, identity, inj_n, join, obj_L,
-    obj_S, obj_T, oplus_all, otimes, prod_unitl, prod_unitr, restrict,
+    compose_all, dagger, delta, equations, fix, fold, identity, inj_n, join,
+    obj_L, obj_S, obj_T, oplus_all, otimes, prod_unitl, restrict,
 )
 from .opsem import DEFAULT_FUEL, UnknownFunction
 from .syntax import (
@@ -165,11 +165,7 @@ def _decode_node(e: Elem) -> tuple[int, list[Elem]]:
 @lru_cache(maxsize=None)
 def tpow(k: int) -> ObjDesc:
     """Right-nested k-fold product of T(S); the unit object for k = 0."""
-    if k == 0:
-        return ONE
-    if k == 1:
-        return TS
-    return Prod(TS, tpow(k - 1))
+    return _obj(_nest(["x"] * k))
 
 
 def _nest(items) -> tuple | str:
@@ -182,57 +178,33 @@ def _nest(items) -> tuple | str:
     return out
 
 
-def _obj(layout) -> ObjDesc:
+def _obj(layout, wire: ObjDesc = TS) -> ObjDesc:
     if isinstance(layout, str):
-        return TS
-    if not layout:
-        return ONE
-    return Prod(_obj(layout[0]), _obj(layout[1]))
+        return wire
+    return Prod(_obj(layout[0], wire), _obj(layout[1], wire)) if layout else ONE
 
 
-def _wires(layout, at: str = "x") -> list[tuple[str, str]]:
-    """(wire, expression reading it from an element x), left to right."""
+def _shape(layout) -> Elem:
+    """The element shape of a layout: a hole for each wire."""
     if isinstance(layout, str):
-        return [(layout, at)]
-    if not layout:
-        return []
-    return _wires(layout[0], at + ".fst") + _wires(layout[1], at + ".snd")
+        return Hole(layout)
+    return Pair(_shape(layout[0]), _shape(layout[1])) if layout else STAR
 
 
 def _names(layout) -> list[str]:
-    return [w for w, _ in _wires(layout)]
-
-
-def _move(src, tgt):
-    """Evaluator taking an element laid out as src to the layout tgt."""
-    at = dict(_wires(src))
-
-    def build(layout) -> str:
-        if isinstance(layout, str):
-            return at[layout]
-        if not layout:
-            return "STAR"
-        return f"Pair({build(layout[0])}, {build(layout[1])})"
-
-    return _evaluator(build(tgt))
+    return [layout] if isinstance(layout, str) else [w for part in layout for w in _names(part)]
 
 
 @lru_cache(maxsize=1024)
-def _evaluator(expr: str):
-    # One generated expression makes a move one call however deep the
-    # layouts.  Its text holds access paths only, never wire names, so moves
-    # of one shape share one evaluator (the nine fixtures need 14).
-    return eval(f"lambda x, fuel: {expr}", {"Pair": Pair, "STAR": STAR})
-
-
 def rewire(src, tgt) -> Morph:
-    """The total iso moving the wires laid out as src into the layout tgt."""
+    """The total iso moving the wires laid out as src into the layout tgt:
+    a primitive given by one equation, the shape of src is the shape of tgt."""
     wires = _names(src)
     if len(set(wires)) != len(wires) or sorted(wires) != sorted(_names(tgt)):
         raise ContextMismatch(f"cannot rewire {src} into {tgt}")
     if src == tgt:
         return identity(_obj(src))
-    return Morph(_obj(src), _obj(tgt), _move(src, tgt), _move(tgt, src), "wire")
+    return Morph(_obj(src), _obj(tgt), *equations((_shape(src), _shape(tgt))), "wire")
 
 
 def _rest(layout, used: list[str]):
@@ -254,16 +226,16 @@ def symbol_morphism(name: str, tbl: SymbolTable) -> Morph:
 
 @lru_cache(maxsize=None)
 def pack(n: int, obj: ObjDesc = TS) -> Morph:
-    """The n-th tupling map into lists, X^{*n} -> L(X); by default X = T(S)."""
+    """The n-th tupling map into lists, X^{*n} -> L(X); by default X = T(S).
+    A primitive given by one equation, (x0, (x1, ...)) = [x0, x1, ...], so
+    its dagger is defined on the lists of length n only."""
     if n < 0:
         raise ContextMismatch("pack of negative arity")
-    lst = obj_L(obj)
-    nil, cons = (compose(fold(lst), inj_n(i, [ONE, Prod(obj, lst)])) for i in (0, 1))
-    if n == 0:
-        return nil
-    if n == 1:
-        return compose_all(cons, otimes(identity(obj), nil), dagger(prod_unitr(obj)))
-    return compose(cons, otimes(identity(obj), pack(n - 1, obj)))
+    layout = _nest(f"x{i}" for i in range(n))
+    lst = _NIL
+    for i in reversed(range(n)):
+        lst = Roll(InR(Pair(Hole(f"x{i}"), lst)))
+    return Morph(_obj(layout, obj), obj_L(obj), *equations((_shape(layout), lst)), "pack")
 
 
 def unpack(n: int, obj: ObjDesc = TS) -> Morph:

@@ -8,7 +8,8 @@ element, ``UNDEF`` or ``NO_FUEL`` both ways, through ``m.fwd`` and
 is defined, ``bwd(y) = x`` and conversely.
 
 A primitive morphism (``Morph``: the structural isos, the injections,
-duplication) is a pair of evaluators, its inverse given as data.  Every
+duplication) is given by its equations between element shapes, which
+``equations`` reads both ways into its two evaluators.  Every
 combinator builds a ``Node`` that holds its parts as data: an n-ary
 composition (flattened when built), the dagger, both tensors, joins, guards
 (restriction idempotents and their complements), trace and the fixed-point
@@ -222,8 +223,7 @@ class _Element:
         return self.h
 
     def __repr__(self) -> str:
-        fields = ", ".join(repr(getattr(self, f)) for f in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
+        return _text(self)
 
 
 class Star(_Element):
@@ -383,6 +383,87 @@ def _sample(rng: random.Random, obj: ObjDesc, budget: int) -> Elem:
 
 
 # ---------------------------------------------------------------------------
+# Equations: the primitives' evaluators
+# ---------------------------------------------------------------------------
+
+class Hole(str):
+    """A named leaf of an element shape, an element with holes."""
+    __slots__ = ()
+    h = 0
+
+
+_A, _B, _C = Hole("a"), Hole("b"), Hole("c")
+
+
+def _text(e, at: Optional[dict] = None) -> str:
+    """Constructor text of an element or shape; a hole prints as at[hole] or its name."""
+    out, todo = [], [e]
+    while todo:
+        e = todo.pop()
+        kind = type(e)
+        if kind is str:
+            out.append(e)
+        elif kind is Hole:
+            out.append(e if at is None else at[e])
+        elif kind is Star:                # code shares the one unit element
+            out.append("Star()" if at is None else "STAR")
+        elif kind is Pair:
+            out.append("Pair(")
+            todo += (")", e.snd, ", ", e.fst)
+        else:
+            out.append(kind.__name__ + "(")
+            todo += (")", e.value)
+    return "".join(out)
+
+
+def _clause(lhs, rhs) -> tuple[str, str]:
+    """The test that an element x has the shape lhs, and the text building rhs from x."""
+    tests, at, todo = [], {}, [("x", lhs)]
+    while todo:                         # parents first, so tests guard paths
+        path, e = todo.pop()
+        kind = type(e)
+        if kind is Pair:
+            todo += ((path + ".snd", e.snd), (path + ".fst", e.fst))
+        elif kind is Hole:
+            if e in at:
+                tests.append(f"{at[e]} == {path}")
+            at.setdefault(e, path)
+        elif kind is not Star:
+            if kind is not Roll:
+                tests.append(f"type({path}) is {kind.__name__}")
+            todo.append((path + ".value", e.value))
+    return " and ".join(tests), _text(rhs, at)
+
+
+def equations(*eqs: tuple[Elem, Elem]) -> tuple[Evaluator, Evaluator]:
+    """The forward and backward evaluators of the primitive given by the
+    equations lhs = rhs between element shapes.  Forward reads each equation
+    left to right, backward right to left; the first whose side matches
+    answers, else UNDEF.  A side matches where its sum tags do and its holes
+    met twice hold equal elements; the object guarantees the rest."""
+    out = []
+    for sides in (eqs, [(rhs, lhs) for lhs, rhs in eqs]):
+        expr = "UNDEF"
+        for lhs, rhs in reversed(sides):
+            try:
+                test, build = _clause(lhs, rhs)
+            except KeyError as hole:
+                raise TypeMismatch(f"hole {hole} is on one side of an equation only") from None
+            expr = f"{build} if {test} else {expr}" if test else build
+        out.append(evaluator(expr))
+    return out[0], out[1]
+
+
+@lru_cache(maxsize=1024)
+def evaluator(expr: str) -> Evaluator:
+    """expr as an evaluator of x; shapes alike give one text, of access paths only."""
+    return eval(f"lambda x, fuel: {expr}", globals())
+
+
+_NOTHING = equations()
+
+
+# ---------------------------------------------------------------------------
 # Morphisms
 # ---------------------------------------------------------------------------
 
@@ -390,9 +471,10 @@ Evaluator = Callable[[Elem, int], Union[Elem, _Outcome]]
 
 
 class Morph:
-    """A morphism src -> tgt: a primitive, given as a pair of evaluators, or
-    a Node, which holds a combinator's parts as data for run to evaluate.
-    On either, m.fwd(x, fuel) and m.bwd(y, fuel) evaluate."""
+    """A morphism src -> tgt: a primitive, given by its evaluators (most
+    compiled from equations), or a Node, which holds a combinator's parts as
+    data for run to evaluate.  On either, m.fwd(x, fuel) and m.bwd(y, fuel)
+    evaluate."""
     __slots__ = ("src", "tgt", "fwd", "bwd", "label")
 
     def __init__(self, src: ObjDesc, tgt: ObjDesc, fwd: Evaluator,
@@ -520,10 +602,6 @@ def _same(x, fuel):
     return x
 
 
-def _undef(x, fuel):
-    return UNDEF
-
-
 def identity(a: ObjDesc) -> Morph:
     return Morph(a, a, _same, _same, "id")
 
@@ -533,7 +611,7 @@ def _is_identity(f: Morph) -> bool:
 
 
 def zero_morph(a: ObjDesc, b: ObjDesc) -> Morph:
-    return Morph(a, b, _undef, _undef, "zero")
+    return Morph(a, b, *_NOTHING, "zero")
 
 
 def compose(g: Morph, f: Morph) -> Morph:
@@ -598,21 +676,12 @@ def join(fs: list[Morph]) -> Morph:
 
 # -- disjointness tensor ------------------------------------------------------
 
-# The injections and the structural isos below give their inverses as data,
-# not derived from the forward maps, so they keep two bodies.
-
 def inj1(a: ObjDesc, b: ObjDesc) -> Morph:
-    return Morph(a, Sum(a, b),
-                 lambda x, fuel: InL(x),
-                 lambda y, fuel: y.value if isinstance(y, InL) else UNDEF,
-                 "inj1")
+    return inj_n(0, [a, b])
 
 
 def inj2(a: ObjDesc, b: ObjDesc) -> Morph:
-    return Morph(b, Sum(a, b),
-                 lambda x, fuel: InR(x),
-                 lambda y, fuel: y.value if isinstance(y, InR) else UNDEF,
-                 "inj2")
+    return inj_n(1, [a, b])
 
 
 def oplus(f: Morph, g: Morph) -> Morph:
@@ -628,14 +697,20 @@ def oplus_all(ms: list[Morph]) -> Morph:
 
 def inj_n(i: int, objs: list[ObjDesc]) -> Morph:
     """Injection of the i-th summand into the right-nested n-ary sum."""
+    if not 0 <= i < len(objs):
+        raise TypeMismatch("index out of range")
     if len(objs) == 1:
-        if i != 0:
-            raise TypeMismatch("index out of range")
         return identity(objs[0])
-    rest = _sum_all(objs[1:])
-    if i == 0:
-        return inj1(objs[0], rest)
-    return compose(inj2(objs[0], rest), inj_n(i - 1, objs[1:]))
+    return Morph(objs[i], _sum_all(objs), *_inj(i, len(objs)), f"inj{i + 1}")
+
+
+@lru_cache(maxsize=None)
+def _inj(i: int, n: int) -> tuple[Evaluator, Evaluator]:
+    """a = InR(...InR(InL(a))) with i InRs; the last summand has no InL."""
+    shape = _A if i == n - 1 else InL(_A)
+    for _ in range(i):
+        shape = InR(shape)
+    return equations((_A, shape))
 
 
 def _sum_all(objs: list[ObjDesc]) -> ObjDesc:
@@ -653,138 +728,91 @@ def otimes(f: Morph, g: Morph) -> Morph:
     return Otimes(Prod(f.src, g.src), Prod(f.tgt, g.tgt), f, g)
 
 
+_DELTA = equations((_A, Pair(_A, _A)))
+
+
 def delta(a: ObjDesc) -> Morph:
     """Duplication; its dagger is the partial equality test."""
-    # The inverse compares the two copies, which the forward map never does.
-    return Morph(a, Prod(a, a),
-                 lambda x, fuel: Pair(x, x),
-                 lambda y, fuel: y.fst if y.fst == y.snd else UNDEF,
-                 "delta")
+    return Morph(a, Prod(a, a), *_DELTA, "delta")
 
 
 # -- structural isomorphisms --------------------------------------------------
 
+_UNITL = equations((Pair(STAR, _A), _A))
+_UNITR = equations((Pair(_A, STAR), _A))
+_ASSOC = equations((Pair(_A, Pair(_B, _C)), Pair(Pair(_A, _B), _C)))
+_SWAP = equations((Pair(_A, _B), Pair(_B, _A)))
+_SUM_UNITL = equations((InR(_A), _A))
+_SUM_UNITR = equations((InL(_A), _A))
+_SUM_ASSOC = equations((InL(_A), InL(InL(_A))), (InR(InL(_B)), InL(InR(_B))),
+                       (InR(InR(_C)), InR(_C)))
+_SUM_SWAP = equations((InL(_A), InR(_A)), (InR(_B), InL(_B)))
+_DIST_L = equations((Pair(_A, InL(_B)), InL(Pair(_A, _B))),
+                    (Pair(_A, InR(_C)), InR(Pair(_A, _C))))
+_DIST_R = equations((Pair(InL(_A), _C), InL(Pair(_A, _C))),
+                    (Pair(InR(_B), _C), InR(Pair(_B, _C))))
+_FOLD = equations((_A, Roll(_A)))
+
+
 def prod_unitl(a: ObjDesc) -> Morph:
-    return Morph(Prod(ONE, a), a, lambda x, fuel: x.snd,
-                 lambda y, fuel: Pair(STAR, y), "unitl")
+    return Morph(Prod(ONE, a), a, *_UNITL, "unitl")
 
 
 def prod_unitr(a: ObjDesc) -> Morph:
-    return Morph(Prod(a, ONE), a, lambda x, fuel: x.fst,
-                 lambda y, fuel: Pair(y, STAR), "unitr")
+    return Morph(Prod(a, ONE), a, *_UNITR, "unitr")
 
 
 def prod_assoc(a: ObjDesc, b: ObjDesc, c: ObjDesc) -> Morph:
     """A * (B * C) -> (A * B) * C"""
-    return Morph(Prod(a, Prod(b, c)), Prod(Prod(a, b), c),
-                 lambda x, fuel: Pair(Pair(x.fst, x.snd.fst), x.snd.snd),
-                 lambda y, fuel: Pair(y.fst.fst, Pair(y.fst.snd, y.snd)),
-                 "assoc")
+    return Morph(Prod(a, Prod(b, c)), Prod(Prod(a, b), c), *_ASSOC, "assoc")
 
 
 def prod_swap(a: ObjDesc, b: ObjDesc) -> Morph:
-    return Morph(Prod(a, b), Prod(b, a),
-                 lambda x, fuel: Pair(x.snd, x.fst),
-                 lambda y, fuel: Pair(y.snd, y.fst),
-                 "swap")
+    return Morph(Prod(a, b), Prod(b, a), *_SWAP, "swap")
 
 
 def sum_unitl(a: ObjDesc) -> Morph:
-    return Morph(Sum(ZERO, a), a,
-                 lambda x, fuel: x.value,
-                 lambda y, fuel: InR(y),
-                 "sum_unitl")
+    return Morph(Sum(ZERO, a), a, *_SUM_UNITL, "sum_unitl")
 
 
 def sum_unitr(a: ObjDesc) -> Morph:
-    return Morph(Sum(a, ZERO), a,
-                 lambda x, fuel: x.value,
-                 lambda y, fuel: InL(y),
-                 "sum_unitr")
+    return Morph(Sum(a, ZERO), a, *_SUM_UNITR, "sum_unitr")
 
 
 def sum_assoc(a: ObjDesc, b: ObjDesc, c: ObjDesc) -> Morph:
     """A + (B + C) -> (A + B) + C"""
-
-    def f(x, fuel):
-        match x:
-            case InL(v):
-                return InL(InL(v))
-            case InR(InL(v)):
-                return InL(InR(v))
-            case InR(InR(v)):
-                return InR(v)
-        raise TypeMismatch(repr(x))
-
-    def g(y, fuel):
-        match y:
-            case InL(InL(v)):
-                return InL(v)
-            case InL(InR(v)):
-                return InR(InL(v))
-            case InR(v):
-                return InR(InR(v))
-        raise TypeMismatch(repr(y))
-
-    return Morph(Sum(a, Sum(b, c)), Sum(Sum(a, b), c), f, g, "sum_assoc")
+    return Morph(Sum(a, Sum(b, c)), Sum(Sum(a, b), c), *_SUM_ASSOC, "sum_assoc")
 
 
 def sum_swap(a: ObjDesc, b: ObjDesc) -> Morph:
-    def f(x, fuel):
-        return InR(x.value) if isinstance(x, InL) else InL(x.value)
-
-    return Morph(Sum(a, b), Sum(b, a), f, f, "sum_swap")
+    return Morph(Sum(a, b), Sum(b, a), *_SUM_SWAP, "sum_swap")
 
 
 def dist_l(a: ObjDesc, b: ObjDesc, c: ObjDesc) -> Morph:
     """A * (B + C) -> (A * B) + (A * C)"""
-
-    def f(x, fuel):
-        if isinstance(x.snd, InL):
-            return InL(Pair(x.fst, x.snd.value))
-        return InR(Pair(x.fst, x.snd.value))
-
-    def g(y, fuel):
-        if isinstance(y, InL):
-            return Pair(y.value.fst, InL(y.value.snd))
-        return Pair(y.value.fst, InR(y.value.snd))
-
-    return Morph(Prod(a, Sum(b, c)), Sum(Prod(a, b), Prod(a, c)), f, g, "dist_l")
+    return Morph(Prod(a, Sum(b, c)), Sum(Prod(a, b), Prod(a, c)), *_DIST_L, "dist_l")
 
 
 def dist_r(a: ObjDesc, b: ObjDesc, c: ObjDesc) -> Morph:
     """(A + B) * C -> (A * C) + (B * C)"""
-
-    def f(x, fuel):
-        if isinstance(x.fst, InL):
-            return InL(Pair(x.fst.value, x.snd))
-        return InR(Pair(x.fst.value, x.snd))
-
-    def g(y, fuel):
-        if isinstance(y, InL):
-            return Pair(InL(y.value.fst), y.value.snd)
-        return Pair(InR(y.value.fst), y.value.snd)
-
-    return Morph(Prod(Sum(a, b), c), Sum(Prod(a, c), Prod(b, c)), f, g, "dist_r")
+    return Morph(Prod(Sum(a, b), c), Sum(Prod(a, c), Prod(b, c)), *_DIST_R, "dist_r")
 
 
 def annihil_l(a: ObjDesc) -> Morph:
     # 0 * A -> 0 has an empty domain; both directions are vacuously total.
-    return Morph(Prod(ZERO, a), ZERO, _undef, _undef, "annihil_l")
+    return Morph(Prod(ZERO, a), ZERO, *_NOTHING, "annihil_l")
 
 
 def annihil_r(a: ObjDesc) -> Morph:
-    return Morph(Prod(a, ZERO), ZERO, _undef, _undef, "annihil_r")
+    return Morph(Prod(a, ZERO), ZERO, *_NOTHING, "annihil_r")
 
 
 def fold(mu: Mu) -> Morph:
-    return Morph(unfold_obj(mu), mu, lambda x, fuel: Roll(x),
-                 lambda y, fuel: y.value, "fold")
+    return Morph(unfold_obj(mu), mu, *_FOLD, "fold")
 
 
 def unfold(mu: Mu) -> Morph:
-    return Morph(mu, unfold_obj(mu), lambda x, fuel: x.value,
-                 lambda y, fuel: Roll(y), "unfold")
+    return Morph(mu, unfold_obj(mu), *_FOLD[::-1], "unfold")
 
 
 # ---------------------------------------------------------------------------

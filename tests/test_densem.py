@@ -15,9 +15,10 @@ from rfun.densem import (
     xi_component,
 )
 from rfun.invcat import (
-    NO_FUEL, ONE, UNDEF, InL, InR, Pair, Roll, STAR, complement, compose,
-    compose_all, dagger, enumerate_elems, fix, identity, join, obj_L,
-    restrict, sample_elem, unfold, well_formed, zero_morph,
+    NO_FUEL, ONE, UNDEF, InL, InR, Morph, Pair, Prod, Roll, STAR, complement,
+    compose, compose_all, dagger, enumerate_elems, fix, fold, identity, inj_n,
+    join, obj_L, otimes, prod_unitr, restrict, sample_elem, unfold,
+    well_formed, zero_morph,
 )
 from rfun.harness import check_program
 from rfun.inverter import invert_name, invert_program
@@ -127,6 +128,15 @@ def test_decode_rejects_an_element_that_is_not_a_tree(arith, elem, what):
         decode_value(elem, tbl)
 
 
+def test_decode_reports_a_deep_malformed_element(arith):
+    _, tbl, _ = arith
+    e = STAR
+    for _ in range(5_000):
+        e = InL(e)
+    with pytest.raises(DecodeError, match="not a tree element"):
+        no_recursion(decode_value, e, tbl)
+
+
 def test_encode_unknown_symbol(arith):
     _, tbl, _ = arith
     with pytest.raises(UnknownSymbol):
@@ -198,6 +208,37 @@ def test_unpack_length_filter_over_one_lists():
     for x in lists:
         expected = x if length(x) != 2 else UNDEF
         assert non2.fwd(x, FUEL) == expected
+
+
+def _chain_pack(n, obj):
+    """pack as a chain of single steps: fold, inj_n, the tensor and the unitor."""
+    lst = obj_L(obj)
+    nil, cons = (compose(fold(lst), inj_n(i, [ONE, Prod(obj, lst)])) for i in (0, 1))
+    if n == 0:
+        return nil
+    if n == 1:
+        return compose_all(cons, otimes(identity(obj), nil), dagger(prod_unitr(obj)))
+    return compose(cons, otimes(identity(obj), _chain_pack(n - 1, obj)))
+
+
+def _same_both_ways(f, g, xs, ys):
+    assert f.src == g.src and f.tgt == g.tgt
+    for x in xs:
+        assert f.fwd(x, FUEL) == g.fwd(x, FUEL), x
+    for y in ys:
+        assert f.bwd(y, FUEL) == g.bwd(y, FUEL), y
+
+
+def test_pack_is_one_step_that_agrees_with_its_chain():
+    rng = random.Random(41)
+    lists = list(enumerate_elems(obj_L(ONE), 14))      # lengths 0..4
+    for n in range(5):
+        m = pack(n, ONE)
+        assert type(m) is Morph
+        _same_both_ways(m, _chain_pack(n, ONE), list(enumerate_elems(m.src, 2 * n)), lists)
+        xs = [sample_elem(rng, tpow(n), 6) for _ in range(20)]
+        ys = [pack(n).fwd(x, FUEL) for x in xs] + [sample_elem(rng, LTS, 8) for _ in range(20)]
+        _same_both_ways(pack(n), _chain_pack(n, TS), xs, ys)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ import random
 import pytest
 
 from rfun.invcat import (
-    NO_FUEL, UNDEF, ZERO, ONE, FirstJoin, IncompatibleJoin, InL, InR, Morph,
-    Mu, Pair, Prod, Roll, STAR, Star, Sum, TypeMismatch, Var, annihil_l,
+    NO_FUEL, UNDEF, ZERO, ONE, FirstJoin, Hole, IncompatibleJoin, InL, InR,
+    Morph, Mu, Pair, Prod, Roll, STAR, Star, Sum, TypeMismatch, Var, annihil_l,
     annihil_r, complement, compose, compose_all, count_elems, dagger, delta,
-    dist_l, dist_r, enumerate_elems, fix, fold, identity, inj1, inj2, inj_n,
+    dist_l, dist_r, enumerate_elems, equations, fix, fold, identity, inj1,
+    inj2, inj_n,
     join, leq_pointwise, min_depth, obj_L, obj_S, obj_T, oplus, otimes,
     prod_assoc, prod_swap, prod_unitl, prod_unitr, restrict, sample_elem,
     sum_assoc, sum_swap, sum_unitl, sum_unitr, trace, unfold, unfold_obj,
@@ -402,6 +403,64 @@ def test_structural_isos_are_total_isos():
             assert not isinstance(y, type(UNDEF)), (m, x)
             assert well_formed(y, m.tgt)
             assert m.bwd(y, FUEL) == x
+
+
+EQUATION_PRIMITIVES = [
+    inj1(BOOL, ONE), inj2(BOOL, ONE), inj_n(0, [ONE, BOOL, ONE]),
+    inj_n(1, [ONE, BOOL, ONE]), inj_n(2, [ONE, BOOL, ONE]),
+    delta(BOOL), delta(TRI), zero_morph(BOOL, TRI),
+    annihil_l(BOOL), annihil_r(BOOL),
+    prod_unitl(BOOL), prod_unitr(TRI), sum_unitl(BOOL), sum_unitr(TRI),
+    prod_assoc(ONE, BOOL, BOOL), sum_assoc(ONE, BOOL, ONE),
+    prod_swap(BOOL, TRI), sum_swap(BOOL, TRI),
+    dist_l(BOOL, ONE, ONE), dist_r(ONE, ONE, BOOL),
+    fold(obj_S()), unfold(obj_S()),
+]
+
+
+@pytest.mark.parametrize("m", EQUATION_PRIMITIVES, ids=repr)
+def test_equation_primitives_are_partial_bijections(m):
+    assert type(m) is Morph
+    for x in elems(m.src, 3):
+        y = m.fwd(x, FUEL)
+        if y is not UNDEF:
+            assert well_formed(y, m.tgt) and m.bwd(y, FUEL) == x, (m, x)
+    for y in elems(m.tgt, 3):
+        x = m.bwd(y, FUEL)
+        if x is not UNDEF:
+            assert well_formed(x, m.src) and m.fwd(x, FUEL) == y, (m, y)
+
+
+def test_delta_inverse_is_an_equality_test():
+    eq = dagger(delta(TRI))
+    for x in elems(TRI):
+        for y in elems(TRI):
+            assert eq.fwd(Pair(x, y), FUEL) == (x if x == y else UNDEF)
+
+
+def test_sum_assoc_reads_each_clause_both_ways():
+    m = sum_assoc(ONE, ONE, ONE)
+    clauses = [(InL(STAR), InL(InL(STAR))), (InR(InL(STAR)), InL(InR(STAR))),
+               (InR(InR(STAR)), InR(STAR))]
+    for x, y in clauses:
+        assert m.fwd(x, FUEL) == y and m.bwd(y, FUEL) == x
+    # outside its domain, like every partial map: UNDEF, not an error
+    assert m.fwd(STAR, FUEL) is UNDEF and m.bwd(STAR, FUEL) is UNDEF
+
+
+def test_the_first_matching_equation_answers():
+    a = Hole("a")
+    fwd, bwd = equations((InL(a), InR(a)), (a, a))
+    assert fwd(InL(STAR), FUEL) == InR(STAR) and fwd(InR(STAR), FUEL) == InR(STAR)
+    assert bwd(InR(STAR), FUEL) == InL(STAR) and bwd(InL(STAR), FUEL) == InL(STAR)
+
+
+def test_equation_sides_must_hold_the_same_holes():
+    a, b = Hole("a"), Hole("b")
+    for lhs, rhs in ((Pair(a, b), a), (a, Pair(a, b)), (InL(a), InR(b)), (STAR, a)):
+        with pytest.raises(TypeMismatch):
+            equations((lhs, rhs))
+    equations((a, Pair(a, a)))          # a hole met twice is an equality test
 
 
 def _needs_depth(obj):
