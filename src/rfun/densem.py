@@ -178,10 +178,10 @@ def _nest(items) -> tuple | str:
     return out
 
 
-def _obj(layout, wire: ObjDesc = TS) -> ObjDesc:
+def _obj(layout) -> ObjDesc:
     if isinstance(layout, str):
-        return wire
-    return Prod(_obj(layout[0], wire), _obj(layout[1], wire)) if layout else ONE
+        return TS
+    return Prod(_obj(layout[0]), _obj(layout[1])) if layout else ONE
 
 
 def _shape(layout) -> Elem:
@@ -231,11 +231,12 @@ def pack(n: int, obj: ObjDesc = TS) -> Morph:
     its dagger is defined on the lists of length n only."""
     if n < 0:
         raise ContextMismatch("pack of negative arity")
-    layout = _nest(f"x{i}" for i in range(n))
-    lst = _NIL
+    shape, src, lst = STAR, ONE, _NIL
     for i in reversed(range(n)):
-        lst = Roll(InR(Pair(Hole(f"x{i}"), lst)))
-    return Morph(_obj(layout, obj), obj_L(obj), *equations((_shape(layout), lst)), "pack")
+        x = Hole(f"x{i}")
+        shape, src = (x, obj) if i == n - 1 else (Pair(x, shape), Prod(obj, src))
+        lst = Roll(InR(Pair(x, lst)))
+    return Morph(src, obj_L(obj), *equations((shape, lst)), "pack")
 
 
 def unpack(n: int, obj: ObjDesc = TS) -> Morph:

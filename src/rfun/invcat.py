@@ -388,76 +388,75 @@ def _sample(rng: random.Random, obj: ObjDesc, budget: int) -> Elem:
 
 class Hole(str):
     """A named leaf of an element shape, an element with holes."""
-    __slots__ = ()
+    __slots__ = __match_args__ = ()
     h = 0
 
 
 _A, _B, _C = Hole("a"), Hole("b"), Hole("c")
+_FLAT = 16      # the deepest expression code holds before a variable names it
 
 
-def _text(e, at: Optional[dict] = None) -> str:
-    """Constructor text of an element or shape; a hole prints as at[hole] or its name."""
-    out, todo = [], [e]
+def _text(e, at: Optional[dict] = None, code: Optional[list] = None) -> str:
+    """Constructor text of an element or shape, built children first.  As
+    code, given at, the variable of each hole, and code, the lines before
+    it, the unit is STAR and a variable names each expression _FLAT deep."""
+    built, todo = [], [e]
     while todo:
         e = todo.pop()
-        kind = type(e)
-        if kind is str:
-            out.append(e)
-        elif kind is Hole:
-            out.append(e if at is None else at[e])
-        elif kind is Star:                # code shares the one unit element
-            out.append("Star()" if at is None else "STAR")
-        elif kind is Pair:
-            out.append("Pair(")
-            todo += (")", e.snd, ", ", e.fst)
+        if type(e) is type:             # a constructor, over its built parts
+            n = len(built) - len(e.__match_args__)
+            text = f"{e.__name__}({', '.join(t for t, _ in built[n:])})"
+            depth = 1 + max((d for _, d in built[n:]), default=0)
+            if code is not None and depth == _FLAT:
+                code.append(f"t{len(code)} = {text}")
+                text, depth = f"t{len(code) - 1}", 0
+            built[n:] = [(text, depth)]
+        elif type(e) is Hole:
+            built.append((e if at is None else at[e], 0))
+        elif type(e) is Star and at is not None:
+            built.append(("STAR", 0))
         else:
-            out.append(kind.__name__ + "(")
-            todo += (")", e.value)
-    return "".join(out)
+            todo += (type(e), *(getattr(e, p) for p in reversed(e.__match_args__)))
+    return built[0][0]
 
 
-def _clause(lhs, rhs) -> tuple[str, str]:
-    """The test that an element x has the shape lhs, and the text building rhs from x."""
-    tests, at, todo = [], {}, [("x", lhs)]
-    while todo:                         # parents first, so tests guard paths
-        path, e = todo.pop()
-        kind = type(e)
-        if kind is Pair:
-            todo += ((path + ".snd", e.snd), (path + ".fst", e.fst))
-        elif kind is Hole:
+def _clause(lhs, rhs) -> str:
+    """Code returning rhs built from an element x of the shape lhs, else breaking.
+    Variables name expressions _FLAT deep, and no hole, so shapes alike share it."""
+    code, at, todo = [], {}, [("x", 0, lhs)]
+    while todo:                         # parents first, so tests guard reads
+        var, depth, e = todo.pop()
+        if type(e) is Hole:
             if e in at:
-                tests.append(f"{at[e]} == {path}")
-            at.setdefault(e, path)
-        elif kind is not Star:
-            if kind is not Roll:
-                tests.append(f"type({path}) is {kind.__name__}")
-            todo.append((path + ".value", e.value))
-    return " and ".join(tests), _text(rhs, at)
+                code.append(f"if {at[e]} != {var}: break")
+            at.setdefault(e, var)
+        elif type(e) is InL or type(e) is InR:
+            code.append(f"if type({var}) is not {type(e).__name__}: break")
+        if depth == _FLAT and e.__match_args__:
+            code.append(f"t{len(code)} = {var}")
+            var, depth = f"t{len(code) - 1}", 0
+        todo += ((f"{var}.{part}", depth + 1, getattr(e, part)) for part in e.__match_args__)
+    built = _text(rhs, at, code)
+    return "    while True:\n" + "".join(f"        {ln}\n" for ln in code + [f"return {built}"])
 
 
 def equations(*eqs: tuple[Elem, Elem]) -> tuple[Evaluator, Evaluator]:
-    """The forward and backward evaluators of the primitive given by the
-    equations lhs = rhs between element shapes.  Forward reads each equation
-    left to right, backward right to left; the first whose side matches
-    answers, else UNDEF.  A side matches where its sum tags do and its holes
-    met twice hold equal elements; the object guarantees the rest."""
-    out = []
-    for sides in (eqs, [(rhs, lhs) for lhs, rhs in eqs]):
-        expr = "UNDEF"
-        for lhs, rhs in reversed(sides):
-            try:
-                test, build = _clause(lhs, rhs)
-            except KeyError as hole:
-                raise TypeMismatch(f"hole {hole} is on one side of an equation only") from None
-            expr = f"{build} if {test} else {expr}" if test else build
-        out.append(evaluator(expr))
-    return out[0], out[1]
+    """The two evaluators of the primitive given by equations lhs = rhs between
+    shapes: forward reads each left to right, backward right to left, and the
+    first side that matches (its sum tags, and equal elements at a hole met
+    twice; the object guarantees the rest) answers, else UNDEF."""
+    try:                                # a clause is a loop left by break
+        return tuple(evaluator("".join(_clause(*eq) for eq in sides) + "    return UNDEF\n")
+                     for sides in (eqs, [(rhs, lhs) for lhs, rhs in eqs]))
+    except KeyError as hole:
+        raise TypeMismatch(f"hole {hole} is on one side of an equation only") from None
 
 
 @lru_cache(maxsize=1024)
-def evaluator(expr: str) -> Evaluator:
-    """expr as an evaluator of x; shapes alike give one text, of access paths only."""
-    return eval(f"lambda x, fuel: {expr}", globals())
+def evaluator(body: str) -> Evaluator:
+    """The function of x and fuel with this body, once per text."""
+    exec(f"def evaluate(x, fuel):\n{body}", globals(), scope := {})
+    return scope["evaluate"]
 
 
 _NOTHING = equations()

@@ -241,6 +241,17 @@ def test_pack_is_one_step_that_agrees_with_its_chain():
         _same_both_ways(pack(n), _chain_pack(n, TS), xs, ys)
 
 
+def test_denotation_of_a_wide_constructor_agrees_with_interpreter():
+    args = ", ".join(f"a{i}" for i in range(100))
+    prog = parse_program(f"f x =: case x of {{ C({args}) -> D({args}) }}")
+    tbl = SymbolTable.from_program(prog, extra=["Z", "S"])
+    m = function_morphism(prog, "f", tbl)
+    v = val("C", *(peano(i % 4) for i in range(100)))
+    out = run_denotation(m, v, tbl)
+    assert out == apply_forward(prog, "f", v) == val("D", *v.args)
+    assert run_denotation(dagger(m), out, tbl) == apply_backward(prog, "f", out) == v
+
+
 # ---------------------------------------------------------------------------
 # dupeq
 # ---------------------------------------------------------------------------

@@ -463,6 +463,24 @@ def test_equation_sides_must_hold_the_same_holes():
     equations((a, Pair(a, a)))          # a hole met twice is an equality test
 
 
+def test_injection_into_a_wide_sum_is_one_step():
+    objs = [ONE] * 300
+    for i in (0, 150, 298, 299):
+        m = inj_n(i, objs)
+        y = m.fwd(STAR, FUEL)
+        assert type(m) is Morph and well_formed(y, m.tgt) and m.bwd(y, FUEL) == STAR
+        assert inj_n(149, objs).bwd(y, FUEL) is UNDEF
+
+
+def test_equations_on_deep_shapes_compile():
+    a, deep = Hole("a"), Hole("a")
+    for _ in range(1_000):
+        deep = InR(Pair(STAR, deep))
+    fwd, bwd = equations((a, deep))
+    y = fwd(STAR, FUEL)
+    assert bwd(y, FUEL) == STAR and bwd(InL(STAR), FUEL) is UNDEF
+
+
 def _needs_depth(obj):
     from rfun.invcat import has_mu
     return has_mu(obj)
