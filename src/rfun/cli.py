@@ -166,7 +166,7 @@ def main(argv=None) -> None:
     except RfunRuntimeError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         code = EXIT_FAULT
-    except RecursionError:      # passes over program text recurse per nesting level
+    except RecursionError:      # the interpreter's pattern helpers recurse per constructor
         print("fault: the program nests too deeply", file=sys.stderr)
         code = EXIT_FAULT
     except SystemExit as exc:

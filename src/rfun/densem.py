@@ -22,7 +22,7 @@ once, by the total iso between two layouts of the same wires, into the pair
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .invcat import (
     ONE, UNDEF, Elem, FirstJoin, Hole, IncompatibleJoin, InL, InR, Morph, Node,
@@ -32,7 +32,7 @@ from .invcat import (
 )
 from .opsem import DEFAULT_FUEL, UnknownFunction
 from .syntax import (
-    ECase, ELeaf, ELet, Expr, LCtor, LDup, LeftExpr, LVar, Program,
+    ELeaf, ELet, Expr, LDup, LeftExpr, LVar, Program,
     check_static_or_raise, constructors, lvars,
 )
 from .values import TUPLE, Value, fold_tree
@@ -290,22 +290,31 @@ def sem_left(l: LeftExpr, ctx: tuple[str, ...], tbl: SymbolTable) -> Morph:
 
 
 def _sem_left(l: LeftExpr, layout, tbl: SymbolTable) -> Morph:
-    match l:
-        case LVar(name):
-            return rewire(layout, name)
-        case LDup(arg):
-            return compose(dupeq_morphism(tbl), _sem_left(arg, layout, tbl))
-        case LCtor(ctor, args):
-            kids = [_nest(lvars(a)) for a in args]
-            m = node_morphism(ctor, len(args), tbl)
-            if args:
-                parts = [_sem_left(a, k, tbl) for a, k in zip(args, kids)]
-                tensor = parts[-1]
-                for p in reversed(parts[:-1]):
-                    tensor = otimes(p, tensor)
-                m = compose(m, tensor)
-            return compose(m, rewire(layout, _nest(kids)))
-    raise AssertionError
+    # One loop: a constructor or |_._| goes back on the stack as a list under
+    # its arguments, built from their (denotation, variables), first on top.
+    # A constructor's argument takes the flat layout of its variables (None).
+    todo: list = [(l, layout)]
+    built: list[tuple[Morph, list[str]]] = []
+    while todo:
+        item = todo.pop()
+        n, lay = item
+        if type(n) is LVar:
+            built.append((rewire(n.name if lay is None else lay, n.name), [n.name]))
+        elif type(item) is tuple:
+            todo.append([n, lay])
+            todo += ((n.arg, lay),) if type(n) is LDup else ((a, None) for a in n.args)
+        elif type(n) is LDup:
+            m, names = built.pop()
+            built.append((compose(dupeq_morphism(tbl), m), names))
+        else:
+            parts = [built.pop() for _ in n.args]
+            m = node_morphism(n.ctor, len(parts), tbl)
+            if parts:                   # the arguments' right-nested tensor
+                m = compose(m, reduce(lambda t, p: otimes(p[0], t), parts[-2::-1], parts[-1][0]))
+            names = [w for _, ws in parts for w in ws]
+            kids = _nest(_nest(ws) for _, ws in parts)
+            built.append((compose(m, rewire(_nest(names) if lay is None else lay, kids)), names))
+    return built[0][0]
 
 
 def pattern_idem(l: LeftExpr, tbl: SymbolTable) -> Morph:
@@ -326,54 +335,44 @@ def xi_component(xi: Morph, i: int, n: int) -> Morph:
 def sem_expr(e: Expr, ctx: tuple[str, ...], xi: Morph,
              fn_index: dict[str, int], tbl: SymbolTable) -> Morph:
     """tpow(|ctx|) -> T(S) relative to the program context xi."""
-    return _sem_expr(e, _nest(ctx), xi, fn_index, tbl)
-
-
-def _sem_expr(e: Expr, layout, xi: Morph,
-              fn_index: dict[str, int], tbl: SymbolTable) -> Morph:
-    match e:
-        case ELeaf(left):
-            return _sem_left(left, layout, tbl)
-
-        case ELet():
-            consumed, produced = e.uses, e.binds
-            call = xi_component(xi, fn_index[e.fname], len(fn_index))
-            if e.backward:
-                call = dagger(call)
-            in_vars = lvars(consumed)
-            rest, ins = _rest(layout, in_vars), _nest(in_vars)
-            outs = _nest(lvars(produced))
-            through = compose_all(
-                dagger(_sem_left(produced, outs, tbl)),
-                call,
-                _sem_left(consumed, ins, tbl),
-            )
-            return compose_all(
-                _sem_expr(e.body, (rest, outs), xi, fn_index, tbl),
-                otimes(identity(_obj(rest)), through),
-                rewire(layout, (rest, ins)),
-            )
-
-        case ECase(scrut):
-            s_vars = lvars(scrut)
-            rest, scrutinee = _rest(layout, s_vars), _nest(s_vars)
-            arms = []
-            for pat, body, own, _ in e.arms:
-                p_vars = _nest(lvars(pat))
-                split = dagger(_sem_left(pat, p_vars, tbl))
-                body_m = _sem_expr(body, (rest, p_vars), xi, fn_index, tbl)
-                arms.append((split, body_m, own, isinstance(body, ELeaf)))
+    # One loop over (expression, layout, the map run before it).  A let or
+    # case splits off the wires it uses; a case's arms wait for their bodies.
+    layout = _nest(ctx)
+    todo: list = [(e, layout, identity(_obj(layout)))]
+    built: list[Morph] = []
+    while todo:
+        e, layout, before = todo.pop()
+        kind = type(e)
+        if kind is ELeaf:
+            built.append(compose(_sem_left(e.left, layout, tbl), before))
+            continue
+        if kind is tuple:               # a case's arms; layout is its rest
+            arms = tuple((dagger(_sem_left(pat, _nest(lvars(pat)), tbl)), built.pop(), own,
+                          isinstance(body, ELeaf)) for pat, body, own, _ in e)
             # Not a join of the arms: the case commits to the first arm
             # whose pattern (forward) or leaf (backward) matches and raises
             # IncompatibleJoin on a value that an earlier arm claims.
-            return compose_all(
-                Case(Prod(_obj(rest), TS), TS, tuple(arms), tbl,
-                     [None] * len(arms), label="case"),
-                otimes(identity(_obj(rest)), _sem_left(scrut, scrutinee, tbl)),
-                rewire(layout, (rest, scrutinee)),
-            )
-
-    raise AssertionError
+            case = Case(Prod(_obj(layout), TS), TS, arms, tbl, [None] * len(e), label="case")
+            built.append(compose(case, before))
+            continue
+        consumed = e.uses if kind is ELet else e.scrutinee
+        in_vars = lvars(consumed)
+        rest, ins = _rest(layout, in_vars), _nest(in_vars)
+        m = _sem_left(consumed, ins, tbl)
+        if kind is ELet:
+            call = xi_component(xi, fn_index[e.fname], len(fn_index))
+            outs = _nest(lvars(e.binds))
+            m = compose_all(dagger(_sem_left(e.binds, outs, tbl)),
+                            dagger(call) if e.backward else call, m)
+        before = compose_all(otimes(identity(_obj(rest)), m), rewire(layout, (rest, ins)), before)
+        if kind is ELet:
+            todo.append((e.body, (rest, outs), before))
+            continue
+        todo.append((e.arms, rest, before))
+        for pat, body, _, _ in e.arms:  # built last first, so popped first first
+            inner = (rest, _nest(lvars(pat)))
+            todo.append((body, inner, identity(_obj(inner))))
+    return built[0]
 
 
 class Case(Node):
@@ -457,7 +456,7 @@ def sem_program(prog: Program, tbl: SymbolTable | None = None) -> Morph:
 
     def scheme(xi: Morph) -> Morph:
         return oplus_all([
-            _sem_expr(d.body, d.param, xi, fn_index, tbl) for d in prog.defs
+            sem_expr(d.body, (d.param,), xi, fn_index, tbl) for d in prog.defs
         ])
 
     return fix(scheme, obj, obj)

@@ -68,36 +68,54 @@ class IncompatibleJoin(InvCatError):
 # Objects
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Zero:
+class _Obj:
+    """Objects are interned: building one returns the object built before
+    with the same kind and parts, so equality and hashing are identity, O(1)
+    at any depth (a context of many variables is a deep product).  Objects
+    are few and small, so the table keeps every one."""
+    _table: dict[tuple, "_Obj"] = {}
+
+    def __new__(cls, *parts):
+        key = (cls, *parts)
+        obj = _Obj._table.get(key)
+        if obj is None:
+            obj = _Obj._table[key] = super().__new__(cls)
+        return obj
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+@dataclass(frozen=True, eq=False)
+class Zero(_Obj):
     pass
 
 
-@dataclass(frozen=True)
-class One:
+@dataclass(frozen=True, eq=False)
+class One(_Obj):
     pass
 
 
-@dataclass(frozen=True)
-class Sum:
+@dataclass(frozen=True, eq=False)
+class Sum(_Obj):
     left: "ObjDesc"
     right: "ObjDesc"
 
 
-@dataclass(frozen=True)
-class Prod:
+@dataclass(frozen=True, eq=False)
+class Prod(_Obj):
     left: "ObjDesc"
     right: "ObjDesc"
 
 
-@dataclass(frozen=True)
-class Mu:
+@dataclass(frozen=True, eq=False)
+class Mu(_Obj):
     """Least fixed point; the body refers to the binder via de Bruijn Var."""
     body: "ObjDesc"
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False)
+class Var(_Obj):
     index: int
 
 

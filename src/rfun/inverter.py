@@ -38,68 +38,72 @@ def _invert_def(d: Def) -> Def:
     fresh = d.param + "'"
     while fresh in taken:
         fresh += "'"
-    branches = _invert_branches(d.body, ELeaf(LVar(d.param)))
-    return Def(invert_name(d.name), fresh, _mk_case(LVar(fresh), branches))
-
-
-def _invert_branches(e: Expr, cont: Expr) -> list[tuple[LeftExpr, Expr]]:
-    """Branches of the inverted case: one per leaf of e, in source order.
-
-    cont is the expression that rebuilds the original input once the free
-    variables of e have been recovered.
-    """
-    match e:
-        case ELeaf(left):
-            return [(left, cont)]
-        case ELet(bound, fname, arg, body, backward):
+    # One branch per leaf of the body, in source order, with its cont: the
+    # expression that rebuilds the original input once the leaf's variables
+    # are recovered.  One loop over (expression, its cont).
+    branches: list[tuple[LeftExpr, Expr]] = []
+    todo = [(d.body, ELeaf(LVar(d.param)))]
+    while todo:
+        e, cont = todo.pop()
+        if type(e) is ELeaf:
+            branches.append((e.left, cont))
+        elif type(e) is ELet:
             # let bound = f arg  undoes to  let arg = f! bound; rlet likewise
-            undo = ELet(arg, invert_name(fname), bound, cont, backward)
-            return _invert_branches(body, undo)
-        case ECase(scrut, branches):
-            out: list[tuple[LeftExpr, Expr]] = []
-            for pat, body in branches:
-                rebuild = _mk_case(pat, [(scrut, cont)])
-                out.extend(_invert_branches(body, rebuild))
-            return out
-    raise InversionError(f"not an expression: {e!r}")
+            todo.append((e.body, ELet(e.arg, invert_name(e.fname), e.bound, cont, e.backward)))
+        elif type(e) is ECase:
+            todo += ((body, _mk_case(pat, [(e.scrutinee, cont)]))
+                     for pat, body in reversed(e.branches))
+        else:
+            raise InversionError(f"not an expression: {e!r}")
+    return Def(invert_name(d.name), fresh, _mk_case(LVar(fresh), branches))
 
 
 def _mk_case(scrut: LeftExpr, branches: list[tuple[LeftExpr, Expr]]) -> Expr:
     if len(branches) == 1 and isinstance(branches[0][0], LVar):
         pat, body = branches[0]
-        return _subst_expr(body, pat.name, scrut)
+        return _subst(body, pat.name, scrut)
     return ECase(scrut, tuple(branches))
 
 
-def _subst_left(l: LeftExpr, name: str, repl: LeftExpr) -> LeftExpr:
-    match l:
-        case LVar(n):
-            return repl if n == name else l
-        case LCtor(ctor, args, pos=pos):
-            return LCtor(ctor, tuple(_subst_left(a, name, repl) for a in args), pos=pos)
-        case LDup(arg, pos=pos):
-            return LDup(_subst_left(arg, name, repl), pos=pos)
-    raise AssertionError
-
-
-def _subst_expr(e: Expr, name: str, repl: LeftExpr) -> Expr:
+def _subst(e: Expr, name: str, repl: LeftExpr) -> Expr:
     """e[name := repl] for a variable name free in e.  Once used, name may be
-    bound again; the body under that binder is left as it is."""
-    match e:
-        case ELeaf(left, pos=pos):
-            return ELeaf(_subst_left(left, name, repl), pos=pos)
-        case ELet():
-            return e.with_uses(_subst_left(e.uses, name, repl),
-                               _subst_scope(e.binds, e.body, name, repl))
-        case ECase(scrut, branches, pos=pos):
-            return ECase(_subst_left(scrut, name, repl),
-                         tuple((p, _subst_scope(p, b, name, repl)) for p, b in branches),
-                         pos=pos)
-    raise AssertionError
+    bound again; the body under that binder is left as it is.
 
-
-def _subst_scope(binder: LeftExpr, body: Expr, name: str, repl: LeftExpr) -> Expr:
-    return body if name in lvars(binder) else _subst_expr(body, name, repl)
+    One loop: a node goes back on the stack as [node] under its parts, to be
+    rebuilt from their results, first on top; (node,) is kept as it is.
+    """
+    todo: list = [e]
+    built: list = []
+    while todo:
+        n = todo.pop()
+        kind = type(n)
+        if kind is tuple:
+            built.append(n[0])
+        elif kind is LVar:
+            built.append(repl if n.name == name else n)
+        elif kind is LCtor:
+            todo += ([n], *n.args)
+        elif kind is LDup or kind is ELeaf:
+            todo += ([n], n.arg if kind is LDup else n.left)
+        elif kind is ELet:
+            todo += ([n], n.uses, (n.body,) if name in lvars(n.binds) else n.body)
+        elif kind is ECase:
+            todo += ([n], n.scrutinee,
+                     *((b,) if name in lvars(p) else b for p, b in n.branches))
+        else:
+            n = n[0]
+            kind = type(n)
+            if kind is LCtor:
+                n = LCtor(n.ctor, tuple(built.pop() for _ in n.args), pos=n.pos)
+            elif kind is ELet:
+                n = n.with_uses(built.pop(), built.pop())
+            elif kind is ECase:
+                n = ECase(built.pop(), tuple((p, built.pop()) for p, _ in n.branches),
+                          pos=n.pos)
+            else:                       # an LDup or an ELeaf
+                n = kind(built.pop(), pos=n.pos)
+            built.append(n)
+    return built[0]
 
 
 # ---------------------------------------------------------------------------
@@ -113,52 +117,39 @@ def alpha_eq(p: Program, q: Program) -> bool:
     in the same order.  Renamings are scoped: a binder opens a fresh scope, so
     distinct branches may reuse names independently.
     """
-    if len(p.defs) != len(q.defs):
+    if len(p.defs) != len(q.defs) or any(a.name != b.name for a, b in zip(p.defs, q.defs)):
         return False
-    return all(_alpha_def(a, b) for a, b in zip(p.defs, q.defs))
-
-
-_Env = dict[str, str]
-
-
-def _alpha_def(a: Def, b: Def) -> bool:
-    if a.name != b.name:
-        return False
-    return _alpha_expr(a.body, b.body, {a.param: b.param})
-
-
-def _alpha_left(a: LeftExpr, b: LeftExpr, env: _Env, bind: bool) -> bool:
-    """a and b agree under env; or, if bind, they are patterns of one shape,
-    and env (a scope-local copy) is extended with their bindings."""
-    match a, b:
-        case LVar(x), LVar(y):
+    # One loop over pairs to compare, each with the renaming in scope and
+    # whether they bind; binders come after the uses beside them.
+    todo = [(a.body, b.body, {a.param: b.param}, False) for a, b in zip(p.defs, q.defs)]
+    while todo:
+        a, b, env, bind = todo.pop()
+        kind = type(a)
+        if kind is not type(b):
+            return False
+        if kind is LVar:
             if bind:
-                env[x] = y
-            return bind or env.get(x) == y
-        case LCtor(c1, a1), LCtor(c2, a2):
-            return (c1 == c2 and len(a1) == len(a2)
-                    and all(_alpha_left(x, y, env, bind) for x, y in zip(a1, a2)))
-        case LDup(x), LDup(y):
-            return _alpha_left(x, y, env, bind)
-    return False
-
-
-def _alpha_expr(a: Expr, b: Expr, env: _Env) -> bool:
-    match a, b:
-        case ELeaf(l1), ELeaf(l2):
-            return _alpha_left(l1, l2, env, False)
-        case ELet(), ELet():
-            if (a.fname != b.fname or a.backward != b.backward
-                    or not _alpha_left(a.uses, b.uses, env, False)):
+                env[a.name] = b.name
+            elif env.get(a.name) != b.name:
                 return False
-            inner = dict(env)
-            return _alpha_left(a.binds, b.binds, inner, True) and _alpha_expr(a.body, b.body, inner)
-        case ECase(s1, br1), ECase(s2, br2):
-            if len(br1) != len(br2) or not _alpha_left(s1, s2, env, False):
+        elif kind is LCtor:
+            if a.ctor != b.ctor or len(a.args) != len(b.args):
                 return False
-            for (p1, e1), (p2, e2) in zip(br1, br2):
+            todo += ((x, y, env, bind) for x, y in zip(reversed(a.args), reversed(b.args)))
+        elif kind is LDup:
+            todo.append((a.arg, b.arg, env, bind))
+        elif kind is ELeaf:
+            todo.append((a.left, b.left, env, False))
+        elif kind is ELet:
+            if a.fname != b.fname or a.backward != b.backward:
+                return False
+            todo += ((a.body, b.body, env, False), (a.binds, b.binds, env, True),
+                     (a.uses, b.uses, env, False))
+        elif kind is ECase and len(a.branches) == len(b.branches):
+            for (pa, ea), (pb, eb) in zip(reversed(a.branches), reversed(b.branches)):
                 inner = dict(env)
-                if not (_alpha_left(p1, p2, inner, True) and _alpha_expr(e1, e2, inner)):
-                    return False
-            return True
-    return False
+                todo += ((ea, eb, inner, False), (pa, pb, inner, True))
+            todo.append((a.scrutinee, b.scrutinee, env, False))
+        else:
+            return False
+    return True

@@ -22,14 +22,14 @@ variable desugars to a one-branch case over a fresh variable.
 
 Values share the concrete syntax of left expressions: ``parse_value`` reads a
 closed left expression, and ``render_value`` is ``render_left``, the one
-printer of both.  Lexing, left expressions and printing are iterative, so
-their depth costs heap, not Python stack.
+printer of both.  Every pass here is a loop over an explicit stack, so
+nesting depth costs heap, not Python stack.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .values import TUPLE, Value, fold_tree
@@ -112,14 +112,10 @@ class ECase:
     def arms(self) -> tuple[tuple, ...]:
         """Per branch: its pattern, its body, the body's leaves, and the
         leaves of every earlier branch, which the symmetric first-match
-        policy checks against.  Derived once per case."""
-        out = []
-        earlier: tuple[LeftExpr, ...] = ()
-        for pat, body in self.branches:
-            own = tuple(leaves(body))
-            out.append((pat, body, own, earlier))
-            earlier += own
-        return tuple(out)
+        policy checks against.  Derived once per case, with those of every
+        case under it (see _fill_arms)."""
+        _fill_arms(self)
+        return self.__dict__["arms"]
 
 
 Expr = Union[ELeaf, ELet, ECase]
@@ -150,10 +146,33 @@ class Program:
         if violations:
             raise StaticError(violations)
         for d in self.defs:
-            for node in walk(d.body):
-                if isinstance(node, ECase):
-                    node.arms  # derived now, not mid-run
+            _fill_arms(d.body)          # derived now, not mid-run
         return {d.name: d for d in self.defs}
+
+
+def _fill_arms(e: Expr) -> tuple[LeftExpr, ...]:
+    """The leaves of e, deriving on the way the arms of every case under e in
+    one post-order loop, so each body is walked once however deep cases nest."""
+    todo: list = [e]
+    done: list[tuple[LeftExpr, ...]] = []
+    while todo:
+        n = todo.pop()
+        if type(n) is ELet:
+            todo.append(n.body)         # a let's leaves are its body's
+        elif type(n) is ELeaf:
+            done.append((n.left,))
+        elif type(n) is ECase:          # derived once its bodies' leaves are done
+            todo += ((n,), *(body for _, body in n.branches))
+        else:
+            n, = n
+            arms, earlier = [], ()
+            for pat, body in n.branches:    # the first body's leaves on top
+                own = done.pop()
+                arms.append((pat, body, own, earlier))
+                earlier += own
+            n.__dict__["arms"] = tuple(arms)
+            done.append(earlier)
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,37 +310,44 @@ class _Parser:
     # -- expressions ----------------------------------------------------------
 
     def expr(self) -> Expr:
-        t = self.peek()
-        pos = (t.line, t.col)
-        if t.kind in ("LET", "RLET"):
-            self.next()
-            bound = self.lexpr()
-            self.expect("EQ", "'='")
-            fname = self.expect("LNAME", "a function name").text
-            arg = self.lexpr()
-            self.expect("IN", "'in'")
-            body = self.expr()
-            return ELet(bound, fname, arg, body, t.kind == "RLET", pos=pos)
-        if t.kind == "CASE":
-            self.next()
-            scrut = self.lexpr()
-            self.expect("OF", "'of'")
-            self.expect("LBRACE", "'{'")
-            branches = [self.branch()]
-            while self.peek().kind == "SEMI":
-                self.next()
-                if self.peek().kind == "RBRACE":
-                    break
-                branches.append(self.branch())
-            self.expect("RBRACE", "'}'")
-            return ECase(scrut, tuple(branches), pos=pos)
-        left = self.lexpr()
-        return ELeaf(left, pos=pos)
-
-    def branch(self) -> tuple[LeftExpr, Expr]:
-        pat = self.lexpr()
-        self.expect("ARROW", "'->'")
-        return (pat, self.expr())
+        # Iterative, like lexpr: an open let (an ELet wanting its body) or case
+        # (a list) waits on `opened` for its body or its last pattern's body.
+        opened: list = []
+        while True:
+            t = self.peek()
+            pos = (t.line, t.col)
+            if t.kind not in ("LET", "RLET", "CASE"):
+                done: Expr = ELeaf(self.lexpr(), pos=pos)
+                while opened:           # close what `done` completes
+                    top = opened[-1]
+                    if type(top) is partial:
+                        done = top(done)
+                    else:
+                        top[1][-1] = (top[1][-1], done)
+                        if self.peek().kind == "SEMI":
+                            self.next()
+                            if self.peek().kind != "RBRACE":
+                                break
+                        self.expect("RBRACE", "'}'")
+                        done = ECase(top[0], tuple(top[1]), pos=top[2])
+                    opened.pop()
+                else:
+                    return done
+            elif self.next().kind == "CASE":
+                scrut = self.lexpr()
+                self.expect("OF", "'of'")
+                self.expect("LBRACE", "'{'")
+                opened.append([scrut, [], pos])
+            else:
+                bound = self.lexpr()
+                self.expect("EQ", "'='")
+                fname = self.expect("LNAME", "a function name").text
+                arg = self.lexpr()
+                self.expect("IN", "'in'")
+                opened.append(partial(ELet, bound, fname, arg, backward=t.kind == "RLET", pos=pos))
+                continue
+            opened[-1][1].append(self.lexpr())      # an open case's next pattern
+            self.expect("ARROW", "'->'")
 
     # -- definitions and programs ---------------------------------------------
 
@@ -511,17 +537,6 @@ def check_expr(e: Expr, free: Iterable[str],
     return out
 
 
-def _pattern_vars(l: LeftExpr, out: list[Violation], where: str) -> dict[str, Optional[Pos]]:
-    bound: dict[str, Optional[Pos]] = {}
-    for v in _var_nodes(l):
-        if v.name in bound:
-            out.append(Violation("linearity",
-                                 f"variable {v.name!r} bound twice in a pattern of {where!r}",
-                                 v.pos))
-        bound[v.name] = v.pos
-    return bound
-
-
 def _consume(l: LeftExpr, env: dict[str, Optional[Pos]], out: list[Violation], where: str) -> None:
     for v in _var_nodes(l):
         if v.name in env:
@@ -532,41 +547,47 @@ def _consume(l: LeftExpr, env: dict[str, Optional[Pos]], out: list[Violation], w
                                  "(unbound, or already used once)", v.pos))
 
 
+def _bind(l: LeftExpr, env: dict[str, Optional[Pos]], out: list[Violation],
+          where: str, what: str) -> None:
+    bound: dict[str, Optional[Pos]] = {}
+    for v in _var_nodes(l):
+        if v.name in bound:
+            out.append(Violation("linearity",
+                                 f"variable {v.name!r} bound twice in a pattern of {where!r}",
+                                 v.pos))
+        bound[v.name] = v.pos
+    for name, pos in bound.items():
+        if name in env:
+            out.append(Violation("linearity",
+                                 f"{what} shadows live variable {name!r} in {where!r}", pos))
+        env[name] = pos
+
+
 def _check_expr(e: Expr, env: dict[str, Optional[Pos]], out: list[Violation],
                 where: str, fnames) -> None:
-    env = dict(env)
-    match e:
-        case ELeaf(left):
-            _consume(left, env, out, where)
+    # One loop, in source order; each item owns the variables live at it.
+    todo: list = [(e, env)]
+    while todo:
+        e, env = todo.pop()
+        if type(e) is tuple:            # a branch: its pattern binds first
+            pat, e = e
+            _bind(pat, env, out, where, "pattern")
+        if type(e) is ELeaf:
+            _consume(e.left, env, out, where)
             for name, pos in env.items():
                 out.append(Violation("linearity",
                                      f"variable {name!r} is never used in {where!r}", pos))
-        case ELet():
+        elif type(e) is ELet:
             if e.fname not in fnames:
                 out.append(Violation("unknown-function",
                                      f"call of undefined function {e.fname!r} in {where!r}",
                                      e.pos))
             _consume(e.uses, env, out, where)
-            fresh = _pattern_vars(e.binds, out, where)
-            for name, pos in fresh.items():
-                if name in env:
-                    out.append(Violation("linearity",
-                                         f"binder shadows live variable {name!r} in {where!r}",
-                                         pos))
-                env[name] = pos
-            _check_expr(e.body, env, out, where, fnames)
-        case ECase(scrut, branches):
-            _consume(scrut, env, out, where)
-            for pat, body in branches:
-                branch_env = dict(env)
-                fresh = _pattern_vars(pat, out, where)
-                for name, pos in fresh.items():
-                    if name in branch_env:
-                        out.append(Violation("linearity",
-                                             f"pattern shadows live variable {name!r} in {where!r}",
-                                             pos))
-                    branch_env[name] = pos
-                _check_expr(body, branch_env, out, where, fnames)
+            _bind(e.binds, env, out, where, "binder")
+            todo.append((e.body, env))
+        else:
+            _consume(e.scrutinee, env, out, where)
+            todo += ((branch, dict(env)) for branch in reversed(e.branches))
 
 
 # ---------------------------------------------------------------------------
@@ -614,26 +635,33 @@ render_value = render_left
 
 
 def render_expr(e: Expr, indent: int = 0) -> str:
-    pad = "  " * indent
-    match e:
-        case ELeaf(left):
-            return pad + render_left(left)
-        case ELet(bound, fname, arg, body):
+    # One loop over a stack of text and (expression, indent) items.
+    out: list[str] = []
+    todo: list = [(e, indent)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        e, indent = item
+        pad = "  " * indent
+        if type(e) is ELeaf:
+            out.append(pad + render_left(e.left))
+        elif type(e) is ELet:
             kw = "rlet" if e.backward else "let"
-            head = f"{pad}{kw} {render_left(bound)} = {fname} {render_left(arg)} in"
-            return head + "\n" + render_expr(body, indent)
-        case ECase(scrut, branches):
-            lines = [f"{pad}case {render_left(scrut)} of {{"]
-            for i, (pat, body) in enumerate(branches):
-                sep = ";" if i != len(branches) - 1 else ""
-                rendered = render_expr(body, indent + 2)
-                if "\n" in rendered or len(rendered.strip()) > 60:
-                    lines.append(f"{pad}  {render_left(pat)} ->\n{rendered}{sep}")
+            out.append(f"{pad}{kw} {render_left(e.bound)} = {e.fname} {render_left(e.arg)} in\n")
+            todo.append((e.body, indent))
+        else:
+            items: list = [f"{pad}case {render_left(e.scrutinee)} of {{"]
+            for pat, body in e.branches:
+                head = f"\n{pad}  {render_left(pat)} ->"
+                if type(body) is ELeaf and len(leaf := render_left(body.left)) <= 60:
+                    items += (f"{head} {leaf}", ";")
                 else:
-                    lines.append(f"{pad}  {render_left(pat)} -> {rendered.strip()}{sep}")
-            lines.append(pad + "}")
-            return "\n".join(lines)
-    raise AssertionError
+                    items += (head + "\n", (body, indent + 2), ";")
+            items[-1] = f"\n{pad}}}"
+            todo += reversed(items)
+    return "".join(out)
 
 
 def render_def(d: Def) -> str:

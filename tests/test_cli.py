@@ -4,6 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from rfun.inverter import alpha_eq, invert_program
+from rfun.syntax import parse_program
+
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
 
@@ -101,28 +104,39 @@ def test_undefined_function_is_a_fault(tmp_path):
                 "'g' in 'f'")
 
 
-def test_too_deeply_nested_program_is_a_clean_fault(tmp_path):
-    # Most passes over program text recurse once per nesting level, so 5,000
-    # chained lets or a 5,000-deep leaf exceed the default recursion limit;
-    # the CLI reports that as a fault, not a traceback.  Inverting the deep
-    # leaf recurses only along the let/case nesting, and its printer is
-    # iterative, so that one runs.
+def test_deeply_chained_lets_run_check_and_invert(tmp_path):
+    # Every pass over program text is a loop over its own stack, so 5,000
+    # chained lets cost heap, not Python stack.
     chain = "".join(f"let x{i + 1} = id x{i} in " for i in range(5000))
+    text = f"id x =: x;\nf x0 =: {chain}x5000"
+    prog = tmp_path / "deep.rfun"
+    prog.write_text(text)
+    r = rfun("run", str(prog), "--entry", "f", "--input", "S(Z)")
+    assert (r.returncode, r.stdout, r.stderr) == (0, "S(Z)\n", "")
+    r = rfun("check", str(prog), "--entry", "f", "--samples", "2")
+    assert (r.returncode, r.stdout, r.stderr) == (0, "f: 2 cases, 0 mismatches\n", "")
+    r = rfun("invert", str(prog))
+    assert (r.returncode, r.stderr) == (0, "")
+    assert alpha_eq(parse_program(r.stdout), invert_program(parse_program(text)))
+
+
+def test_too_deeply_nested_program_is_a_clean_fault(tmp_path):
+    # The interpreter's pattern helpers recurse once per constructor, so a
+    # leaf 5,000 constructors deep exceeds the default recursion limit in
+    # run and check; the CLI reports that as a fault, not a traceback.
+    # Inversion and its printer do not match values, so that one runs.
     leaf = "S(" * 5000 + "Z" + ")" * 5000
     prog = tmp_path / "deep.rfun"
-    for text in (f"id x =: x;\nf x0 =: {chain}x5000",
-                 f"f x =: case x of {{ Z -> {leaf}; S(y) -> S(y) }}"):
-        prog.write_text(text)
-        for args in (("run", str(prog), "--entry", "f", "--input", "Z"),
-                     ("check", str(prog), "--entry", "f"), ("invert", str(prog))):
-            r = rfun(*args)
-            if args[0] == "invert" and text.startswith("f x =:"):
-                assert (r.returncode, r.stderr) == (0, "")
-                assert r.stdout == ("f! x' =:\n  case x' of {\n    " + leaf
-                                    + " -> Z;\n    S(y) -> S(y)\n  }\n")
-                continue
-            assert (r.returncode, r.stdout) == (1, "")
-            assert r.stderr == "fault: the program nests too deeply\n"
+    prog.write_text(f"f x =: case x of {{ Z -> {leaf}; S(y) -> S(y) }}")
+    for args in (("run", str(prog), "--entry", "f", "--input", "Z"),
+                 ("check", str(prog), "--entry", "f")):
+        r = rfun(*args)
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == "fault: the program nests too deeply\n"
+    r = rfun("invert", str(prog))
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == ("f! x' =:\n  case x' of {\n    " + leaf
+                        + " -> Z;\n    S(y) -> S(y)\n  }\n")
 
 
 def test_parse_error_exit_code(tmp_path):

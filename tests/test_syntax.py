@@ -8,6 +8,9 @@ from rfun.syntax import (
     check_static, leaves, lvars, parse_program, parse_value, render_program,
     render_value, tokenize,
 )
+from rfun.densem import SymbolTable, function_morphism, run_denotation, sem_program
+from rfun.inverter import alpha_eq, invert_program
+from rfun.opsem import apply_forward
 from rfun.values import TUPLE
 
 from helpers import ARITH_VOCAB, FIXTURES, load_program, no_recursion, random_value
@@ -202,6 +205,36 @@ def test_leaves_of_a_long_let_chain():
     for i in reversed(range(5000)):
         body = ELet(LVar(f"x{i + 1}"), "id", LVar(f"x{i}"), body)
     assert no_recursion(leaves, body) == [LVar("x5000")]
+
+
+DEEP = 5000
+_DEEP_PROGRAMS = {
+    "let-chain": "id x =: x;\nf x0 =: "
+                 + "".join(f"let x{i + 1} = id x{i} in " for i in range(DEEP)) + f"x{DEEP}",
+    "nested-cases": "f x0 =: " + "".join(f"case x{i} of {{ S(x{i + 1}) -> " for i in range(DEEP))
+                    + f"x{DEEP}" + " }" * DEEP,
+    "deep-leaf": "f x =: case x of { Z -> " + "S(" * DEEP + "Z" + ")" * DEEP
+                 + "; S(y) -> S(y) }",
+}
+
+
+def _deep_passes(name: str, text: str) -> None:
+    prog = parse_program(text)
+    assert check_static(prog) == []
+    tbl = SymbolTable.from_program(prog, extra=["Z", "S"])
+    pm = sem_program(prog, tbl)
+    assert alpha_eq(parse_program(render_program(prog)), prog)
+    if name == "let-chain":
+        v = parse_value("S(Z)")
+        m = function_morphism(prog, "f", tbl, pm)
+        assert apply_forward(prog, "f", v) == run_denotation(m, v, tbl) == v
+    if name != "nested-cases":      # inverting nested cases is superlinear
+        assert alpha_eq(invert_program(invert_program(prog)), prog)
+
+
+@pytest.mark.parametrize("name", list(_DEEP_PROGRAMS))
+def test_passes_over_deep_programs_do_not_recurse(name):
+    no_recursion(_deep_passes, name, _DEEP_PROGRAMS[name])
 
 
 def test_lvars_order():
