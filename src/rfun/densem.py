@@ -17,7 +17,9 @@ object) or a pair of layouts (their product); a flat context of k names is
 the right-nested layout on T(S)^{*k}.  Each binding site rewires its input
 once, by the total iso between two layouts of the same wires, into the pair
 (unconsumed wires, consumed wires); a sub-expression receives the pair
-(unconsumed wires, wires a pattern produced) as it is, not flattened.
+(unconsumed wires, wires a pattern produced) as it is, not flattened.  A
+layout is held as a tuple in pre-order, a pair as None and then its two
+parts, so that layouts of any size hash and compare without recursion.
 """
 from __future__ import annotations
 
@@ -165,51 +167,87 @@ def _decode_node(e: Elem) -> tuple[int, list[Elem]]:
 @lru_cache(maxsize=None)
 def tpow(k: int) -> ObjDesc:
     """Right-nested k-fold product of T(S); the unit object for k = 0."""
-    return _obj(_nest(["x"] * k))
+    return _obj(_wires(["x"] * k))
 
 
-def _nest(items) -> tuple | str:
-    """Right-nested layout of a sequence of layouts; for wire names, the flat
-    layout on tpow(len(names))."""
-    items = tuple(items)
-    out = items[-1] if items else ()
-    for item in reversed(items[:-1]):
-        out = (item, out)
-    return out
+def _nest(layouts) -> tuple:
+    """The right-nested layout (l0, (l1, ...)) of a sequence of layouts."""
+    layouts = list(layouts)
+    if not layouts:
+        return ((),)
+    out: list = []
+    for layout in layouts[:-1]:
+        out.append(None)
+        out += layout
+    out += layouts[-1]
+    return tuple(out)
 
 
-def _obj(layout) -> ObjDesc:
-    if isinstance(layout, str):
-        return TS
-    return Prod(_obj(layout[0]), _obj(layout[1])) if layout else ONE
+def _wires(names) -> tuple:
+    """The layout of the wires names, on tpow(len(names)): _nest of the
+    names, None before each name but the last."""
+    names = list(names)
+    if not names:
+        return ((),)
+    out = [None] * (2 * len(names) - 1)
+    out[1::2] = names[:-1]
+    out[-1] = names[-1]
+    return tuple(out)
 
 
-def _shape(layout) -> Elem:
-    """The element shape of a layout: a hole for each wire."""
-    if isinstance(layout, str):
-        return Hole(layout)
-    return Pair(_shape(layout[0]), _shape(layout[1])) if layout else STAR
+def _build(layout: tuple, leaf, pair):
+    """A layout folded bottom-up: leaf(w) at each wire w or (), pair of the
+    two results at each pair."""
+    out: list = []
+    for item in reversed(layout):       # a pair's first part is on top
+        out.append(leaf(item) if item is not None else pair(out.pop(), out.pop()))
+    return out[0]
 
 
-def _names(layout) -> list[str]:
-    return [layout] if isinstance(layout, str) else [w for part in layout for w in _names(part)]
+def _obj(layout: tuple) -> ObjDesc:
+    """The object of a layout: T(S) for each wire."""
+    return _build(layout, lambda w: TS if w else ONE, Prod)
+
+
+def _names(layout: tuple) -> list[str]:
+    return [w for w in layout if type(w) is str]
+
+
+def _rest(layout: tuple, used: list[str]) -> tuple:
+    """The flat layout of the wires of layout not in used, in order."""
+    return _wires(w for w in _names(layout) if w not in used)
+
+
+def rewire(src, tgt) -> Morph:
+    """The total iso moving the wires laid out as src into the layout tgt,
+    both given as nested tuples."""
+    return _rewire(_flat(src), _flat(tgt))
+
+
+def _flat(nested) -> tuple:
+    """A layout given as nested tuples, in pre-order."""
+    out, todo = [], [nested]
+    while todo:
+        item = todo.pop()
+        if type(item) is tuple and item:
+            out.append(None)
+            todo += (item[1], item[0])
+        else:
+            out.append(item)
+    return tuple(out)
 
 
 @lru_cache(maxsize=1024)
-def rewire(src, tgt) -> Morph:
-    """The total iso moving the wires laid out as src into the layout tgt:
-    a primitive given by one equation, the shape of src is the shape of tgt."""
-    wires = _names(src)
-    if len(set(wires)) != len(wires) or sorted(wires) != sorted(_names(tgt)):
-        raise ContextMismatch(f"cannot rewire {src} into {tgt}")
+def _rewire(src: tuple, tgt: tuple) -> Morph:
+    """rewire: a primitive given by one equation, the shape of src is the
+    shape of tgt, with a hole for each wire."""
+    wires, targets = _names(src), _names(tgt)
+    if len(set(wires)) != len(wires) or sorted(wires) != sorted(targets):
+        raise ContextMismatch(f"cannot rewire the wires {wires} into {targets}")
     if src == tgt:
         return identity(_obj(src))
-    return Morph(_obj(src), _obj(tgt), *equations((_shape(src), _shape(tgt))), "wire")
-
-
-def _rest(layout, used: list[str]):
-    """The flat layout of the wires of layout not in used, in order."""
-    return _nest(w for w in _names(layout) if w not in used)
+    src_shape, tgt_shape = (_build(f, lambda w: Hole(w) if w else STAR, Pair) for f in (src, tgt))
+    return Morph(_obj(src), _obj(tgt), *equations((src_shape, tgt_shape)), "wire")
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +324,7 @@ def dupeq_morphism(tbl: SymbolTable) -> Morph:
 
 def sem_left(l: LeftExpr, ctx: tuple[str, ...], tbl: SymbolTable) -> Morph:
     """tpow(|ctx|) -> T(S); the dagger is the pattern semantics."""
-    return _sem_left(l, _nest(ctx), tbl)
+    return _sem_left(l, _wires(ctx), tbl)
 
 
 def _sem_left(l: LeftExpr, layout, tbl: SymbolTable) -> Morph:
@@ -299,7 +337,7 @@ def _sem_left(l: LeftExpr, layout, tbl: SymbolTable) -> Morph:
         item = todo.pop()
         n, lay = item
         if type(n) is LVar:
-            built.append((rewire(n.name if lay is None else lay, n.name), [n.name]))
+            built.append((_rewire((n.name,) if lay is None else lay, (n.name,)), [n.name]))
         elif type(item) is tuple:
             todo.append([n, lay])
             todo += ((n.arg, lay),) if type(n) is LDup else ((a, None) for a in n.args)
@@ -312,8 +350,8 @@ def _sem_left(l: LeftExpr, layout, tbl: SymbolTable) -> Morph:
             if parts:                   # the arguments' right-nested tensor
                 m = compose(m, reduce(lambda t, p: otimes(p[0], t), parts[-2::-1], parts[-1][0]))
             names = [w for _, ws in parts for w in ws]
-            kids = _nest(_nest(ws) for _, ws in parts)
-            built.append((compose(m, rewire(_nest(names) if lay is None else lay, kids)), names))
+            kids = _nest(_wires(ws) for _, ws in parts)
+            built.append((compose(m, _rewire(_wires(names) if lay is None else lay, kids)), names))
     return built[0][0]
 
 
@@ -335,43 +373,45 @@ def xi_component(xi: Morph, i: int, n: int) -> Morph:
 def sem_expr(e: Expr, ctx: tuple[str, ...], xi: Morph,
              fn_index: dict[str, int], tbl: SymbolTable) -> Morph:
     """tpow(|ctx|) -> T(S) relative to the program context xi."""
-    # One loop over (expression, layout, the map run before it).  A let or
-    # case splits off the wires it uses; a case's arms wait for their bodies.
-    layout = _nest(ctx)
-    todo: list = [(e, layout, identity(_obj(layout)))]
+    # One loop over (expression, layout, the maps run before it, in order).  A
+    # let or case splits off the wires it uses; a case's arms wait for their
+    # bodies.  A let's body goes on with the let's list, and each chain of
+    # lets is composed once, where it ends.
+    todo: list = [(e, _wires(ctx), [])]
     built: list[Morph] = []
     while todo:
         e, layout, before = todo.pop()
         kind = type(e)
         if kind is ELeaf:
-            built.append(compose(_sem_left(e.left, layout, tbl), before))
+            built.append(compose_all(_sem_left(e.left, layout, tbl), *reversed(before)))
             continue
-        if kind is tuple:               # a case's arms; layout is its rest
-            arms = tuple((dagger(_sem_left(pat, _nest(lvars(pat)), tbl)), built.pop(), own,
+        if kind is tuple:               # a case's arms, after the map into rest * T(S)
+            arms = tuple((dagger(_sem_left(pat, _wires(lvars(pat)), tbl)), built.pop(), own,
                           isinstance(body, ELeaf)) for pat, body, own, _ in e)
             # Not a join of the arms: the case commits to the first arm
             # whose pattern (forward) or leaf (backward) matches and raises
             # IncompatibleJoin on a value that an earlier arm claims.
-            case = Case(Prod(_obj(layout), TS), TS, arms, tbl, [None] * len(e), label="case")
-            built.append(compose(case, before))
+            case = Case(before[-1].tgt, TS, arms, tbl, [None] * len(e), label="case")
+            built.append(compose_all(case, *reversed(before)))
             continue
         consumed = e.uses if kind is ELet else e.scrutinee
         in_vars = lvars(consumed)
-        rest, ins = _rest(layout, in_vars), _nest(in_vars)
+        rest, ins = _rest(layout, in_vars), _wires(in_vars)
         m = _sem_left(consumed, ins, tbl)
         if kind is ELet:
             call = xi_component(xi, fn_index[e.fname], len(fn_index))
-            outs = _nest(lvars(e.binds))
+            outs = _wires(lvars(e.binds))
             m = compose_all(dagger(_sem_left(e.binds, outs, tbl)),
                             dagger(call) if e.backward else call, m)
-        before = compose_all(otimes(identity(_obj(rest)), m), rewire(layout, (rest, ins)), before)
+        split = _rewire(layout, (None, *rest, *ins))
+        before += (split, otimes(identity(split.tgt.left), m))
         if kind is ELet:
-            todo.append((e.body, (rest, outs), before))
+            todo.append((e.body, (None, *rest, *outs), before))
             continue
-        todo.append((e.arms, rest, before))
+        todo.append((e.arms, None, before))
         for pat, body, _, _ in e.arms:  # built last first, so popped first first
-            inner = (rest, _nest(lvars(pat)))
-            todo.append((body, inner, identity(_obj(inner))))
+            inner = (None, *rest, *_wires(lvars(pat)))
+            todo.append((body, inner, []))
     return built[0]
 
 

@@ -633,9 +633,7 @@ def zero_morph(a: ObjDesc, b: ObjDesc) -> Morph:
 
 def compose(g: Morph, f: Morph) -> Morph:
     """g after f."""
-    if f.tgt != g.src:
-        raise TypeMismatch(
-            f"cannot compose {g!r} after {f!r}: {obj_str(f.tgt)} != {obj_str(g.src)}")
+    _check_composable(g, f)
     if _is_identity(f):
         return g
     if _is_identity(g):
@@ -643,16 +641,29 @@ def compose(g: Morph, f: Morph) -> Morph:
     return Compose(f.src, g.tgt, _parts(f) + _parts(g))
 
 
+def _check_composable(g: Morph, f: Morph) -> None:
+    if f.tgt != g.src:
+        raise TypeMismatch(
+            f"cannot compose {g!r} after {f!r}: {obj_str(f.tgt)} != {obj_str(g.src)}")
+
+
 def _parts(f: Morph) -> tuple:
     return f.parts if type(f) is Compose else (f,)
 
 
 def compose_all(*ms: Morph) -> Morph:
-    """compose_all(h, g, f) = h . g . f"""
-    out = ms[-1]
-    for m in reversed(ms[:-1]):
-        out = compose(m, out)
-    return out
+    """compose_all(h, g, f) = h . g . f, as by compose two at a time, but the
+    flattened composite is built once: time linear in the number of maps."""
+    f = ms[-1]
+    kept = [] if _is_identity(f) else [f]
+    for g in ms[-2::-1]:
+        _check_composable(g, f)
+        if not _is_identity(g):
+            kept.append(g)
+        f = g
+    if len(kept) < 2:
+        return kept[0] if kept else ms[0]
+    return Compose(kept[0].src, kept[-1].tgt, tuple([p for m in kept for p in _parts(m)]))
 
 
 def dagger(f: Morph) -> Morph:

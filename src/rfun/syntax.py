@@ -20,10 +20,11 @@ inverses).  '--' starts a line comment.  Tuples desugar to the distinguished
 constructor, and a definition whose parameter is a pattern rather than a
 variable desugars to a one-branch case over a fresh variable.
 
-Values share the concrete syntax of left expressions: ``parse_value`` reads a
-closed left expression, and ``render_value`` is ``render_left``, the one
-printer of both.  Every pass here is a loop over an explicit stack, so
-nesting depth costs heap, not Python stack.
+Values share the concrete syntax of left expressions: a value is a closed
+left expression, and ``render_value`` is ``render_left``, the one printer of
+both.  ``parse_value`` reads a value in one pass of its own, with the
+program parser's error messages.  Every pass here is a loop over an explicit
+stack, so nesting depth costs heap, not Python stack.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
-from .values import TUPLE, Value, fold_tree
+from .values import TUPLE, Value
 
 Pos = tuple[int, int]
 
@@ -399,25 +400,94 @@ def parse_program(src: str) -> Program:
     return Program(tuple(defs))
 
 
+# The lexemes of a value text, as the program lexer splits it, with
+# whitespace and comments skipped and the end of the text read as "".
+_VALUE_LEXEME = re.compile(
+    r"(?:[ \t\r\n]+|--[^\n]*)*([A-Za-z](?:[A-Za-z0-9']|_(?!\|))*!?|[(),<>]|"
+    + "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))) + r"|.|\Z)")
+
+_CLOSER_NAMES = {")": "rpar", ">": "gt", "_|": "'_|'"}
+
+
 def parse_value(src: str) -> Value:
-    """Parse a closed value: constructors and tuples only, no variables."""
-    p = _Parser(tokenize(src))
-    left = p.lexpr()
-    t = p.peek()
-    if t.kind != "EOF":
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
+    """Parse a closed value: constructors and tuples only, no variables.
 
-    def expand(l: LeftExpr):
-        if isinstance(l, LVar):
-            raise ParseError(
-                f"{l.name!r} is a variable; values use uppercase constructors",
-                *(l.pos or (1, 1)))
-        if isinstance(l, LDup):
-            raise ParseError("the |_._| operator cannot occur in a value",
-                             *(l.pos or (1, 1)))
-        return l.ctor, l.args
+    One regex scan and one loop, separate from the program parser: each
+    open constructor or tuple waits on a stack for its arguments, and its
+    closer builds the interned value, so nesting depth costs heap, not
+    Python stack.  A text that is no value gets the error the program
+    parser gives it as a left expression.
+    """
+    toks = _VALUE_LEXEME.findall(src)
+    opened: list[tuple[Optional[str], str, list]] = []
+    fault = None        # the first variable or |_ _|, reported if all else parses
+    i = 0
+    while True:
+        t = toks[i]
+        i += 1
+        if "A" <= t < "[" and t[-1] != "!":     # a constructor: a word from A to Z
+            if toks[i] != "(":
+                done = Value(t)
+            elif toks[i + 1] == ")":
+                i += 2
+                done = Value(t)
+            else:
+                i += 1
+                opened.append((t, ")", []))
+                continue
+        elif t == "<":
+            if toks[i] != ">":
+                opened.append((TUPLE, ">", []))
+                continue
+            i += 1
+            done = Value(TUPLE)
+        elif t == "|_" or t == "⌊":
+            fault = fault or (i - 1, "the |_._| operator cannot occur in a value")
+            opened.append((None, "_|", []))
+            continue
+        elif "a" <= t < "{" and t not in _KEYWORDS:
+            if t[-1] == "!":
+                raise _value_error(src, toks, i - 1, f"{t!r} is not a valid variable")
+            fault = fault or (i - 1, f"{t!r} is a variable; values use uppercase constructors")
+            done = None
+        else:
+            raise _value_error(src, toks, i - 1, f"expected a left expression, found {t!r}")
+        while opened:                   # close what `done` completes
+            ctor, closer, args = opened[-1]
+            args.append(done)
+            t = toks[i]
+            i += 1
+            if t == closer or t == "⌋" and ctor is None:
+                done = None if fault else Value(ctor, tuple(args))
+                opened.pop()
+            elif t == "," and ctor is not None:
+                break
+            else:
+                raise _value_error(src, toks, i - 1,
+                                   f"expected {_CLOSER_NAMES[closer]}, found {t!r}")
+        else:
+            break
+    if toks[i]:
+        raise _value_error(src, toks, i, f"trailing input {toks[i]!r}")
+    if fault:
+        raise _value_error(src, toks, *fault)
+    return done
 
-    return fold_tree(left, expand, lambda ctor, args: Value(ctor, tuple(args)))
+
+def _value_error(src: str, toks: list[str], at: int, message: str) -> ParseError:
+    """The error for lexeme `at` of a value text.  As in tokenize, a lexeme
+    that is no token at all takes precedence over any other fault."""
+    for j, t in enumerate(toks):
+        group = t and _TOKEN.match(t).lastgroup
+        if group == "BAD":
+            at, message = j, f"unexpected character {t!r}"
+            break
+        if group == "WORD" and "A" <= t < "[" and t[-1] == "!":
+            at, message = j, f"misplaced '!' in {t!r}"
+            break
+    offset = [m.start(1) for m in _VALUE_LEXEME.finditer(src)][at]
+    line_start = src.rfind("\n", 0, offset) + 1
+    return ParseError(message, src.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 def _fresh_name(used: set[str]) -> str:

@@ -3,9 +3,9 @@
 A value is ``c(v1, ..., vn)`` for a constructor name ``c`` and zero or more
 child values.  Tuples are ordinary values built with the distinguished
 constructor ``TUPLE``; they print as ``<v1, ..., vn>``.  Their concrete syntax
-is that of closed left expressions, so :mod:`rfun.syntax` reads
-(``parse_value``) and prints (``render_value``) them with the same code as
-left expressions.
+is that of closed left expressions: :mod:`rfun.syntax` prints them with the
+printer of left expressions (``render_value``) and reads them with a reader
+of their own (``parse_value``).
 
 Values are hash-consed: building a value returns the live value with the same
 constructor and children if there is one, so structurally equal live values

@@ -243,8 +243,9 @@ def test_pack_is_one_step_that_agrees_with_its_chain():
 
 def test_denotation_of_a_wide_constructor_agrees_with_interpreter():
     # 400 arguments make a context object 400 products deep, which the
-    # composition's type check compares.
-    for n in (100, 400):
+    # composition's type check compares; 1,000 make layouts 1,000 pairs
+    # deep, which rewire walks, compares and caches.
+    for n in (100, 400, 1_000):
         args = ", ".join(f"a{i}" for i in range(n))
         prog = parse_program(f"f x =: case x of {{ C({args}) -> D({args}) }}")
         tbl = SymbolTable.from_program(prog, extra=["Z", "S"])

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from rfun.syntax import (
     render_value, tokenize,
 )
 from rfun.densem import SymbolTable, function_morphism, run_denotation, sem_program
+from rfun.harness import vocabulary
 from rfun.inverter import alpha_eq, invert_program
 from rfun.opsem import apply_forward
 from rfun.values import TUPLE
@@ -282,3 +284,54 @@ def test_value_text_roundtrip_seeded():
     for _ in range(200):
         v = random_value(rng, ARITH_VOCAB + [("Leaf", 0), ("Node", 2), (TUPLE, 0)], 5)
         assert parse_value(render_value(v)) == v
+
+
+def test_value_reader_round_trips_every_fixture_vocabulary():
+    rng = random.Random(15)
+    pads = ["", " ", "  ", "\n", "\r\n\t", " -- a note\n "]
+    for path in sorted(FIXTURES.glob("*.rfun")):
+        vocab = vocabulary(parse_program(path.read_text()))
+        for _ in range(40):
+            v = random_value(rng, vocab, rng.randint(0, 5))
+            text = render_value(v)
+            assert parse_value(text) is v
+            spaced = re.sub(r"[(),<>]", lambda m: rng.choice(pads) + m[0] + rng.choice(pads), text)
+            assert parse_value(f"\n {spaced}\n  -- a trailing comment") is v
+
+
+# The program parser's error for each text read as a left expression.
+@pytest.mark.parametrize("text, message, line, col", [
+    ("S(Z,)", "expected a left expression, found ')'", 1, 5),
+    ("<Z,>", "expected a left expression, found '>'", 1, 4),
+    ("S(,Z)", "expected a left expression, found ','", 1, 3),
+    ("S(Z>", "expected rpar, found '>'", 1, 4),
+    ("<Z)", "expected gt, found ')'", 1, 3),
+    ("(Z)", "expected a left expression, found '('", 1, 1),
+    ("Z Z", "trailing input 'Z'", 1, 3),
+    ("S(Z))", "trailing input ')'", 1, 5),
+    ("<Z", "expected gt, found ''", 1, 3),
+    ("", "expected a left expression, found ''", 1, 1),
+    ("x", "'x' is a variable; values use uppercase constructors", 1, 1),
+    ("S(x)", "'x' is a variable; values use uppercase constructors", 1, 3),
+    ("|_ <A> _|", "the |_._| operator cannot occur in a value", 1, 1),
+    ("⌊<A>⌋", "the |_._| operator cannot occur in a value", 1, 1),
+    ("S!", "misplaced '!' in 'S!'", 1, 1),
+    ("S(Z) # c", "unexpected character '#'", 1, 6),
+    ("S(Z)\n  , Z", "trailing input ','", 2, 3),
+    # a character no token starts with is reported first, wherever it is
+    ("S(,#)", "unexpected character '#'", 1, 4),
+    ("S(x) S!", "misplaced '!' in 'S!'", 1, 6),
+    # other tokens of the program syntax, and where the text ends
+    ("S(Z) -> Z", "trailing input '->'", 1, 6),
+    ("S(in)", "expected a left expression, found 'in'", 1, 3),
+    ("S(x, y!)", "'y!' is not a valid variable", 1, 6),
+    ("|_ A, B _|", "expected '_|', found ','", 1, 5),
+    ("x y", "trailing input 'y'", 1, 3),
+    ("S(Z\n", "expected rpar, found ''", 2, 1),
+    ("--", "expected a left expression, found ''", 1, 3),
+])
+def test_value_reader_errors(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_value(text)
+    assert str(err.value) == f"{line}:{col}: {message}"
+    assert (err.value.line, err.value.col) == (line, col)
