@@ -40,9 +40,11 @@ def _load(path: str) -> Program:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"{path}: cannot read: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_FAULT) from None
-    prog = parse_program(text)
     try:
-        return check_static_or_raise(prog)
+        return check_static_or_raise(parse_program(text))
+    except ParseError as exc:
+        print(f"{path}: parse error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_FAULT) from None
     except StaticError as exc:
         for v in exc.violations:
             print(f"{path}:{v}", file=sys.stderr)
@@ -160,9 +162,6 @@ def main(argv=None) -> None:
     args = build_parser().parse_args(argv)
     try:
         code = args.handler(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        code = EXIT_FAULT
     except RfunRuntimeError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         code = EXIT_FAULT

@@ -27,11 +27,9 @@ The interpreter's NO_MATCH and OUT_OF_FUEL are these same two objects.
 """
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Outcomes
@@ -182,16 +180,6 @@ def unfold_obj(o: Mu) -> ObjDesc:
     return _subst_obj(o.body, 0, o)
 
 
-def has_mu(o: ObjDesc) -> bool:
-    match o:
-        case Mu():
-            return True
-        case Sum(a, b) | Prod(a, b):
-            return has_mu(a) or has_mu(b)
-        case _:
-            return False
-
-
 # The recursive objects of interest: symbols S = mu X. 1 + X, lists
 # L(A) = mu K. 1 + (A * K), and nonempty trees T(A) = mu K. A * L(K).
 
@@ -281,123 +269,6 @@ class Roll(_Wrap):
 Elem = Union[Star, Pair, InL, InR, Roll]
 
 STAR = Star()
-
-
-def well_formed(e: Elem, obj: ObjDesc) -> bool:
-    match obj, e:
-        case One(), Star():
-            return True
-        case Sum(a, _), InL(x):
-            return well_formed(x, a)
-        case Sum(_, b), InR(x):
-            return well_formed(x, b)
-        case Prod(a, b), Pair(x, y):
-            return well_formed(x, a) and well_formed(y, b)
-        case Mu(), Roll(x):
-            return well_formed(x, unfold_obj(obj))
-        case _:
-            return False
-
-
-def enumerate_elems(obj: ObjDesc, depth: Optional[int] = None) -> Iterator[Elem]:
-    """All elements of obj; for objects containing Mu a depth bound is
-    required (depth counts element constructors)."""
-    if depth is None and has_mu(obj):
-        raise ValueError("enumerating a recursive object requires a depth bound")
-    yield from _enum(obj, math.inf if depth is None else depth)
-
-
-def _enum(obj: ObjDesc, budget) -> Iterator[Elem]:
-    match obj:
-        case Zero():
-            return
-        case One():
-            if budget >= 0:
-                yield STAR
-        case Sum(a, b):
-            if budget >= 1:
-                for x in _enum(a, budget - 1):
-                    yield InL(x)
-                for x in _enum(b, budget - 1):
-                    yield InR(x)
-        case Prod(a, b):
-            if budget >= 1:
-                for x in _enum(a, budget - 1):
-                    for y in _enum(b, budget - 1):
-                        yield Pair(x, y)
-        case Mu():
-            if budget >= 1:
-                for x in _enum(unfold_obj(obj), budget - 1):
-                    yield Roll(x)
-        case Var():
-            raise TypeMismatch("open object")
-
-
-def count_elems(obj: ObjDesc) -> int:
-    """Cardinality of a Mu-free object."""
-    match obj:
-        case Zero():
-            return 0
-        case One():
-            return 1
-        case Sum(a, b):
-            return count_elems(a) + count_elems(b)
-        case Prod(a, b):
-            return count_elems(a) * count_elems(b)
-    raise TypeMismatch(f"{obj_str(obj)} is not a finite, Mu-free object")
-
-
-@lru_cache(maxsize=None)
-def min_depth(obj: ObjDesc) -> float:
-    """Depth of the shallowest element, or inf for empty objects."""
-    return _min_depth(obj, ())
-
-
-def _min_depth(obj: ObjDesc, env: tuple) -> float:
-    match obj:
-        case Zero():
-            return math.inf
-        case One():
-            return 0
-        case Var(i):
-            return env[i]
-        case Sum(a, b):
-            return 1 + min(_min_depth(a, env), _min_depth(b, env))
-        case Prod(a, b):
-            return 1 + max(_min_depth(a, env), _min_depth(b, env))
-        case Mu(b):
-            d = math.inf
-            for _ in range(64):
-                d2 = 1 + _min_depth(b, (d,) + env)
-                if d2 == d:
-                    break
-                d = d2
-            return d
-    raise AssertionError
-
-
-def sample_elem(rng: random.Random, obj: ObjDesc, depth: int = 6) -> Elem:
-    """Depth-bounded random element; deterministic for a seeded rng."""
-    md = min_depth(obj)
-    if md == math.inf:
-        raise ValueError(f"{obj_str(obj)} has no elements")
-    return _sample(rng, obj, max(depth, int(md)))
-
-
-def _sample(rng: random.Random, obj: ObjDesc, budget: int) -> Elem:
-    match obj:
-        case One():
-            return STAR
-        case Sum(a, b):
-            viable = [(wrap, child) for wrap, child in ((InL, a), (InR, b))
-                      if min_depth(child) <= budget - 1]
-            wrap, child = rng.choice(viable)
-            return wrap(_sample(rng, child, budget - 1))
-        case Prod(a, b):
-            return Pair(_sample(rng, a, budget - 1), _sample(rng, b, budget - 1))
-        case Mu():
-            return Roll(_sample(rng, unfold_obj(obj), budget - 1))
-    raise TypeMismatch(f"cannot sample from {obj_str(obj)}")
 
 
 # ---------------------------------------------------------------------------
@@ -979,21 +850,3 @@ def run(m: Morph, forward: bool, x: Elem, fuel: int) -> Union[Elem, _Outcome]:
             x = step.fwd(x, fuel) if d else step.bwd(x, fuel)
             if type(x) is _Outcome:
                 break
-
-
-# ---------------------------------------------------------------------------
-# Pointwise comparisons (sampled; used by the law suite and the harness)
-# ---------------------------------------------------------------------------
-
-def leq_pointwise(f: Morph, g: Morph, elems: list[Elem], fuel: int) -> bool:
-    """f <= g on the given sample: wherever f is defined, g agrees.
-
-    NO_FUEL samples are inconclusive and skipped.
-    """
-    for x in elems:
-        rf = f.fwd(x, fuel)
-        if rf is NO_FUEL or rf is UNDEF:
-            continue
-        if g.fwd(x, fuel) != rf:
-            return False
-    return True

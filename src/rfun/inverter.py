@@ -7,8 +7,11 @@ cleanup keeps the output in the shape people actually write: a one-branch
 case over a variable pattern, ``case l of { v -> body }``, is inlined to
 ``body[v := l]`` (sound because bindings are linear).
 
-Inversion is an involution up to variable renaming, and the inverse of a
-statically valid program is statically valid.
+Inversion flattens nested cases into one case over the leaves, so
+``invert(invert(p))`` need not be alpha-equal to ``p``.  What holds is
+``invert(invert(q)) ≡α q`` for every ``q`` in the image of ``invert``: from
+its first output on, inversion is an involution up to variable renaming.
+The inverse of a statically valid program is statically valid.
 """
 from __future__ import annotations
 

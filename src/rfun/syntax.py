@@ -22,16 +22,16 @@ variable desugars to a one-branch case over a fresh variable.
 
 Values share the concrete syntax of left expressions: a value is a closed
 left expression, and ``render_value`` is ``render_left``, the one printer of
-both.  ``parse_value`` reads a value in one pass of its own, with the
-program parser's error messages.  Every pass here is a loop over an explicit
-stack, so nesting depth costs heap, not Python stack.
+both.  ``parse_program`` and ``parse_value`` share one lexer and one reader
+of left expressions, which gives both the same errors.  Every pass here is a
+loop over an explicit stack, so nesting depth costs heap, not Python stack.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NoReturn, Optional, Union
 
 from .values import TUPLE, Value
 
@@ -182,193 +182,207 @@ def _fill_arms(e: Expr) -> tuple[LeftExpr, ...]:
 
 _KEYWORDS = {"let", "rlet", "case", "of", "in"}
 
-_SYMBOLS = {
-    "=:": "DEFEQ", "≜": "DEFEQ", "->": "ARROW", "→": "ARROW",
-    "|_": "LDUP", "_|": "RDUP", "⌊": "LDUP", "⌋": "RDUP",
-    "(": "LPAR", ")": "RPAR", "<": "LT", ">": "GT", "{": "LBRACE",
-    "}": "RBRACE", ",": "COMMA", ";": "SEMI", "=": "EQ",
-}
+# The symbols, longest first, and the ASCII one each unicode spelling means.
+_ASCII = {"≜": "=:", "→": "->", "⌊": "|_", "⌋": "_|"}
+_SYMBOLS = ("=:", "->", "|_", "_|", *_ASCII, "(", ")", "<", ">", "{", "}", ",", ";", "=")
 
-# One alternative per lexeme class, tried in order.  A word stops before a
-# '_' that precedes '|', so |_x_| lexes; at most one '!' ends it.
-_TOKEN = re.compile(
-    r"(?P<NL>\n)|(?P<SKIP>[ \t\r]+|--[^\n]*)"
-    r"|(?P<SYM>" + "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))) + ")"
-    r"|(?P<WORD>[A-Za-z](?:[A-Za-z0-9']|_(?!\|))*!?)|(?P<BAD>.)")
+# The lexemes of a text, with whitespace and comments skipped and the end of
+# the text read as "".  A word stops before a '_' that precedes '|', so |_x_|
+# reads as three lexemes; at most one '!' ends it.  A character no other
+# alternative takes is a lexeme of its own, which starts no token.
+_LEXEME = re.compile(
+    r"[ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*([(),<>]|[A-Za-z](?:[A-Za-z0-9']|_(?!\|))*!?|"
+    + "|".join(map(re.escape, _SYMBOLS)) + r"|.|\Z)")
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+class _Lexeme(str):
+    """A lexeme of a program, which knows its line and column."""
+    pos: Pos
 
 
-def tokenize(src: str) -> list[Token]:
-    toks: list[Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(src):
-        group = m.lastgroup
-        if group == "NL":
-            line, line_start = line + 1, m.end()
-            continue
-        if group == "SKIP":
-            continue
-        text = m.group()
-        col = m.start() - line_start + 1
-        if group == "SYM":
-            kind = _SYMBOLS[text]
-        elif group == "BAD":
-            raise ParseError(f"unexpected character {text!r}", line, col)
-        elif text in _KEYWORDS:
-            kind = text.upper()
-        elif text[0].isupper():
-            if text[-1] == "!":
-                raise ParseError(f"misplaced '!' in {text!r}", line, col)
-            kind = "UNAME"
-        else:
-            kind = "LNAME"
-        toks.append(Token(kind, text, line, col))
-    toks.append(Token("EOF", "", line, len(src) - line_start + 1))
-    return toks
+def _lexemes(src: str) -> list[_Lexeme]:
+    """The lexemes of src, each with its position."""
+    out = []
+    line, line_start, last = 1, 0, 0
+    for m in _LEXEME.finditer(src):
+        offset = m.start(1)
+        line += src.count("\n", last, offset)
+        line_start = max(line_start, src.rfind("\n", last, offset) + 1)
+        last = offset
+        out.append(lexeme := _Lexeme(m[1]))
+        lexeme.pos = (line, offset - line_start + 1)
+    return out
+
+
+def _error(src: str, toks: list[str], at: int, message: str) -> ParseError:
+    """The error for lexeme `at` of src, for either parser.  A lexeme that
+    starts no token, or an uppercase word ending in '!', is reported first,
+    wherever it is."""
+    for j, t in enumerate(toks):
+        if t and t not in _SYMBOLS and not (t[0].isascii() and t[0].isalpha()):
+            return ParseError(f"unexpected character {t!r}", *_lexemes(src)[j].pos)
+        if "A" <= t < "[" and t[-1] == "!":
+            return ParseError(f"misplaced '!' in {t!r}", *_lexemes(src)[j].pos)
+    return ParseError(message, *_lexemes(src)[at].pos)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
+_CLOSER_NAMES = {")": "rpar", ">": "gt", "_|": "'_|'"}
+
+
+def _left(src: str, toks: list[str], i: int, nodes: tuple) -> tuple:
+    """The left expression that starts at lexeme i of src, and the index of
+    the lexeme after it: the one reader of left expressions, for programs and
+    values alike.
+
+    nodes holds ctor(t, args), tup(t, args), var(t) and dup(t, (arg,)), which
+    build its nodes, t being a node's first lexeme.  Each open constructor,
+    tuple or |_ _| waits on a stack for its arguments, so nesting depth costs
+    heap, not Python stack.
+    """
+    ctor, tup, var, dup = nodes
+    opened: list[tuple] = []
+    while True:
+        t = toks[i]
+        i += 1
+        if "A" <= t < "[" and t[-1] != "!":     # a constructor: a word from A to Z
+            if toks[i] != "(":
+                done = ctor(t, ())
+            elif toks[i + 1] == ")":
+                i += 2
+                done = ctor(t, ())
+            else:
+                i += 1
+                opened.append((ctor, t, ")", []))
+                continue
+        elif t == "<":
+            if toks[i] != ">":
+                opened.append((tup, t, ">", []))
+                continue
+            i += 1
+            done = tup(t, ())
+        elif t == "|_" or t == "⌊":
+            opened.append((dup, t, "_|", []))
+            continue
+        elif "a" <= t < "{" and t not in _KEYWORDS:
+            if t[-1] == "!":
+                raise _error(src, toks, i - 1, f"{t!r} is not a valid variable")
+            done = var(t)
+        else:
+            raise _error(src, toks, i - 1, f"expected a left expression, found {t!r}")
+        while opened:                   # close what `done` completes
+            make, first, closer, args = opened[-1]
+            args.append(done)
+            t = toks[i]
+            i += 1
+            if t == closer or t == "⌋" and closer == "_|":
+                done = make(first, tuple(args))
+                opened.pop()
+            elif t == "," and closer != "_|":
+                break
+            else:
+                raise _error(src, toks, i - 1, f"expected {_CLOSER_NAMES[closer]}, found {t!r}")
+        else:
+            return done, i
+
+
+# The nodes of a program's left expressions, which keep their positions.
+_PROGRAM_NODES = (lambda t, args: LCtor(str(t), args, t.pos),
+                  lambda t, args: LCtor(TUPLE, args, t.pos),
+                  lambda t: LVar(str(t), t.pos),
+                  lambda t, args: LDup(args[0], t.pos))
+
+
 class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
+    def __init__(self, src: str):
+        self.src = src
+        self.toks = _lexemes(src)
         self.i = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> _Lexeme:
         return self.toks[self.i]
 
-    def next(self) -> Token:
-        t = self.toks[self.i]
-        if t.kind != "EOF":
-            self.i += 1
-        return t
+    def fail(self, what: str) -> ParseError:
+        return _error(self.src, self.toks, self.i, f"expected {what}, found {self.peek()!r}")
 
-    def expect(self, kind: str, what: str = "") -> Token:
-        t = self.next()
-        if t.kind != kind:
-            want = what or kind.lower()
-            raise ParseError(f"expected {want}, found {t.text!r}", t.line, t.col)
-        return t
-
-    def fail(self, message: str) -> ParseError:
+    def accept(self, symbol: str) -> bool:
+        """Whether the next lexeme is symbol, in either spelling; if so, it is read."""
         t = self.peek()
-        return ParseError(message, t.line, t.col)
+        if _ASCII.get(t, t) != symbol:
+            return False
+        self.i += 1
+        return True
 
-    # -- left expressions ---------------------------------------------------
+    def expect(self, symbol: str) -> None:
+        if not self.accept(symbol):
+            raise self.fail(repr(symbol))
+
+    def name(self) -> str:
+        t = self.peek()
+        if not ("a" <= t < "{" and t not in _KEYWORDS):
+            raise self.fail("a function name")
+        self.i += 1
+        return str(t)
 
     def lexpr(self) -> LeftExpr:
-        # Iterative, so that nesting depth costs heap, not Python stack: each
-        # open constructor, tuple or |_ _| waits on `opened` for its arguments.
-        opened: list[tuple[Optional[str], str, list, Pos]] = []
-        while True:
-            t = self.peek()
-            pos = (t.line, t.col)
-            if t.kind not in ("LNAME", "UNAME", "LT", "LDUP"):
-                raise self.fail(f"expected a left expression, found {t.text!r}")
-            self.next()
-            if t.kind == "LNAME":
-                if t.text.endswith("!"):
-                    raise ParseError(f"{t.text!r} is not a valid variable", t.line, t.col)
-                done: LeftExpr = LVar(t.text, pos=pos)
-            elif t.kind == "UNAME" and self.peek().kind != "LPAR":
-                done = LCtor(t.text, (), pos=pos)
-            elif t.kind in ("UNAME", "LT"):
-                ctor, closer = (TUPLE, "GT") if t.kind == "LT" else (t.text, "RPAR")
-                if t.kind == "UNAME":
-                    self.next()
-                if self.peek().kind != closer:
-                    opened.append((ctor, closer, [], pos))
-                    continue
-                self.next()
-                done = LCtor(ctor, (), pos=pos)
-            else:
-                opened.append((None, "RDUP", [], pos))
-                continue
-            while opened:               # close what `done` completes
-                ctor, closer, args, pos = opened[-1]
-                args.append(done)
-                if ctor is None:
-                    self.expect("RDUP", "'_|'")
-                    done = LDup(done, pos=pos)
-                elif self.peek().kind == "COMMA":
-                    self.next()
-                    break
-                else:
-                    self.expect(closer)
-                    done = LCtor(ctor, tuple(args), pos=pos)
-                opened.pop()
-            else:
-                return done
+        done, self.i = _left(self.src, self.toks, self.i, _PROGRAM_NODES)
+        return done
 
     # -- expressions ----------------------------------------------------------
 
     def expr(self) -> Expr:
-        # Iterative, like lexpr: an open let (an ELet wanting its body) or case
+        # Iterative, like _left: an open let (an ELet wanting its body) or case
         # (a list) waits on `opened` for its body or its last pattern's body.
         opened: list = []
         while True:
             t = self.peek()
-            pos = (t.line, t.col)
-            if t.kind not in ("LET", "RLET", "CASE"):
-                done: Expr = ELeaf(self.lexpr(), pos=pos)
+            if t not in ("let", "rlet", "case"):
+                done: Expr = ELeaf(self.lexpr(), pos=t.pos)
                 while opened:           # close what `done` completes
                     top = opened[-1]
                     if type(top) is partial:
                         done = top(done)
                     else:
                         top[1][-1] = (top[1][-1], done)
-                        if self.peek().kind == "SEMI":
-                            self.next()
-                            if self.peek().kind != "RBRACE":
-                                break
-                        self.expect("RBRACE", "'}'")
+                        if self.accept(";") and self.peek() != "}":
+                            break
+                        self.expect("}")
                         done = ECase(top[0], tuple(top[1]), pos=top[2])
                     opened.pop()
                 else:
                     return done
-            elif self.next().kind == "CASE":
+            elif self.accept("case"):
                 scrut = self.lexpr()
-                self.expect("OF", "'of'")
-                self.expect("LBRACE", "'{'")
-                opened.append([scrut, [], pos])
+                self.expect("of")
+                self.expect("{")
+                opened.append([scrut, [], t.pos])
             else:
+                self.i += 1
                 bound = self.lexpr()
-                self.expect("EQ", "'='")
-                fname = self.expect("LNAME", "a function name").text
+                self.expect("=")
+                fname = self.name()
                 arg = self.lexpr()
-                self.expect("IN", "'in'")
-                opened.append(partial(ELet, bound, fname, arg, backward=t.kind == "RLET", pos=pos))
+                self.expect("in")
+                opened.append(partial(ELet, bound, fname, arg, backward=t == "rlet", pos=t.pos))
                 continue
             opened[-1][1].append(self.lexpr())      # an open case's next pattern
-            self.expect("ARROW", "'->'")
+            self.expect("->")
 
     # -- definitions and programs ---------------------------------------------
 
-    def raw_def(self) -> tuple[str, LeftExpr, Expr, Pos]:
-        t = self.expect("LNAME", "a function name")
-        param = self.lexpr()
-        self.expect("DEFEQ", "'=:'")
-        body = self.expr()
-        return (t.text, param, body, (t.line, t.col))
-
     def program(self) -> list[tuple[str, LeftExpr, Expr, Pos]]:
-        defs = [self.raw_def()]
-        while self.peek().kind == "SEMI":
-            self.next()
-            if self.peek().kind == "EOF":
-                break
-            defs.append(self.raw_def())
-        t = self.peek()
-        if t.kind != "EOF":
-            raise ParseError(f"expected ';' or end of input, found {t.text!r}", t.line, t.col)
+        defs = []
+        while not defs or (self.accept(";") and self.peek()):
+            pos = self.peek().pos
+            name = self.name()
+            param = self.lexpr()
+            self.expect("=:")
+            defs.append((name, param, self.expr(), pos))
+        if self.peek():
+            raise self.fail("';' or end of input")
         return defs
 
 
@@ -379,7 +393,7 @@ def parse_program(src: str) -> Program:
     ``f x =: case x of { l -> e }`` for a fresh ``x`` not occurring anywhere
     in the source program.
     """
-    raw = _Parser(tokenize(src)).program()
+    raw = _Parser(src).program()
     used: set[str] = set()
     for name, param, body, _ in raw:
         used.add(name)
@@ -400,94 +414,40 @@ def parse_program(src: str) -> Program:
     return Program(tuple(defs))
 
 
-# The lexemes of a value text, as the program lexer splits it, with
-# whitespace and comments skipped and the end of the text read as "".
-_VALUE_LEXEME = re.compile(
-    r"(?:[ \t\r\n]+|--[^\n]*)*([A-Za-z](?:[A-Za-z0-9']|_(?!\|))*!?|[(),<>]|"
-    + "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))) + r"|.|\Z)")
+class _NoValue(Exception):
+    """A variable or |_ _| in a value text."""
 
-_CLOSER_NAMES = {")": "rpar", ">": "gt", "_|": "'_|'"}
+
+def _no_value(*_) -> NoReturn:
+    raise _NoValue
+
+
+# The nodes of a value, in which a variable or |_ _| has no place.
+_VALUE_NODES = (Value, lambda _, args: Value(TUPLE, args), _no_value, _no_value)
 
 
 def parse_value(src: str) -> Value:
     """Parse a closed value: constructors and tuples only, no variables.
 
-    One regex scan and one loop, separate from the program parser: each
-    open constructor or tuple waits on a stack for its arguments, and its
-    closer builds the interned value, so nesting depth costs heap, not
-    Python stack.  A text that is no value gets the error the program
-    parser gives it as a left expression.
+    One regex scan and the reader of left expressions, building interned
+    values.  A text that is no value gets the error the program parser gives
+    it as a left expression; a variable or |_ _| in it is reported only if
+    the text has no other fault.
     """
-    toks = _VALUE_LEXEME.findall(src)
-    opened: list[tuple[Optional[str], str, list]] = []
-    fault = None        # the first variable or |_ _|, reported if all else parses
-    i = 0
-    while True:
-        t = toks[i]
-        i += 1
-        if "A" <= t < "[" and t[-1] != "!":     # a constructor: a word from A to Z
-            if toks[i] != "(":
-                done = Value(t)
-            elif toks[i + 1] == ")":
-                i += 2
-                done = Value(t)
-            else:
-                i += 1
-                opened.append((t, ")", []))
-                continue
-        elif t == "<":
-            if toks[i] != ">":
-                opened.append((TUPLE, ">", []))
-                continue
-            i += 1
-            done = Value(TUPLE)
-        elif t == "|_" or t == "⌊":
-            fault = fault or (i - 1, "the |_._| operator cannot occur in a value")
-            opened.append((None, "_|", []))
-            continue
-        elif "a" <= t < "{" and t not in _KEYWORDS:
-            if t[-1] == "!":
-                raise _value_error(src, toks, i - 1, f"{t!r} is not a valid variable")
-            fault = fault or (i - 1, f"{t!r} is a variable; values use uppercase constructors")
-            done = None
-        else:
-            raise _value_error(src, toks, i - 1, f"expected a left expression, found {t!r}")
-        while opened:                   # close what `done` completes
-            ctor, closer, args = opened[-1]
-            args.append(done)
-            t = toks[i]
-            i += 1
-            if t == closer or t == "⌋" and ctor is None:
-                done = None if fault else Value(ctor, tuple(args))
-                opened.pop()
-            elif t == "," and ctor is not None:
-                break
-            else:
-                raise _value_error(src, toks, i - 1,
-                                   f"expected {_CLOSER_NAMES[closer]}, found {t!r}")
-        else:
-            break
+    toks = _LEXEME.findall(src)
+    try:
+        done, i = _left(src, toks, 0, _VALUE_NODES)
+    except _NoValue:        # read on as a program would, for a fault that comes first
+        toks = _lexemes(src)
+        left, i = _left(src, toks, 0, _PROGRAM_NODES)
+        done = next(n for n in walk(left) if type(n) is not LCtor)
     if toks[i]:
-        raise _value_error(src, toks, i, f"trailing input {toks[i]!r}")
-    if fault:
-        raise _value_error(src, toks, *fault)
+        raise _error(src, toks, i, f"trailing input {toks[i]!r}")
+    if type(done) is LDup:
+        raise ParseError("the |_._| operator cannot occur in a value", *done.pos)
+    if type(done) is LVar:
+        raise ParseError(f"{done.name!r} is a variable; values use uppercase constructors", *done.pos)
     return done
-
-
-def _value_error(src: str, toks: list[str], at: int, message: str) -> ParseError:
-    """The error for lexeme `at` of a value text.  As in tokenize, a lexeme
-    that is no token at all takes precedence over any other fault."""
-    for j, t in enumerate(toks):
-        group = t and _TOKEN.match(t).lastgroup
-        if group == "BAD":
-            at, message = j, f"unexpected character {t!r}"
-            break
-        if group == "WORD" and "A" <= t < "[" and t[-1] == "!":
-            at, message = j, f"misplaced '!' in {t!r}"
-            break
-    offset = [m.start(1) for m in _VALUE_LEXEME.finditer(src)][at]
-    line_start = src.rfind("\n", 0, offset) + 1
-    return ParseError(message, src.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 def _fresh_name(used: set[str]) -> str:

@@ -4,8 +4,8 @@ A value is ``c(v1, ..., vn)`` for a constructor name ``c`` and zero or more
 child values.  Tuples are ordinary values built with the distinguished
 constructor ``TUPLE``; they print as ``<v1, ..., vn>``.  Their concrete syntax
 is that of closed left expressions: :mod:`rfun.syntax` prints them with the
-printer of left expressions (``render_value``) and reads them with a reader
-of their own (``parse_value``).
+printer of left expressions (``render_value``) and reads them with the
+reader of left expressions (``parse_value``).
 
 Values are hash-consed: building a value returns the live value with the same
 constructor and children if there is one, so structurally equal live values
@@ -166,22 +166,3 @@ def fold_tree(root, expand, build):
         del results[len(results) - n:]
         results.append(build(label, args))
     return results[0]
-
-
-def value_depth(v: Value) -> int:
-    depth = 0
-    layer = [v]
-    while layer:
-        depth += 1
-        layer = [c for x in layer for c in x.args]
-    return depth
-
-
-def value_size(v: Value) -> int:
-    size = 0
-    todo = [v]
-    while todo:
-        x = todo.pop()
-        size += 1
-        todo.extend(x.args)
-    return size

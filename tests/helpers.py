@@ -1,14 +1,19 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+import math
 import random
+from functools import lru_cache
 from pathlib import Path
+from typing import Iterator, Optional
 
 import pytest
 
 from rfun.invcat import (
-    ONE, Morph, Prod, Sum, compose, dagger, delta, identity, inj1, inj2,
-    join, oplus, otimes, prod_swap, restrict, sum_swap, zero_morph,
+    NO_FUEL, ONE, STAR, UNDEF, Elem, InL, InR, Morph, Mu, ObjDesc, One, Pair,
+    Prod, Roll, Star, Sum, TypeMismatch, Var, Zero, compose, dagger, delta,
+    identity, inj1, inj2, join, obj_str, oplus, otimes, prod_swap, restrict,
+    sum_swap, unfold_obj, zero_morph,
 )
 from rfun.harness import gen_value as random_value  # noqa: F401  (re-exported)
 from rfun.syntax import Program, check_static_or_raise, parse_program
@@ -117,3 +122,175 @@ def fib_pair(n: int) -> tuple[int, int]:
 
 
 ARITH_VOCAB = [("Z", 0), ("S", 1), (TUPLE, 2)]
+
+
+# ---------------------------------------------------------------------------
+# Elements of objects, enumerated and sampled (used by the law suite)
+# ---------------------------------------------------------------------------
+
+def has_mu(o: ObjDesc) -> bool:
+    match o:
+        case Mu():
+            return True
+        case Sum(a, b) | Prod(a, b):
+            return has_mu(a) or has_mu(b)
+        case _:
+            return False
+
+
+def well_formed(e: Elem, obj: ObjDesc) -> bool:
+    match obj, e:
+        case One(), Star():
+            return True
+        case Sum(a, _), InL(x):
+            return well_formed(x, a)
+        case Sum(_, b), InR(x):
+            return well_formed(x, b)
+        case Prod(a, b), Pair(x, y):
+            return well_formed(x, a) and well_formed(y, b)
+        case Mu(), Roll(x):
+            return well_formed(x, unfold_obj(obj))
+        case _:
+            return False
+
+
+def enumerate_elems(obj: ObjDesc, depth: Optional[int] = None) -> Iterator[Elem]:
+    """All elements of obj; for objects containing Mu a depth bound is
+    required (depth counts element constructors)."""
+    if depth is None and has_mu(obj):
+        raise ValueError("enumerating a recursive object requires a depth bound")
+    yield from _enum(obj, math.inf if depth is None else depth)
+
+
+def _enum(obj: ObjDesc, budget) -> Iterator[Elem]:
+    match obj:
+        case Zero():
+            return
+        case One():
+            if budget >= 0:
+                yield STAR
+        case Sum(a, b):
+            if budget >= 1:
+                for x in _enum(a, budget - 1):
+                    yield InL(x)
+                for x in _enum(b, budget - 1):
+                    yield InR(x)
+        case Prod(a, b):
+            if budget >= 1:
+                for x in _enum(a, budget - 1):
+                    for y in _enum(b, budget - 1):
+                        yield Pair(x, y)
+        case Mu():
+            if budget >= 1:
+                for x in _enum(unfold_obj(obj), budget - 1):
+                    yield Roll(x)
+        case Var():
+            raise TypeMismatch("open object")
+
+
+def count_elems(obj: ObjDesc) -> int:
+    """Cardinality of a Mu-free object."""
+    match obj:
+        case Zero():
+            return 0
+        case One():
+            return 1
+        case Sum(a, b):
+            return count_elems(a) + count_elems(b)
+        case Prod(a, b):
+            return count_elems(a) * count_elems(b)
+    raise TypeMismatch(f"{obj_str(obj)} is not a finite, Mu-free object")
+
+
+@lru_cache(maxsize=None)
+def min_depth(obj: ObjDesc) -> float:
+    """Depth of the shallowest element, or inf for empty objects."""
+    return _min_depth(obj, ())
+
+
+def _min_depth(obj: ObjDesc, env: tuple) -> float:
+    match obj:
+        case Zero():
+            return math.inf
+        case One():
+            return 0
+        case Var(i):
+            return env[i]
+        case Sum(a, b):
+            return 1 + min(_min_depth(a, env), _min_depth(b, env))
+        case Prod(a, b):
+            return 1 + max(_min_depth(a, env), _min_depth(b, env))
+        case Mu(b):
+            d = math.inf
+            for _ in range(64):
+                d2 = 1 + _min_depth(b, (d,) + env)
+                if d2 == d:
+                    break
+                d = d2
+            return d
+    raise AssertionError
+
+
+def sample_elem(rng: random.Random, obj: ObjDesc, depth: int = 6) -> Elem:
+    """Depth-bounded random element; deterministic for a seeded rng."""
+    md = min_depth(obj)
+    if md == math.inf:
+        raise ValueError(f"{obj_str(obj)} has no elements")
+    return _sample(rng, obj, max(depth, int(md)))
+
+
+def _sample(rng: random.Random, obj: ObjDesc, budget: int) -> Elem:
+    match obj:
+        case One():
+            return STAR
+        case Sum(a, b):
+            viable = [(wrap, child) for wrap, child in ((InL, a), (InR, b))
+                      if min_depth(child) <= budget - 1]
+            wrap, child = rng.choice(viable)
+            return wrap(_sample(rng, child, budget - 1))
+        case Prod(a, b):
+            return Pair(_sample(rng, a, budget - 1), _sample(rng, b, budget - 1))
+        case Mu():
+            return Roll(_sample(rng, unfold_obj(obj), budget - 1))
+    raise TypeMismatch(f"cannot sample from {obj_str(obj)}")
+
+
+# ---------------------------------------------------------------------------
+# Pointwise comparisons (sampled; used by the law suite and the harness)
+# ---------------------------------------------------------------------------
+
+def leq_pointwise(f: Morph, g: Morph, elems: list[Elem], fuel: int) -> bool:
+    """f <= g on the given sample: wherever f is defined, g agrees.
+
+    NO_FUEL samples are inconclusive and skipped.
+    """
+    for x in elems:
+        rf = f.fwd(x, fuel)
+        if rf is NO_FUEL or rf is UNDEF:
+            continue
+        if g.fwd(x, fuel) != rf:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Sizes of values
+# ---------------------------------------------------------------------------
+
+def value_depth(v: Value) -> int:
+    depth = 0
+    layer = [v]
+    while layer:
+        depth += 1
+        layer = [c for x in layer for c in x.args]
+    return depth
+
+
+def value_size(v: Value) -> int:
+    size = 0
+    todo = [v]
+    while todo:
+        x = todo.pop()
+        size += 1
+        todo.extend(x.args)
+    return size

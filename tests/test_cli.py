@@ -144,7 +144,7 @@ def test_parse_error_exit_code(tmp_path):
     bad.write_text("f x =:")
     r = rfun("run", str(bad), "--input", "Z")
     assert r.returncode == 1
-    assert "parse error" in r.stderr
+    assert r.stderr == f"{bad}: parse error: 1:7: expected a left expression, found ''\n"
 
 
 def test_missing_entry_listed():

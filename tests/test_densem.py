@@ -15,10 +15,9 @@ from rfun.densem import (
     xi_component,
 )
 from rfun.invcat import (
-    NO_FUEL, ONE, UNDEF, InL, InR, Morph, Pair, Prod, Roll, STAR, complement,
-    compose, compose_all, dagger, enumerate_elems, fix, fold, identity, inj_n,
-    join, obj_L, otimes, prod_unitr, restrict, sample_elem, unfold,
-    well_formed, zero_morph,
+    NO_FUEL, ONE, UNDEF, InL, InR, Morph, Pair, Prod, Roll, STAR,
+    complement, compose, compose_all, dagger, fix, fold, identity, inj_n,
+    join, obj_L, otimes, prod_unitr, restrict, unfold, zero_morph,
 )
 from rfun.harness import check_program
 from rfun.inverter import invert_name, invert_program
@@ -29,7 +28,8 @@ from rfun.syntax import (
 from rfun.values import TUPLE, dupeq_value, tup, val
 
 from helpers import (
-    ARITH_VOCAB, FIXTURES, load_program, no_recursion, peano, random_value,
+    ARITH_VOCAB, FIXTURES, enumerate_elems, load_program, no_recursion, peano,
+    random_value, sample_elem, well_formed,
 )
 
 FUEL = 100_000

@@ -5,14 +5,17 @@ import pytest
 
 from rfun.invcat import (
     NO_FUEL, UNDEF, ZERO, ONE, FirstJoin, Hole, IncompatibleJoin, InL, InR,
-    Morph, Mu, Pair, Prod, Roll, STAR, Star, Sum, TypeMismatch, Var, annihil_l,
-    annihil_r, complement, compose, compose_all, count_elems, dagger, delta,
-    dist_l, dist_r, enumerate_elems, equations, fix, fold, identity, inj1,
-    inj2, inj_n,
-    join, leq_pointwise, min_depth, obj_L, obj_S, obj_T, oplus, otimes,
-    prod_assoc, prod_swap, prod_unitl, prod_unitr, restrict, sample_elem,
-    sum_assoc, sum_swap, sum_unitl, sum_unitr, trace, unfold, unfold_obj,
-    well_formed, zero_morph,
+    Morph, Mu, Pair, Prod, Roll, STAR, Star, Sum, TypeMismatch, Var,
+    annihil_l, annihil_r, complement, compose, compose_all, dagger, delta,
+    dist_l, dist_r, equations, fix, fold, identity, inj1, inj2, inj_n,
+    join, obj_L, obj_S, obj_T, oplus, otimes, prod_assoc, prod_swap,
+    prod_unitl, prod_unitr, restrict, sum_assoc, sum_swap, sum_unitl,
+    sum_unitr, trace, unfold, unfold_obj, zero_morph,
+)
+
+from helpers import (
+    count_elems, enumerate_elems, has_mu, leq_pointwise, min_depth,
+    sample_elem, well_formed,
 )
 
 FUEL = 1000
@@ -482,7 +485,6 @@ def test_equations_on_deep_shapes_compile():
 
 
 def _needs_depth(obj):
-    from rfun.invcat import has_mu
     return has_mu(obj)
 
 

@@ -5,7 +5,8 @@ from rfun.opsem import apply_backward, apply_forward
 from rfun.syntax import Program, check_static, parse_program, render_program
 from rfun.values import Value, val
 
-from helpers import ARITH_VOCAB, load_program, random_value
+from helpers import ARITH_VOCAB, FIXTURES, load_program, random_value
+from test_differential import gen_program
 
 Z = val("Z")
 
@@ -36,11 +37,14 @@ def test_inversion_is_involutive_on_corpus():
 
 
 def test_inversion_is_involutive_on_its_image():
-    # swapc's composite-scrutinee rebuild case is exactly what inversion
-    # normalises away, so strict involution holds from the image onward
-    p = load_program("extra.rfun")
-    q = invert_program(p)
-    assert alpha_eq(invert_program(invert_program(q)), q)
+    # Inversion flattens nested cases (extra's swapc rebuilds a composite
+    # scrutinee), so invert(invert(p)) need not be p; from the image onward
+    # it is an involution.
+    progs = [load_program(path.name) for path in sorted(FIXTURES.glob("*.rfun"))]
+    progs += [gen_program(random.Random(seed)) for seed in range(50)]
+    for p in progs:
+        q = invert_program(p)
+        assert alpha_eq(invert_program(invert_program(q)), q), render_program(p)
 
 
 def test_inverses_pass_static_checks():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from rfun.syntax import (
     Def, ECase, ELeaf, ELet, LCtor, LDup, LVar, ParseError,
     check_static, leaves, lvars, parse_program, parse_value, render_program,
-    render_value, tokenize,
+    render_value,
 )
 from rfun.densem import SymbolTable, function_morphism, run_denotation, sem_program
 from rfun.harness import vocabulary
@@ -89,18 +89,36 @@ def test_parse_errors_carry_position():
 
 def test_lexer_positions_across_lines():
     src = "f! x' ≜ -- a comment\r\n\tcase x' of {\r\n  Z → ⌊<x'>⌋; S(x) -> |_x_|\n}"
-    assert [(t.kind, t.text, t.line, t.col) for t in tokenize(src)] == [
-        ("LNAME", "f!", 1, 1), ("LNAME", "x'", 1, 4), ("DEFEQ", "≜", 1, 7),
-        ("CASE", "case", 2, 2), ("LNAME", "x'", 2, 7), ("OF", "of", 2, 10),
-        ("LBRACE", "{", 2, 13),
-        ("UNAME", "Z", 3, 3), ("ARROW", "→", 3, 5), ("LDUP", "⌊", 3, 7),
-        ("LT", "<", 3, 8), ("LNAME", "x'", 3, 9), ("GT", ">", 3, 11),
-        ("RDUP", "⌋", 3, 12), ("SEMI", ";", 3, 13), ("UNAME", "S", 3, 15),
-        ("LPAR", "(", 3, 16), ("LNAME", "x", 3, 17), ("RPAR", ")", 3, 18),
-        ("ARROW", "->", 3, 20), ("LDUP", "|_", 3, 23), ("LNAME", "x", 3, 25),
-        ("RDUP", "_|", 3, 26),
-        ("RBRACE", "}", 4, 1), ("EOF", "", 4, 2),
-    ]
+    d, = parse_program(src).defs
+    (z, dup), (s, leaf) = d.body.branches
+    nodes = (d, d.body, d.body.scrutinee, z, dup, dup.left, dup.left.arg,
+             dup.left.arg.args[0], s, s.args[0], leaf, leaf.left, leaf.left.arg)
+    assert [n.pos for n in nodes] == [
+        (1, 1), (2, 2), (2, 7), (3, 3), (3, 7), (3, 7), (3, 8),
+        (3, 9), (3, 15), (3, 17), (3, 23), (3, 23), (3, 25)]
+    # a parameter keeps its position once it is a pattern
+    (param, _), = parse_program(src.replace("x' ≜", "X' ≜")).defs[0].body.branches
+    assert param.pos == (1, 4)
+    # each symbol, swapped for a token of its width, is reported where it stands
+    for old, new, message, line, col in (
+            ("≜", "→", "expected '=:', found '→'", 1, 7),
+            ("of", "in", "expected 'of', found 'in'", 2, 10),
+            ("{", "(", "expected '{', found '('", 2, 13),
+            ("→", "≜", "expected '->', found '≜'", 3, 5),
+            ("x'>", "x')", "expected gt, found ')'", 3, 11),
+            ("⌋", ")", "expected '_|', found ')'", 3, 12),
+            (";", ",", "expected '}', found ','", 3, 13),
+            ("S(x", "S<x", "expected '->', found '<'", 3, 16),
+            ("(x)", "(x>", "expected rpar, found '>'", 3, 18),
+            ("->", "=:", "expected '->', found '=:'", 3, 20),
+            ("x_|", "x))", "expected '_|', found ')'", 3, 26),
+            ("\n}", "\n)", "expected '}', found ')'", 4, 1),
+            ("\n}", "\n;", "expected a left expression, found ''", 4, 2)):
+        assert src.count(old) == 1
+        with pytest.raises(ParseError) as err:
+            parse_program(src.replace(old, new))
+        assert str(err.value) == f"{line}:{col}: {message}"
+        assert (err.value.line, err.value.col) == (line, col)
     for parse, text, message, line, col in (
             (parse_program, "f x =:\n  # x", "unexpected character '#'", 2, 3),
             (parse_value, "S!", "misplaced '!' in 'S!'", 1, 1),
@@ -333,5 +351,43 @@ def test_value_reader_round_trips_every_fixture_vocabulary():
 def test_value_reader_errors(text, message, line, col):
     with pytest.raises(ParseError) as err:
         parse_value(text)
+    assert str(err.value) == f"{line}:{col}: {message}"
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+# The program parser's errors: each message, and where it points.
+@pytest.mark.parametrize("text, message, line, col", [
+    ("", "expected a function name, found ''", 1, 1),
+    ("F x =: x", "expected a function name, found 'F'", 1, 1),
+    ("f x = x", "expected '=:', found '='", 1, 5),
+    ("f x → x", "expected '=:', found '→'", 1, 5),
+    ("f x =: x y", "expected ';' or end of input, found 'y'", 1, 10),
+    ("f x =: x;\n  ;", "expected a function name, found ';'", 2, 3),
+    ("f x =: let y f x in y", "expected '=', found 'f'", 1, 14),
+    ("f x =: let y = G x in y", "expected a function name, found 'G'", 1, 16),
+    ("f x =: let y = of x in y", "expected a function name, found 'of'", 1, 16),
+    ("f x =: let y = f x y", "expected 'in', found 'y'", 1, 20),
+    ("f x =: case x { Z -> Z }", "expected 'of', found '{'", 1, 15),
+    ("f x =: case of", "expected a left expression, found 'of'", 1, 13),
+    ("f x =: case x of { Z Z }", "expected '->', found 'Z'", 1, 22),
+    ("f x =: case x of { Z -> Z Z }", "expected '}', found 'Z'", 1, 27),
+    ("f x =: case x of { Z -> Z }; g", "expected a left expression, found ''", 1, 31),
+    ("f x ≜\r\n\tcase x of { Z → ⌊<x>⌋\r\n", "expected '}', found ''", 3, 1),
+    ("f x! =: x", "'x!' is not a valid variable", 1, 3),
+    ("f x =: ca!se", "'ca!' is not a valid variable", 1, 8),
+    ("f x =: S(let)", "expected a left expression, found 'let'", 1, 10),
+    ("f x =: S(x", "expected rpar, found ''", 1, 11),
+    ("f x =: S(S(S(", "expected a left expression, found ''", 1, 14),
+    ("f x =: <x y>", "expected gt, found 'y'", 1, 11),
+    ("f x =: |_ x, y _|", "expected '_|', found ','", 1, 12),
+    ("f x =: é", "unexpected character 'é'", 1, 8),
+    # a character no token starts with is reported first, wherever it is
+    ("f x =: case x of { Z -> S(, # }", "unexpected character '#'", 1, 29),
+    ("f x =: case x of { Z -> Z; S(y) -> S!(y) }", "misplaced '!' in 'S!'", 1, 36),
+    ("f x =: x y\n S!", "misplaced '!' in 'S!'", 2, 2),
+])
+def test_program_reader_errors(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
     assert str(err.value) == f"{line}:{col}: {message}"
     assert (err.value.line, err.value.col) == (line, col)

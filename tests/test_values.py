@@ -13,10 +13,13 @@ from rfun.harness import gen_value
 from rfun.opsem import apply_backward, apply_forward
 from rfun.syntax import parse_value, render_value
 from rfun.values import (
-    TUPLE, Value, dupeq_value, tup, val, value_depth, value_eq, value_size,
+    TUPLE, Value, dupeq_value, tup, val, value_eq,
 )
 
-from helpers import ARITH_VOCAB, load_program, no_recursion, peano, random_value
+from helpers import (
+    ARITH_VOCAB, load_program, no_recursion, peano, random_value, value_depth,
+    value_size,
+)
 
 Z = val("Z")
 SZ = val("S", Z)
