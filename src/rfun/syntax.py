@@ -203,12 +203,11 @@ class _Lexeme(str):
 def _lexemes(src: str) -> list[_Lexeme]:
     """The lexemes of src, each with its position."""
     out = []
-    line, line_start, last = 1, 0, 0
+    line, line_start, newline = 1, 0, src.find("\n")
     for m in _LEXEME.finditer(src):
         offset = m.start(1)
-        line += src.count("\n", last, offset)
-        line_start = max(line_start, src.rfind("\n", last, offset) + 1)
-        last = offset
+        while 0 <= newline < offset:
+            line, line_start, newline = line + 1, newline + 1, src.find("\n", newline + 1)
         out.append(lexeme := _Lexeme(m[1]))
         lexeme.pos = (line, offset - line_start + 1)
     return out
