@@ -16,7 +16,7 @@ from .opsem import (
     RfunRuntimeError, SubstitutionError, UnknownFunction, apply_backward,
     apply_forward, eval_expr, instantiate, match_pattern,
 )
-from .inverter import InversionError, alpha_eq, invert_name, invert_program
+from .inverter import alpha_eq, invert_name, invert_program
 from .densem import (
     SymbolTable, decode_value, dupeq_morphism, encode_value,
     function_morphism, run_denotation, sem_expr, sem_left, sem_program,
@@ -41,7 +41,7 @@ __all__ = [
     "RfunRuntimeError", "SubstitutionError", "UnknownFunction",
     "apply_backward", "apply_forward", "eval_expr", "instantiate",
     "match_pattern",
-    "InversionError", "alpha_eq", "invert_name", "invert_program",
+    "alpha_eq", "invert_name", "invert_program",
     "SymbolTable", "decode_value", "dupeq_morphism", "encode_value",
     "function_morphism", "run_denotation", "sem_expr", "sem_left",
     "sem_program",

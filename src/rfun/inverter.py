@@ -2,16 +2,18 @@
 
 For every definition ``f x =: e`` the inverter emits ``f! y =: e'`` where
 ``e'`` matches y against the leaves of e (in source order), undoes each
-call with the inverse call, and rebuilds the original argument.  One
-cleanup keeps the output in the shape people actually write: a one-branch
-case over a variable pattern, ``case l of { v -> body }``, is inlined to
-``body[v := l]`` (sound because bindings are linear).
+call with the inverse call, and rebuilds the original argument.  Each
+branch is one walk up its leaf's path with a renaming environment: a case
+over a variable, ``case v of { p -> ... }``, undoes to ``v := p`` (the
+inlining of ``case p of { v -> body }``, sound because bindings are
+linear), and a binder drops its names from there inward.  Nothing is
+substituted into a built expression, so inversion is linear in its output.
 
 Inversion flattens nested cases into one case over the leaves, so
 ``invert(invert(p))`` need not be alpha-equal to ``p``.  What holds is
 ``invert(invert(q)) ≡α q`` for every ``q`` in the image of ``invert``: from
 its first output on, inversion is an involution up to variable renaming.
-The inverse of a statically valid program is statically valid.
+A statically valid program has a statically valid inverse; others raise StaticError.
 """
 from __future__ import annotations
 
@@ -19,11 +21,7 @@ from .syntax import (
     Def, ECase, ELeaf, ELet, Expr, LCtor, LDup, LeftExpr, LVar, Program,
     lvars, walk,
 )
-
-
-class InversionError(Exception):
-    """A construct outside the expression grammar; unreachable for parsed
-    programs."""
+from .values import fold_tree
 
 
 def invert_name(fname: str) -> str:
@@ -32,7 +30,7 @@ def invert_name(fname: str) -> str:
 
 
 def invert_program(prog: Program) -> Program:
-    return Program(tuple(_invert_def(d) for d in prog.defs))
+    return Program(tuple(_invert_def(d) for d in prog.checked_defs.values()))
 
 
 def _invert_def(d: Def) -> Def:
@@ -41,72 +39,63 @@ def _invert_def(d: Def) -> Def:
     fresh = d.param + "'"
     while fresh in taken:
         fresh += "'"
-    # One branch per leaf of the body, in source order, with its cont: the
-    # expression that rebuilds the original input once the leaf's variables
-    # are recovered.  One loop over (expression, its cont).
-    branches: list[tuple[LeftExpr, Expr]] = []
-    todo = [(d.body, ELeaf(LVar(d.param)))]
+    # Every leaf of the body, in source order, with its path: the lets and
+    # case branches above it, nearest first, as a linked list
+    # ((step, pattern), rest) whose common prefixes the branches share.
+    leaves: list = []
+    todo = [(d.body, None)]
     while todo:
-        e, cont = todo.pop()
+        e, path = todo.pop()
         if type(e) is ELeaf:
-            branches.append((e.left, cont))
+            leaves.append((e.left, path))
         elif type(e) is ELet:
-            # let bound = f arg  undoes to  let arg = f! bound; rlet likewise
-            todo.append((e.body, ELet(e.arg, invert_name(e.fname), e.bound, cont, e.backward)))
-        elif type(e) is ECase:
-            todo += ((body, _mk_case(pat, [(e.scrutinee, cont)]))
-                     for pat, body in reversed(e.branches))
+            todo.append((e.body, ((e, None), path)))
+        else:                           # checked_defs has ruled out all but ECase
+            todo += ((body, ((e, pat), path)) for pat, body in reversed(e.branches))
+    if len(leaves) == 1 and type(leaves[0][0]) is LVar:     # case y of { v -> body } inlined
+        body = _undo(leaves[0][1], d.param, {leaves[0][0].name: LVar(fresh)})
+    else:
+        body = ECase(LVar(fresh), tuple((leaf, _undo(path, d.param, {})) for leaf, path in leaves))
+    return Def(invert_name(d.name), fresh, body)
+
+
+def _undo(path, param: str, env: dict[str, LeftExpr]) -> Expr:
+    """The expression that rebuilds param from one leaf, undoing its path
+    nearest step first; env maps a variable to what stands for it."""
+    frames = []
+    while path:
+        (step, pat), path = path
+        if type(step) is ELet:          # let bound = f arg  undoes to  let arg = f! bound
+            uses, binder = step.binds, step.uses
+        elif type(step.scrutinee) is LVar:  # case v of { pat -> ... }  undoes to  v := pat
+            env[step.scrutinee.name] = _rename(pat, env)
+            continue
         else:
-            raise InversionError(f"not an expression: {e!r}")
-    return Def(invert_name(d.name), fresh, _mk_case(LVar(fresh), branches))
+            uses, binder = pat, step.scrutinee
+        frames.append((step, _rename(uses, env)))
+        if env:                         # binder's names are bound again from here inward
+            for v in lvars(binder):
+                env.pop(v, None)
+    e = ELeaf(env.get(param, LVar(param)))
+    for step, uses in reversed(frames):
+        if type(step) is ECase:
+            e = ECase(uses, ((step.scrutinee, e),))
+        else:                           # rlet likewise, both sides swapped
+            bound, arg = (uses, step.bound) if step.backward else (step.arg, uses)
+            e = ELet(bound, invert_name(step.fname), arg, e, step.backward)
+    return e
 
 
-def _mk_case(scrut: LeftExpr, branches: list[tuple[LeftExpr, Expr]]) -> Expr:
-    if len(branches) == 1 and isinstance(branches[0][0], LVar):
-        pat, body = branches[0]
-        return _subst(body, pat.name, scrut)
-    return ECase(scrut, tuple(branches))
-
-
-def _subst(e: Expr, name: str, repl: LeftExpr) -> Expr:
-    """e[name := repl] for a variable name free in e.  Once used, name may be
-    bound again; the body under that binder is left as it is.
-
-    One loop: a node goes back on the stack as [node] under its parts, to be
-    rebuilt from their results, first on top; (node,) is kept as it is.
-    """
-    todo: list = [e]
-    built: list = []
-    while todo:
-        n = todo.pop()
-        kind = type(n)
-        if kind is tuple:
-            built.append(n[0])
-        elif kind is LVar:
-            built.append(repl if n.name == name else n)
-        elif kind is LCtor:
-            todo += ([n], *n.args)
-        elif kind is LDup or kind is ELeaf:
-            todo += ([n], n.arg if kind is LDup else n.left)
-        elif kind is ELet:
-            todo += ([n], n.uses, (n.body,) if name in lvars(n.binds) else n.body)
-        elif kind is ECase:
-            todo += ([n], n.scrutinee,
-                     *((b,) if name in lvars(p) else b for p, b in n.branches))
-        else:
-            n = n[0]
-            kind = type(n)
-            if kind is LCtor:
-                n = LCtor(n.ctor, tuple(built.pop() for _ in n.args), pos=n.pos)
-            elif kind is ELet:
-                n = n.with_uses(built.pop(), built.pop())
-            elif kind is ECase:
-                n = ECase(built.pop(), tuple((p, built.pop()) for p, _ in n.branches),
-                          pos=n.pos)
-            else:                       # an LDup or an ELeaf
-                n = kind(built.pop(), pos=n.pos)
-            built.append(n)
-    return built[0]
+def _rename(l: LeftExpr, env: dict[str, LeftExpr]) -> LeftExpr:
+    """l with each variable v in env replaced by env[v]."""
+    if not env:                     # nothing pending: l as it is, not a copy
+        return l
+    def build(n, args):
+        if type(n) is LCtor:
+            return LCtor(n.ctor, tuple(args), pos=n.pos)
+        return LDup(args[0], pos=n.pos) if type(n) is LDup else env.get(n.name, n)
+    return fold_tree(l, lambda n: (n, n.args if type(n) is LCtor else
+                                      (n.arg,) if type(n) is LDup else ()), build)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ loop over an explicit stack, so nesting depth costs heap, not Python stack.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Iterable, Iterator, NoReturn, Optional, Union
 
@@ -97,10 +97,6 @@ class ELet:
     def binds(self) -> LeftExpr:
         """The side the call binds: the other one."""
         return self.arg if self.backward else self.bound
-
-    def with_uses(self, uses: LeftExpr, body: "Expr") -> "ELet":
-        """This call, using uses and going on with body."""
-        return replace(self, body=body, **{"bound" if self.backward else "arg": uses})
 
 
 @dataclass(frozen=True)

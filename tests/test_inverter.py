@@ -1,11 +1,16 @@
 import random
+import time
+
+import pytest
 
 from rfun.inverter import alpha_eq, invert_name, invert_program
 from rfun.opsem import apply_backward, apply_forward
-from rfun.syntax import Program, check_static, parse_program, render_program
+from rfun.syntax import (
+    Program, StaticError, check_static, parse_program, render_program,
+)
 from rfun.values import Value, val
 
-from helpers import ARITH_VOCAB, FIXTURES, load_program, random_value
+from helpers import ARITH_VOCAB, FIXTURES, load_program, no_recursion, random_value
 from test_differential import gen_program
 
 Z = val("Z")
@@ -158,3 +163,66 @@ def test_rlet_inversion_roundtrip():
     inv = invert_program(p)
     assert check_static(inv) == []
     assert alpha_eq(invert_program(inv), p)
+
+
+# Program text -> the exact listing of its inverse.
+LISTINGS = [
+    ("f x =: x", "f! x' =:\n  x'\n"),
+    ("f x =: case x of { S(y) -> case y of { S(z) -> z } }",
+     "f! x' =:\n  S(S(x'))\n"),
+    # v bound again by a let
+    ("g y =: y; f v =: let v = g v in case v of { S(w) -> w }",
+     "g! y' =:\n  y';\n\n"
+     "f! v' =:\n  let v = g! S(v') in\n  v\n"),
+    # v bound again by a pattern; a non-variable scrutinee stays a case
+    ("g y =: y; h v =: case <v> of { <v> -> case v of { S(w) -> w } }",
+     "g! y' =:\n  y';\n\n"
+     "h! v' =:\n  case <S(v')> of {\n    <v> -> v\n  }\n"),
+    ("f x =: case |_ x _| of { <y> -> y; <y, z> -> <z, y> }",
+     "f! x' =:\n  case x' of {\n"
+     "    y ->\n      case <y> of {\n        |_ x _| -> x\n      };\n"
+     "    <z, y> ->\n      case <y, z> of {\n        |_ x _| -> x\n      }\n  }\n"),
+    ("f x =: case x of { <y> -> case |_ y _| of { <u> -> A(u); <u, v> -> B(u, v) } }",
+     "f! x' =:\n  case x' of {\n"
+     "    A(u) ->\n      case <u> of {\n        |_ y _| -> <y>\n      };\n"
+     "    B(u, v) ->\n      case <u, v> of {\n        |_ y _| -> <y>\n      }\n  }\n"),
+    ("g x =: x; f x =: rlet x = g y in case y of { S(z) -> <z> }",
+     "g! x' =:\n  x';\n\n"
+     "f! x' =:\n  case x' of {\n    <z> ->\n      rlet S(z) = g! x in\n      x\n  }\n"),
+    ("plus p =: case p of { <x, Z> -> |_ <x> _|;"
+     " <x, S(u)> -> let <x2, u2> = plus <x, u> in <x2, S(u2)> };"
+     " sub q =: rlet q = plus r in r",
+     "plus! p' =:\n  case p' of {\n    |_ <x> _| -> <x, Z>;\n"
+     "    <x2, S(u2)> ->\n      let <x, u> = plus! <x2, u2> in\n      <x, S(u)>\n  };\n\n"
+     "sub! q' =:\n  rlet q' = plus! q in\n  q\n"),
+]
+
+
+def test_inverse_listings():
+    for text, listing in LISTINGS:
+        assert render_program(invert_program(parse_program(text))) == listing, text
+
+
+def test_inverting_a_statically_invalid_program_raises():
+    # y is used twice, and so would be in the inverse, case x' of { <y, y> -> S(y) }
+    with pytest.raises(StaticError):
+        invert_program(parse_program("f x =: case x of { S(y) -> <y, y> }"))
+
+
+def test_inversion_is_linear_in_case_nesting():
+    n = 4000
+    p = parse_program("f x0 =: " + "".join(f"case x{i} of {{ S(x{i + 1}) -> " for i in range(n))
+                      + f"x{n}" + " }" * n)
+    started = time.perf_counter()
+    inv = no_recursion(invert_program, p)
+    elapsed = time.perf_counter() - started
+    assert no_recursion(render_program, inv) == "f! x0' =:\n  " + "S(" * n + "x0'" + ")" * n + "\n"
+    assert elapsed < 2.0, elapsed
+    # lets and cases alternate, each binding x again after its use, so the
+    # inverse's lets drop the renamings pending for x all the way down
+    half = n // 2
+    p = parse_program("g y =: y; f x =: " + "let x = g x in case x of { S(x) -> " * half
+                      + "x" + " }" * half)
+    closed = parse_program("g! y' =: y'; f! x' =: let x = g! S(x') in "
+                           + "let x = g! S(x) in " * (half - 1) + "x")
+    assert no_recursion(alpha_eq, no_recursion(invert_program, p), closed)
