@@ -1,7 +1,8 @@
 """Big-step operational semantics, forward and backward.
 
-Evaluation follows the judgement <q, sigma> |- e v v.  Both directions are
-run on one explicit work/continuation stack, so recursion depth in the object
+Evaluation follows the judgement <q, sigma> |- e v v.  One machine runs both
+directions on one explicit work/continuation stack (a let backward is the let
+forward with its sides and direction swapped), so recursion depth in the object
 language costs heap, not interpreter stack; only the pattern helpers
 (_take, _match) recurse, bounded by the pattern depth.  Values are hash-consed,
 so the equality test in |_ _| is one identity test at any value depth.
@@ -22,7 +23,7 @@ from typing import Optional, Union
 
 from .invcat import NO_FUEL as OUT_OF_FUEL, UNDEF as NO_MATCH, _Outcome
 from .syntax import (
-    Def, ECase, ELeaf, ELet, Expr, LCtor, LeftExpr, LVar,
+    Def, ECase, ELeaf, Expr, LCtor, LeftExpr, LVar,
     Program, StaticError, check_expr, lvars, render_value,
 )
 from .values import Value, dupeq_value
@@ -133,19 +134,19 @@ def _match(v: Value, l: LeftExpr, out: Subst) -> bool:
 # ---------------------------------------------------------------------------
 
 # Work items (pushed on one stack; "K_" frames consume the result register).
-# Every step that finds no match returns NO_MATCH at once: EVAL and UNEVAL
-# frames are only pushed on top of the stack, so nothing below could use it.
-#   ("EVAL", e, subst)            evaluate e, leaving a Value
-#   ("UNEVAL", e, v)              run e backward from v, leaving a Subst
-#   ("CALL", fname, backward)     apply fname, or its inverse, to the register
-#   ("K_BIND", binds, rest, body, fuel)    bind a call's result, go on
+# One machine runs both ways: the register holds what a frame runs on, a
+# Subst forward and a Value backward, and a run leaves the other.
+# Every step that finds no match returns NO_MATCH at once: RUN frames are
+# only pushed on top of the stack, so nothing below could use it.
+#   ("RUN", e, forward)           run e forward or backward
+#   ("CALL", let, forward)        take one side of a let, call, bind the other
+#   ("K_BIND", binds, rest, fuel, then)    bind a call's result, run then
 #   ("K_CASE", earlier_leaves)
-#   ("K_UNBODY", binds, uses, fname, backward)
-#   ("K_UNCALL", uses, rest, fuel)
-#   ("K_UNCASE", scrutinee, earlier_arms, pattern)
+#   ("K_UNCASE", scrutinee, earlier_arms, pattern)   rebuild, bind as K_BIND
 #   ("K_PROJ", param)             project a Subst back to the parameter value
-# A call runs its callee on one unit of fuel less; K_BIND and K_UNCALL
-# resume the caller with the fuel it had.
+# A let backward is the let forward with its sides and direction swapped, run
+# after its body.  A call runs its callee on one unit of fuel less; K_BIND
+# resumes the caller with the fuel it had (then is None backward).
 # Each step owns the substitution it takes and builds by removing the
 # variables it uses; what it leaves for later frames goes into a fresh dict.
 
@@ -158,59 +159,92 @@ def _def_for(defs: dict[str, Def], fname: str) -> Def:
     return d
 
 
-def _run(defs: dict[str, Def], work: list, fuel: int) -> EvalResult:
-    reg: Union[Value, Subst, None] = None
+def _run(defs: dict[str, Def], work: list, reg: Union[Value, Subst], fuel: int) -> EvalResult:
     while work:
         frame = work.pop()
         tag = frame[0]
 
-        if tag == "EVAL":
-            _, e, subst = frame
-            match e:
-                case ELeaf(left):
-                    reg = _take(subst, left)
+        if tag == "RUN" or tag == "CALL":
+            _, e, forward = frame
+            t = type(e)
+            if t is ELeaf:
+                if forward:
+                    reg = _take(reg, e.left)
                     if reg is None:
                         return NO_MATCH
-                case ELet():
-                    reg = _take(subst, e.uses)
-                    if reg is None:
+                else:
+                    sigma: Subst = {}
+                    if not _match(reg, e.left, sigma):
                         return NO_MATCH
-                    work.append(("K_BIND", e.binds, dict(subst), e.body, fuel))
-                    work.append(("CALL", e.fname, e.backward))
-                case ECase(scrut):
-                    v0 = _take(subst, scrut)
+                    reg = sigma
+            elif t is ECase:
+                if forward:
+                    v0 = _take(reg, e.scrutinee)
                     if v0 is None:
                         return NO_MATCH
                     for pat, body, _, earlier in e.arms:
-                        sigma: Subst = {}
+                        sigma = {}
                         if _match(v0, pat, sigma):
                             break
                     else:
                         return NO_MATCH
                     if earlier:
                         work.append(("K_CASE", earlier))
-                    sigma.update(subst)
-                    work.append(("EVAL", body, sigma))
+                    sigma.update(reg)
+                    reg = sigma
+                else:
+                    arms = e.arms
+                    for j, (pat, body, own, _) in enumerate(arms):
+                        if any(_match(reg, l, {}) for l in own):
+                            break
+                    else:
+                        return NO_MATCH
+                    work.append(("K_UNCASE", e.scrutinee, arms[:j], pat))
+                work.append(("RUN", body, forward))
+            elif tag == "RUN" and not forward:
+                # A let backward undoes its body, then its call.
+                work.append(("CALL", e, False))
+                work.append(("RUN", e.body, False))
+            else:                       # a let's call (see the table)
+                uses, binds, then, backward = (
+                    (e.uses, e.binds, e.body, e.backward) if forward
+                    else (e.binds, e.uses, None, not e.backward))
+                w = _take(reg, uses)
+                if w is None:
+                    return NO_MATCH
+                if fuel <= 0:
+                    return OUT_OF_FUEL
+                work.append(("K_BIND", binds, dict(reg), fuel, then))
+                fuel -= 1
+                d = defs[e.fname]
+                if backward:
+                    work.append(("K_PROJ", d.param))
+                else:
+                    w = {d.param: w}
+                work.append(("RUN", d.body, not backward))
+                reg = w
 
-        elif tag == "CALL":
-            if fuel <= 0:
-                return OUT_OF_FUEL
-            fuel -= 1
-            _, fname, backward = frame
-            d = defs[fname]
-            if backward:
-                work.append(("K_PROJ", d.param))
-                work.append(("UNEVAL", d.body, reg))
-            else:
-                work.append(("EVAL", d.body, {d.param: reg}))
-
-        elif tag == "K_BIND":
-            _, pat, rest, body, fuel = frame
+        elif tag == "K_BIND" or tag == "K_UNCASE":
+            if tag == "K_BIND":
+                _, pat, rest, fuel, then = frame
+            else:                       # rebuild the scrutinee, then bind it
+                _, pat, earlier_arms, arm = frame
+                v_scrut = _take(reg, arm)
+                if v_scrut is None:
+                    return NO_MATCH
+                for p, _, _, _ in earlier_arms:
+                    if _match(v_scrut, p, {}):
+                        raise FirstMatchViolation(
+                            "backward case input matches an earlier branch pattern: "
+                            f"{render_value(v_scrut)} vs pattern at {p.pos}")
+                rest, reg, then = reg, v_scrut, None
             sigma = {}
             if not _match(reg, pat, sigma):
                 return NO_MATCH
             sigma.update(rest)
-            work.append(("EVAL", body, sigma))
+            reg = sigma
+            if then is not None:
+                work.append(("RUN", then, True))
 
         elif tag == "K_CASE":
             for l in frame[1]:
@@ -218,61 +252,6 @@ def _run(defs: dict[str, Def], work: list, fuel: int) -> EvalResult:
                     raise FirstMatchViolation(
                         "case result matches a leaf of an earlier branch: "
                         f"{render_value(reg)} vs pattern at {l.pos}")
-
-        elif tag == "UNEVAL":
-            _, e, v = frame
-            match e:
-                case ELeaf(left):
-                    reg = {}
-                    if not _match(v, left, reg):
-                        return NO_MATCH
-                case ELet():
-                    work.append(("K_UNBODY", e.binds, e.uses, e.fname, e.backward))
-                    work.append(("UNEVAL", e.body, v))
-                case ECase(scrut):
-                    arms = e.arms
-                    for j, (pat, body, own, _) in enumerate(arms):
-                        if any(_match(v, l, {}) for l in own):
-                            break
-                    else:
-                        return NO_MATCH
-                    work.append(("K_UNCASE", scrut, arms[:j], pat))
-                    work.append(("UNEVAL", body, v))
-
-        elif tag == "K_UNBODY":
-            # After inverting a call's body: rebuild what the call bound, then
-            # run the call in the opposite direction to recover what it used.
-            _, binds, uses, fname, backward = frame
-            w = _take(reg, binds)
-            if w is None:
-                return NO_MATCH
-            work.append(("K_UNCALL", uses, dict(reg), fuel))
-            work.append(("CALL", fname, not backward))
-            reg = w
-
-        elif tag == "K_UNCALL":
-            _, uses, rest, fuel = frame
-            sigma = {}
-            if not _match(reg, uses, sigma):
-                return NO_MATCH
-            sigma.update(rest)
-            reg = sigma
-
-        elif tag == "K_UNCASE":
-            _, scrut, earlier_arms, pat = frame
-            v_scrut = _take(reg, pat)
-            if v_scrut is None:
-                return NO_MATCH
-            for p, _, _, _ in earlier_arms:
-                if _match(v_scrut, p, {}):
-                    raise FirstMatchViolation(
-                        "backward case input matches an earlier branch pattern: "
-                        f"{render_value(v_scrut)} vs pattern at {p.pos}")
-            sigma = {}
-            if not _match(v_scrut, scrut, sigma):
-                return NO_MATCH
-            sigma.update(reg)
-            reg = sigma
 
         elif tag == "K_PROJ":
             reg = reg[frame[1]]
@@ -296,19 +275,19 @@ def eval_expr(prog: Program, subst: Subst, e: Expr, fuel: int = DEFAULT_FUEL) ->
     violations = check_expr(e, subst, defs)
     if violations:
         raise StaticError(violations)
-    return _run(defs, [("EVAL", e, dict(subst))], fuel)
+    return _run(defs, [("RUN", e, True)], dict(subst), fuel)
 
 
 def apply_forward(prog: Program, fname: str, v: Value, fuel: int = DEFAULT_FUEL) -> EvalResult:
     defs = prog.checked_defs
     d = _def_for(defs, fname)
-    return _run(defs, [("EVAL", d.body, {d.param: v})], fuel)
+    return _run(defs, [("RUN", d.body, True)], {d.param: v}, fuel)
 
 
 def apply_backward(prog: Program, fname: str, v: Value, fuel: int = DEFAULT_FUEL) -> EvalResult:
-    """The u with apply_forward(prog, fname, u) = v, via a direct inverse
-    interpreter: leaves are matched against v under the symmetric first-match
-    policy, calls swap direction, cases run inside out."""
+    """The u with apply_forward(prog, fname, u) = v, via the machine run
+    backward: leaves are matched against v under the symmetric first-match
+    policy, lets swap sides and direction, cases run inside out."""
     defs = prog.checked_defs
     d = _def_for(defs, fname)
-    return _run(defs, [("K_PROJ", d.param), ("UNEVAL", d.body, v)], fuel)
+    return _run(defs, [("K_PROJ", d.param), ("RUN", d.body, False)], v, fuel)

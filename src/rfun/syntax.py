@@ -610,9 +610,11 @@ def _check_expr(e: Expr, env: dict[str, Optional[Pos]], out: list[Violation],
             _consume(e.uses, env, out, where)
             _bind(e.binds, env, out, where, "binder")
             todo.append((e.body, env))
-        else:
+        elif type(e) is ECase:
             _consume(e.scrutinee, env, out, where)
             todo += ((branch, dict(env)) for branch in reversed(e.branches))
+        else:
+            raise TypeError(f"not an expression in {where!r}: {e!r}")
 
 
 # ---------------------------------------------------------------------------

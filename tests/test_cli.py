@@ -113,6 +113,8 @@ def test_deeply_chained_lets_run_check_and_invert(tmp_path):
     prog.write_text(text)
     r = rfun("run", str(prog), "--entry", "f", "--input", "S(Z)")
     assert (r.returncode, r.stdout, r.stderr) == (0, "S(Z)\n", "")
+    r = rfun("run", str(prog), "--entry", "f", "--backward", "--input", "S(Z)")
+    assert (r.returncode, r.stdout, r.stderr) == (0, "S(Z)\n", "")
     r = rfun("check", str(prog), "--entry", "f", "--samples", "2")
     assert (r.returncode, r.stdout, r.stderr) == (0, "f: 2 cases, 0 mismatches\n", "")
     r = rfun("invert", str(prog))

@@ -224,13 +224,14 @@ def test_plus_backward_no_match():
     assert apply_backward(p, "plus", Z) is NO_MATCH
 
 
-def test_backward_of_rlet():
-    # sub runs plus backward through an rlet; inverting sub runs plus forward
-    p = parse_program(
-        "plus p =: case p of { <x, Z> -> |_ <x> _|;"
+# sub runs plus backward through an rlet; inverting sub runs plus forward
+RLET = ("plus p =: case p of { <x, Z> -> |_ <x> _|;"
         " <x, S(u)> -> let <x', u'> = plus <x, u> in <x', S(u')> };"
-        "sub q =: rlet q = plus r in r"
-    )
+        "sub q =: rlet q = plus r in r")
+
+
+def test_backward_of_rlet():
+    p = parse_program(RLET)
     r = apply_forward(p, "sub", tup(peano(2), peano(5)))
     assert r == tup(peano(2), peano(3))
     assert apply_backward(p, "sub", tup(peano(2), peano(3))) == tup(peano(2), peano(5))
@@ -306,3 +307,36 @@ def test_deep_recursion_uses_heap_not_stack():
     r = no_recursion(apply_forward, p, "plus", tup(peano(1), peano(3000)), fuel=5000)
     assert isinstance(r, Value)
     assert unpeano(r.args[1]) == 3001
+
+
+def test_deep_backward_recursion_uses_heap_not_stack():
+    p = load_program("arith.rfun")
+    v = tup(peano(1), peano(3001))
+    assert no_recursion(apply_backward, p, "plus", v, fuel=2999) is OUT_OF_FUEL
+    r = no_recursion(apply_backward, p, "plus", v, fuel=3000)
+    assert r == tup(peano(1), peano(3000))
+
+
+def _least_fuel(run):
+    fuel = 0
+    while run(fuel) is OUT_OF_FUEL:
+        fuel += 1
+    return fuel
+
+
+def test_least_fuel_of_fib_both_ways():
+    # fib n nests its deepest call chain through plus, so the least fuel
+    # grows with the Fibonacci numbers; backward needs exactly as much.
+    p = load_program("arith.rfun")
+    want = [0, 2, 3, 4, 5, 6, 9, 14, 22]
+    for n, least in enumerate(want):
+        out = apply_forward(p, "fib", peano(n))
+        assert _least_fuel(lambda f: apply_forward(p, "fib", peano(n), fuel=f)) == least
+        assert _least_fuel(lambda f: apply_backward(p, "fib", out, fuel=f)) == least
+
+
+def test_least_fuel_of_rlet_both_ways():
+    p = parse_program(RLET)
+    u, v = tup(peano(2), peano(5)), tup(peano(2), peano(3))
+    assert _least_fuel(lambda f: apply_forward(p, "sub", u, fuel=f)) == 4
+    assert _least_fuel(lambda f: apply_backward(p, "sub", v, fuel=f)) == 4

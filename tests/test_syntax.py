@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rfun.syntax import (
-    Def, ECase, ELeaf, ELet, LCtor, LDup, LVar, ParseError,
+    Def, ECase, ELeaf, ELet, LCtor, LDup, LVar, ParseError, Program,
     check_static, leaves, lvars, parse_program, parse_value, render_program,
     render_value,
 )
@@ -13,7 +13,7 @@ from rfun.densem import SymbolTable, function_morphism, run_denotation, sem_prog
 from rfun.harness import vocabulary
 from rfun.inverter import alpha_eq, invert_program
 from rfun.opsem import apply_forward
-from rfun.values import TUPLE
+from rfun.values import TUPLE, Value
 
 from helpers import ARITH_VOCAB, FIXTURES, load_program, no_recursion, random_value
 
@@ -194,6 +194,18 @@ def test_shadowing_live_variable_is_rejected():
 def test_case_pattern_shadowing_live_variable_is_rejected():
     p = parse_program("f p =: case p of { <x, y> -> case y of { x -> <x> } }")
     assert [v.kind for v in check_static(p)] == ["linearity"]
+
+
+@pytest.mark.parametrize("body, bad", [(42, 42), (ELet(LVar("y"), "f", LVar("x"), "oops"), "oops")],
+                         ids=["body", "let-body"])
+def test_a_node_that_is_not_an_expression_is_a_type_error(body, bad):
+    # A hand-built AST can hold anything; every pass that checks the program
+    # names the definition and the node instead of failing inside the check.
+    p = Program((Def("f", "x", body),))
+    for use in (check_static, invert_program, sem_program,
+                lambda p: apply_forward(p, "f", Value("Z", ()))):
+        with pytest.raises(TypeError, match=re.escape(f"not an expression in 'f': {bad!r}")):
+            use(p)
 
 
 # ---------------------------------------------------------------------------
