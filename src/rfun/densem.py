@@ -8,9 +8,9 @@ T(S)^{+n}; a program is the least fixed point of the scheme assembling the
 sum of its definition bodies.
 
 Denotations are invcat nodes, run by its evaluator; the case of the
-symmetric first-match policy is a node of its own (Case), its forward and
-backward rules generator frames.  A symbol is a primitive point of S whose
-inverse, an equality test, is given as data.
+symmetric first-match policy is a node of its own (Case), whose one rule,
+a generator of frames, serves both directions.  A symbol is a primitive
+point of S whose inverse, an equality test, is given as data.
 
 Wire discipline: a layout is a variable name (one wire, T(S)), () (the unit
 object) or a pair of layouts (their product); a flat context of k names is
@@ -386,8 +386,9 @@ def sem_expr(e: Expr, ctx: tuple[str, ...], xi: Morph,
             built.append(compose_all(_sem_left(e.left, layout, tbl), *reversed(before)))
             continue
         if kind is tuple:               # a case's arms, after the map into rest * T(S)
-            arms = tuple((dagger(_sem_left(pat, _wires(lvars(pat)), tbl)), built.pop(), own,
-                          isinstance(body, ELeaf)) for pat, body, own, _ in e)
+            rest = identity(before[-1].tgt.left)
+            arms = tuple((otimes(rest, dagger(_sem_left(pat, _wires(lvars(pat)), tbl))),
+                          built.pop(), own, isinstance(body, ELeaf)) for pat, body, own, _ in e)
             # Not a join of the arms: the case commits to the first arm
             # whose pattern (forward) or leaf (backward) matches and raises
             # IncompatibleJoin on a value that an earlier arm claims.
@@ -418,67 +419,50 @@ def sem_expr(e: Expr, ctx: tuple[str, ...], xi: Morph,
 class Case(Node):
     """rest * T(S) -> T(S): a case under the symmetric first-match policy.
 
-    Each arm is (split, body, leaves, leaf_body): split, the dagger of the
-    pattern, takes the scrutinee to the pattern's wires P; body maps rest * P
-    to T(S); leaves are the body's leaves; leaf_body says the body is one leaf.
+    Each arm is (enter, body, leaves, leaf_body): enter = id_rest * pattern^
+    takes rest * T(S) to rest * P, P the pattern's wires; body maps rest * P
+    to T(S); leaves are the body's leaves; leaf_body says the body is one
+    leaf.  An arm runs as body . enter forward and enter^ . body^ backward.
     As in the interpreter, forward commits to the first arm whose pattern
-    matches, and flags a result matching a leaf of an earlier arm; backward
-    commits to the first arm with a leaf matching, and flags a recovered
-    scrutinee matching an earlier pattern.  A committed arm does not fall
-    through, and a flag raises IncompatibleJoin, so the dagger is the case
-    of the inverted program.
+    matches and flags a result matching a leaf of an earlier arm; backward
+    commits to the first arm with a leaf matching and flags a recovered input
+    matching an earlier pattern.  A committed arm does not fall through and a
+    flag raises IncompatibleJoin, so the rule is self-dual: the dagger is the
+    case of the inverted program.
     """
     __slots__ = ("arms", "tbl", "tests")
 
     def frames(self, forward, x, fuel):
-        return self._forward(x) if forward else self._backward(x)
+        # An arm's first map decides the commit where it is undefined exactly
+        # off the arm: enter, a one-leaf body^, and any map of the last arm
+        # (undefined there is undefined either way).  Else the leaf test does.
+        for i, (enter, body, _, leaf_body) in enumerate(self.arms):
+            decides = forward or leaf_body or i == len(self.arms) - 1
+            if not decides and (yield self.test(i, False), True, x) is UNDEF:
+                continue
+            y = yield (enter if forward else body), forward, x
+            if y is UNDEF and decides:
+                continue
+            if type(y) is not _Outcome:
+                y = yield (body if forward else enter), forward, y
+            if type(y) is not _Outcome:
+                for j in range(i):      # the earlier arms' tests from the other side
+                    if (yield self.test(j, not forward), True, y) is not UNDEF:
+                        raise IncompatibleJoin(
+                            f"case result of arm {i} matches a leaf of arm {j}" if forward
+                            else f"case input recovered by arm {i} matches the pattern of arm {j}")
+            return y
+        return UNDEF
 
-    def leaf_test(self, i: int) -> Morph:
-        """The guard of the trees that match a leaf of arm i; built on first use."""
+    def test(self, i: int, pattern: bool) -> Morph:
+        """Arm i's enter map if pattern, else the guard of the trees that
+        match a leaf of arm i, built on first use."""
+        if pattern:
+            return self.arms[i][0]
         if self.tests[i] is None:
             guards = [pattern_idem(l, self.tbl) for l in self.arms[i][2]]
             self.tests[i] = guards[0] if len(guards) == 1 else join(guards)
         return self.tests[i]
-
-    def _forward(self, x):
-        for i, (split, body, _, _) in enumerate(self.arms):
-            p = yield split, True, x.snd
-            if p is UNDEF:
-                continue
-            y = yield body, True, Pair(x.fst, p)
-            if type(y) is not _Outcome:
-                for j in range(i):
-                    if (yield self.leaf_test(j), True, y) is not UNDEF:
-                        raise IncompatibleJoin(
-                            f"case result of arm {i} matches a leaf of arm {j}")
-            return y
-        return UNDEF
-
-    def _backward(self, y):
-        last = len(self.arms) - 1
-        for i, (split, body, _, leaf_body) in enumerate(self.arms):
-            if leaf_body or i == last:
-                # the body's own leaf match decides the commit; on the last
-                # arm an undefined body is undefined either way
-                z = yield body, False, y
-                if z is UNDEF:
-                    continue
-            elif (yield self.leaf_test(i), True, y) is not UNDEF:
-                z = yield body, False, y
-            else:
-                continue
-            if type(z) is _Outcome:
-                return z
-            s = yield split, False, z.snd
-            if type(s) is _Outcome:
-                return s
-            for j in range(i):
-                if (yield self.arms[j][0], True, s) is not UNDEF:
-                    raise IncompatibleJoin(
-                        f"case input recovered by arm {i} matches the "
-                        f"pattern of arm {j}")
-            return Pair(z.fst, s)
-        return UNDEF
 
 
 # ---------------------------------------------------------------------------

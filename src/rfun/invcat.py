@@ -18,8 +18,8 @@ on an explicit stack of frames, so no evaluation recurses in Python.  The
 combinators commute with the dagger ((g . f)^ = f^ . g^, and likewise for
 the others), so the dagger is a direction flag that ``run`` flips, and
 each combinator's rule is written once for both directions.  The unit laws
-are applied when a morphism is built: composing with an identity returns
-the other side, and the tensor of two identities is an identity.
+are applied when a morphism is built (identities drop out of a composite,
+two identities tensor to one) and when run enters id * f, by f alone.
 
 The three-valued outcome separates decidable failure (UNDEF, stable under
 more fuel) from exhausted recursion (NO_FUEL, which more fuel may refine).
@@ -781,8 +781,12 @@ def run(m: Morph, forward: bool, x: Elem, fuel: int) -> Union[Elem, _Outcome]:
             elif kind is Otimes:
                 if type(x) is not Pair:
                     raise TypeMismatch(f"not a product element: {x!r}")
-                push((_TIMES, m.right, x.snd, d, fuel))
-                m, x = m.left, x.fst
+                if type(m.left) is Morph and m.left.fwd is m.left.bwd is _same:
+                    push((_PAIR, x.fst))    # id * f: f on the right part
+                    m, x = m.right, x.snd
+                else:
+                    push((_TIMES, m.right, x.snd, d, fuel))
+                    m, x = m.left, x.fst
             elif kind is Dagger:
                 m, d = m.inner, not d
             elif kind is Oplus:

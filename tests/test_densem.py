@@ -599,6 +599,61 @@ def test_bad_first_match_dagger_follows_apply_backward():
         run_denotation(bad, val("S", val("Z")), tbl)
 
 
+TWO_LEAF_ARM = "h x =: case x of { S(u) -> case u of { Z -> B; S(v) -> W(v) }; Z -> W(Z) }"
+
+
+def _both_semantics(src, fname):
+    """apply(v, forward) for the interpreter and for the denotation."""
+    prog = parse_program(src)
+    tbl = SymbolTable.from_program(prog)
+    m = function_morphism(prog, fname, tbl)
+
+    def opsem_apply(v, forward):
+        return (apply_forward if forward else apply_backward)(prog, fname, v)
+
+    def densem_apply(v, forward):
+        return run_denotation(m if forward else dagger(m), v, tbl)
+    return opsem_apply, densem_apply
+
+
+@pytest.mark.parametrize("semantics", ["opsem", "densem"])
+def test_case_with_a_two_leaf_arm_both_ways(semantics):
+    # arm 0's body has two leaves, so its leaf test is a join of two guards
+    from rfun.invcat import IncompatibleJoin
+    from rfun.opsem import FirstMatchViolation
+    op, den = _both_semantics(TWO_LEAF_ARM, "h")
+    apply = den if semantics == "densem" else op
+    with pytest.raises((FirstMatchViolation, IncompatibleJoin)):
+        apply(val("Z"), True)       # W(Z) matches arm 0's leaf W(v)
+    assert apply(parse_value("S(Z)"), True) == val("B")
+    assert apply(parse_value("S(S(B))"), True) == parse_value("W(B)")
+    assert apply(val("B"), True) is UNDEF
+    assert apply(val("B"), False) == parse_value("S(Z)")
+    assert apply(parse_value("W(Z)"), False) == parse_value("S(S(Z))")
+    assert apply(val("Z"), False) is UNDEF
+
+
+def test_case_violation_messages_both_ways():
+    from rfun.invcat import IncompatibleJoin
+    from rfun.opsem import FirstMatchViolation
+    op, den = _both_semantics(TWO_LEAF_ARM, "h")
+    with pytest.raises(IncompatibleJoin) as exc:
+        den(val("Z"), True)
+    assert str(exc.value) == "case result of arm 1 matches a leaf of arm 0"
+    with pytest.raises(FirstMatchViolation) as exc:
+        op(val("Z"), True)
+    assert str(exc.value) == ("case result matches a leaf of an earlier branch: "
+                              "W(Z) vs pattern at (1, 56)")
+    op, den = _both_semantics("k x =: case x of { S(Z) -> A; S(u) -> W(u) }", "k")
+    with pytest.raises(IncompatibleJoin) as exc:
+        den(parse_value("W(Z)"), False)
+    assert str(exc.value) == "case input recovered by arm 1 matches the pattern of arm 0"
+    with pytest.raises(FirstMatchViolation) as exc:
+        op(parse_value("W(Z)"), False)
+    assert str(exc.value) == ("backward case input matches an earlier branch pattern: "
+                              "S(Z) vs pattern at (1, 20)")
+
+
 def test_sem_program_requires_static_validity():
     from rfun.syntax import StaticError
     bad = parse_program("f x =: <x, x>")

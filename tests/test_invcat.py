@@ -338,6 +338,14 @@ def test_otimes_undefined_if_either_side_is():
     g = identity(BOOL)
     m = otimes(f, g)
     assert m.fwd(Pair(InL(STAR), InR(STAR)), FUEL) is UNDEF
+    # an identity on the left: the right part alone decides
+    p = Pair(InL(STAR), InR(STAR))
+    for right, out in ((f, UNDEF), (fix(lambda r: r, BOOL, BOOL), NO_FUEL)):
+        m = otimes(identity(BOOL), right)
+        assert m.fwd(p, 3) is out and m.bwd(p, 3) is out and dagger(m).fwd(p, 3) is out
+    for run_m in (m.fwd, m.bwd):
+        with pytest.raises(TypeMismatch):
+            run_m(InL(STAR), 3)
 
 
 def test_delta_speciality():
