@@ -165,9 +165,6 @@ def main(argv=None) -> None:
     except RfunRuntimeError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         code = EXIT_FAULT
-    except RecursionError:      # the interpreter's pattern helpers recurse per constructor
-        print("fault: the program nests too deeply", file=sys.stderr)
-        code = EXIT_FAULT
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_FAULT
     sys.exit(code)

@@ -122,19 +122,19 @@ def test_deeply_chained_lets_run_check_and_invert(tmp_path):
     assert alpha_eq(parse_program(r.stdout), invert_program(parse_program(text)))
 
 
-def test_too_deeply_nested_program_is_a_clean_fault(tmp_path):
-    # The interpreter's pattern helpers recurse once per constructor, so a
-    # leaf 5,000 constructors deep exceeds the default recursion limit in
-    # run and check; the CLI reports that as a fault, not a traceback.
-    # Inversion and its printer do not match values, so that one runs.
+def test_deeply_nested_leaf_runs_checks_and_inverts(tmp_path):
+    # The interpreter builds and matches left expressions in loops, so a
+    # leaf 5,000 constructors deep runs both ways and checks against the
+    # denotation; inversion and its printer take it too.
     leaf = "S(" * 5000 + "Z" + ")" * 5000
     prog = tmp_path / "deep.rfun"
     prog.write_text(f"f x =: case x of {{ Z -> {leaf}; S(y) -> S(y) }}")
-    for args in (("run", str(prog), "--entry", "f", "--input", "Z"),
-                 ("check", str(prog), "--entry", "f")):
-        r = rfun(*args)
-        assert (r.returncode, r.stdout) == (1, "")
-        assert r.stderr == "fault: the program nests too deeply\n"
+    r = rfun("run", str(prog), "--entry", "f", "--input", "Z")
+    assert (r.returncode, r.stdout, r.stderr) == (0, leaf + "\n", "")
+    r = rfun("run", str(prog), "--entry", "f", "--backward", "--input", leaf)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "Z\n", "")
+    r = rfun("check", str(prog), "--entry", "f")
+    assert (r.returncode, r.stdout, r.stderr) == (0, "f: 50 cases, 0 mismatches\n", "")
     r = rfun("invert", str(prog))
     assert (r.returncode, r.stderr) == (0, "")
     assert r.stdout == ("f! x' =:\n  case x' of {\n    " + leaf

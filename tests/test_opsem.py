@@ -64,6 +64,15 @@ def test_match_through_dupeq():
     assert match_pattern(tup(Z, SZ), LDup(LCtor(TUPLE, (LVar("x"),)))) is None
 
 
+def test_deep_left_expression_builds_and_matches_without_recursion():
+    l = LVar("x")
+    for _ in range(5000):
+        l = LCtor("S", (l,))
+    assert no_recursion(instantiate, {"x": Z}, l) == peano(5000)
+    assert no_recursion(match_pattern, peano(5001), l) == {"x": SZ}
+    assert no_recursion(match_pattern, peano(4999), l) is None
+
+
 def test_match_instantiate_galois_seeded():
     rng = random.Random(11)
     patterns = [
@@ -307,6 +316,23 @@ def test_deep_recursion_uses_heap_not_stack():
     r = no_recursion(apply_forward, p, "plus", tup(peano(1), peano(3000)), fuel=5000)
     assert isinstance(r, Value)
     assert unpeano(r.args[1]) == 3001
+
+
+def test_deep_leaf_runs_both_ways_without_recursion():
+    leaf = "S(" * 5000 + "Z" + ")" * 5000
+    p = parse_program(f"f x =: case x of {{ Z -> {leaf}; S(y) -> S(y) }}")
+    assert no_recursion(apply_forward, p, "f", Z) == peano(5000)
+    assert no_recursion(apply_backward, p, "f", peano(5000)) == Z
+    assert no_recursion(apply_backward, p, "f", SZ) == SZ
+
+
+def test_a_name_bound_again_reuses_its_slot():
+    # x is consumed and bound again three times; each binding reuses x's slot.
+    p = parse_program("id x =: x; g x =: let x = id x in"
+                      " case x of { S(x) -> let x = id x in S(x); Z -> Z }")
+    for v in (Z, peano(2)):
+        assert apply_forward(p, "g", v) == v
+        assert apply_backward(p, "g", v) == v
 
 
 def test_deep_backward_recursion_uses_heap_not_stack():
