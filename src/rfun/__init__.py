@@ -5,7 +5,7 @@ and compile them to fuel-bounded partial injections whose behaviour is
 cross-checked against the interpreter.
 """
 
-from .values import TUPLE, Value, dupeq_value, tup, val, value_eq
+from .values import TUPLE, Value, dupeq_value, tup, val
 from .syntax import (
     Def, ECase, ELeaf, ELet, LCtor, LDup, LVar, ParseError, Program,
     StaticError, check_static, check_static_or_raise, leaves, parse_program,
@@ -32,7 +32,7 @@ def run_deep(fn, *args, **kwargs):
 
 
 __all__ = [
-    "TUPLE", "Value", "dupeq_value", "render_value", "tup", "val", "value_eq",
+    "TUPLE", "Value", "dupeq_value", "render_value", "tup", "val",
     "Def", "ECase", "ELeaf", "ELet", "LCtor", "LDup", "LVar",
     "ParseError", "Program", "StaticError", "check_static",
     "check_static_or_raise", "leaves", "parse_program", "parse_value",

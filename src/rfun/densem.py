@@ -9,8 +9,9 @@ sum of its definition bodies.
 
 Denotations are invcat nodes, run by its evaluator; the case of the
 symmetric first-match policy is a node of its own (Case), whose one rule,
-a generator of frames, serves both directions.  A symbol is a primitive
-point of S whose inverse, an equality test, is given as data.
+a generator of frames, serves both directions.  A symbol is the primitive
+point of S given by one equation, STAR = its element, so it fuses with the
+maps around it like every other primitive.
 
 Wire discipline: a layout is a variable name (one wire, T(S)), () (the unit
 object) or a pair of layouts (their product); a flat context of k names is
@@ -29,8 +30,8 @@ from functools import lru_cache, reduce
 from .invcat import (
     ONE, UNDEF, Elem, FirstJoin, Hole, IncompatibleJoin, InL, InR, Morph, Node,
     ObjDesc, Pair, Prod, Roll, STAR, _Outcome, _sum_all, complement, compose,
-    compose_all, dagger, delta, equations, fix, fold, identity, inj_n, join,
-    obj_L, obj_S, obj_T, oplus_all, otimes, prod_unitl, restrict,
+    compose_all, dagger, delta, fix, fold, identity, inj_n, join, obj_L,
+    obj_S, obj_T, oplus_all, otimes, primitive, prod_unitl, restrict,
 )
 from .opsem import DEFAULT_FUEL, UnknownFunction
 from .syntax import (
@@ -247,7 +248,7 @@ def _rewire(src: tuple, tgt: tuple) -> Morph:
     if src == tgt:
         return identity(_obj(src))
     src_shape, tgt_shape = (_build(f, lambda w: Hole(w) if w else STAR, Pair) for f in (src, tgt))
-    return Morph(_obj(src), _obj(tgt), *equations((src_shape, tgt_shape)), "wire")
+    return primitive(_obj(src), _obj(tgt), ((src_shape, tgt_shape),), "wire")
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +257,13 @@ def _rewire(src: tuple, tgt: tuple) -> Morph:
 
 def symbol_morphism(name: str, tbl: SymbolTable) -> Morph:
     """The total injection 1 -> S identifying the symbol; its dagger asserts it."""
-    # A point of S: its inverse, an equality test, is given as data.
-    sym = sym_elem(tbl.index(name))
-    return Morph(ONE, S, lambda x, fuel: sym,
-                 lambda y, fuel: STAR if y == sym else UNDEF, "symbol")
+    return _symbol(tbl.index(name))
+
+
+@lru_cache(maxsize=1024)
+def _symbol(index: int) -> Morph:
+    """A point of S, given by one equation, STAR = the symbol's element."""
+    return primitive(ONE, S, ((STAR, sym_elem(index)),), "symbol")
 
 
 @lru_cache(maxsize=None)
@@ -274,7 +278,7 @@ def pack(n: int, obj: ObjDesc = TS) -> Morph:
         x = Hole(f"x{i}")
         shape, src = (x, obj) if i == n - 1 else (Pair(x, shape), Prod(obj, src))
         lst = Roll(InR(Pair(x, lst)))
-    return Morph(src, obj_L(obj), *equations((shape, lst)), "pack")
+    return primitive(src, obj_L(obj), ((shape, lst),), "pack")
 
 
 def unpack(n: int, obj: ObjDesc = TS) -> Morph:

@@ -8,8 +8,11 @@ element, ``UNDEF`` or ``NO_FUEL`` both ways, through ``m.fwd`` and
 is defined, ``bwd(y) = x`` and conversely.
 
 A primitive morphism (``Morph``: the structural isos, the injections,
-duplication) is given by its equations between element shapes, which
-``equations`` reads both ways into its two evaluators.  Every
+duplication) is given by its equations between element shapes, which it
+keeps as data and ``equations`` reads both ways into its two evaluators.
+Composition, both tensors and the dagger of such primitives fuse them into
+one by rewriting the equations (``_fused``), so a subterm with no other
+combinator runs as one generated function per direction.  Every other
 combinator builds a ``Node`` that holds its parts as data: an n-ary
 composition (flattened when built), the dagger, both tensors, joins, guards
 (restriction idempotents and their complements), trace and the fixed-point
@@ -28,7 +31,9 @@ The interpreter's NO_MATCH and OUT_OF_FUEL are these same two objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import count
+from types import FunctionType
 from typing import Callable, Optional, Union
 
 # ---------------------------------------------------------------------------
@@ -218,7 +223,10 @@ class _Element:
                     todo.append((a.snd, b.snd))
                     a, b = a.fst, b.fst
                     continue
-                if kind is not Star:
+                if kind is Hole:
+                    if a != b:
+                        return False
+                elif kind is not Star:
                     a, b = a.value, b.value
                     continue
             if not todo:
@@ -276,42 +284,58 @@ STAR = Star()
 # ---------------------------------------------------------------------------
 
 class Hole(str):
-    """A named leaf of an element shape, an element with holes."""
+    """A named leaf of an element shape, an element with holes.  Holes are
+    equal when their names are, alone or inside shapes."""
     __slots__ = __match_args__ = ()
-    h = 0
+    h = property(str.__hash__)
 
 
 _A, _B, _C = Hole("a"), Hole("b"), Hole("c")
 _FLAT = 16      # the deepest expression code holds before a variable names it
 
 
-def _text(e, at: Optional[dict] = None, code: Optional[list] = None) -> str:
+def _text(e, at: Optional[dict] = None, code: Optional[list] = None,
+          consts: Optional[list] = None) -> str:
     """Constructor text of an element or shape, built children first.  As
-    code, given at, the variable of each hole, and code, the lines before
-    it, the unit is STAR and a variable names each expression _FLAT deep."""
-    built, todo = [], [e]
+    code, given at, the variable of each hole, code, the lines before it, and
+    consts, the list that receives each largest part with no hole (named
+    k0, k1, ... in order), the unit is STAR and a variable names each
+    expression _FLAT deep."""
+    def name(part) -> str:
+        consts.append(part)
+        return f"k{len(consts) - 1}"
+
+    built, todo = [], [e]               # built: (text, depth, the part if hole-free)
     while todo:
         e = todo.pop()
-        if type(e) is type:             # a constructor, over its built parts
+        if type(e) is tuple:            # a constructor, over its built parts
+            e, = e
             n = len(built) - len(e.__match_args__)
-            text = f"{e.__name__}({', '.join(t for t, _ in built[n:])})"
-            depth = 1 + max((d for _, d in built[n:]), default=0)
+            if at is not None and all(p is not None for _, _, p in built[n:]):
+                built[n:] = [(None, 0, e)]      # named, if at all, as a whole
+                continue
+            texts = [name(p) if t is None else t for t, _, p in built[n:]]
+            text = f"{type(e).__name__}({', '.join(texts)})"
+            depth = 1 + max((d for _, d, _ in built[n:]), default=0)
             if code is not None and depth == _FLAT:
                 code.append(f"t{len(code)} = {text}")
                 text, depth = f"t{len(code) - 1}", 0
-            built[n:] = [(text, depth)]
+            built[n:] = [(text, depth, None)]
         elif type(e) is Hole:
-            built.append((e if at is None else at[e], 0))
+            built.append((e if at is None else at[e], 0, None))
         elif type(e) is Star and at is not None:
-            built.append(("STAR", 0))
+            built.append(("STAR", 0, e))
         else:
-            todo += (type(e), *(getattr(e, p) for p in reversed(e.__match_args__)))
-    return built[0][0]
+            todo += ((e,), *(getattr(e, p) for p in reversed(e.__match_args__)))
+    text, _, whole = built[0]
+    return name(whole) if text is None else text
 
 
-def _clause(lhs, rhs) -> str:
+def _clause(lhs, rhs, consts: list) -> str:
     """Code returning rhs built from an element x of the shape lhs, else breaking.
-    Variables name expressions _FLAT deep, and no hole, so shapes alike share it."""
+    Variables name each pair below the top and expressions _FLAT deep, and no
+    hole, so shapes alike share it; the parts of rhs with no hole are
+    constants, appended to consts."""
     code, at, todo = [], {}, [("x", 0, lhs)]
     while todo:                         # parents first, so tests guard reads
         var, depth, e = todo.pop()
@@ -321,11 +345,11 @@ def _clause(lhs, rhs) -> str:
             at.setdefault(e, var)
         elif type(e) is InL or type(e) is InR:
             code.append(f"if type({var}) is not {type(e).__name__}: break")
-        if depth == _FLAT and e.__match_args__:
+        if (depth == _FLAT or type(e) is Pair and depth > 1) and e.__match_args__:
             code.append(f"t{len(code)} = {var}")
             var, depth = f"t{len(code) - 1}", 0
         todo += ((f"{var}.{part}", depth + 1, getattr(e, part)) for part in e.__match_args__)
-    built = _text(rhs, at, code)
+    built = _text(rhs, at, code, consts)
     return "    while True:\n" + "".join(f"        {ln}\n" for ln in code + [f"return {built}"])
 
 
@@ -334,21 +358,197 @@ def equations(*eqs: tuple[Elem, Elem]) -> tuple[Evaluator, Evaluator]:
     shapes: forward reads each left to right, backward right to left, and the
     first side that matches (its sum tags, and equal elements at a hole met
     twice; the object guarantees the rest) answers, else UNDEF."""
-    try:                                # a clause is a loop left by break
-        return tuple(evaluator("".join(_clause(*eq) for eq in sides) + "    return UNDEF\n")
-                     for sides in (eqs, [(rhs, lhs) for lhs, rhs in eqs]))
+    return _compiled(eqs, True), _compiled(eqs, False)
+
+
+def _compiled(eqs, forward: bool) -> Evaluator:
+    """The evaluator reading each equation left to right if forward, else
+    right to left."""
+    consts: list = []                   # a clause is a loop left by break
+    try:
+        body = "".join(_clause(*(eq if forward else eq[::-1]), consts) for eq in eqs)
     except KeyError as hole:
         raise TypeMismatch(f"hole {hole} is on one side of an equation only") from None
+    shared = evaluator(body + "    return UNDEF\n", len(consts))
+    if not consts:
+        return shared
+    return FunctionType(shared.__code__, shared.__globals__, None, tuple(consts))
 
 
 @lru_cache(maxsize=1024)
-def evaluator(body: str) -> Evaluator:
-    """The function of x and fuel with this body, once per text."""
-    exec(f"def evaluate(x, fuel):\n{body}", globals(), scope := {})
+def evaluator(body: str, n: int = 0) -> Evaluator:
+    """The function of x and fuel with this body, and of its n constants
+    k0, k1, ..., which a caller gives as the defaults of a copy; compiled
+    once per text."""
+    params = "".join(f", k{i}" for i in range(n))
+    exec(f"def evaluate(x, fuel{params}):\n{body}", globals(), scope := {})
     return scope["evaluate"]
 
 
-_NOTHING = equations()
+# ---------------------------------------------------------------------------
+# Fusion: primitives combined by their equations
+# ---------------------------------------------------------------------------
+
+_MAX_CLAUSES = 16   # a fused primitive's caps; past them the node stays
+_MAX_NODES = 256    # element constructors and holes, over all its shapes
+_FRESH = count()    # numbers no hole name has used
+
+
+def _apply(e, sub: dict, done: dict, rename: bool = False):
+    """The shape e with each hole bound in sub replaced by its binding, itself
+    applied, and if rename, each other hole by one never used before; None if
+    a binding holds its own hole, which no finite element fits.  A part that
+    does not change is kept, not copied; done memoises the holes replaced."""
+    built, todo, open_ = [], [e], set()
+    while todo:
+        e = todo.pop()
+        kind = type(e)
+        if kind is tuple:               # a hole replaced, or a part to rebuild
+            e, = e
+            kind = type(e)
+            if kind is Hole:
+                open_.discard(e)
+                done[e] = built[-1]
+            elif kind is Pair:
+                snd = built.pop()
+                if built[-1] is not e.fst or snd is not e.snd:
+                    e = Pair(built[-1], snd)
+                built[-1] = e
+            else:
+                built[-1] = e if built[-1] is e.value else kind(built[-1])
+        elif kind is Hole:
+            if e in done:
+                built.append(done[e])
+            elif e in sub:
+                if e in open_:
+                    return None
+                open_.add(e)
+                todo += ((e,), sub[e])
+            else:
+                built.append(done.setdefault(e, Hole(f"_{next(_FRESH)}")) if rename else e)
+        elif kind is Pair:
+            todo += ((e,), e.snd, e.fst)
+        elif kind is Star:
+            built.append(e)
+        else:
+            todo += ((e,), e.value)
+    return built[0]
+
+
+def _unify(a, b, sub: dict) -> bool:
+    """Extend sub, from holes to shapes, so that a and b agree under it; False
+    if they clash.  A binding may hold holes bound later (see _apply)."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        while type(a) is Hole and a in sub:
+            a = sub[a]
+        while type(b) is Hole and b in sub:
+            b = sub[b]
+        if a is b:
+            continue
+        if type(a) is Hole:
+            if type(b) is not Hole or a != b:
+                sub[a] = b
+        elif type(b) is Hole:
+            sub[b] = a
+        elif type(a) is not type(b):
+            return False
+        else:
+            todo += ((getattr(a, p), getattr(b, p)) for p in a.__match_args__)
+    return True
+
+
+def _renamed(eqs) -> list:
+    """The equations with each hole renamed to a name never used before."""
+    out = []
+    for lhs, rhs in eqs:
+        done: dict = {}
+        out.append((_apply(lhs, {}, done, True), _apply(rhs, {}, done, True)))
+    return out
+
+
+def _disjoint(eqs) -> bool:
+    """No two left sides and no two right sides of eqs have a common instance."""
+    if len(eqs) < 2:
+        return True
+    eqs = _renamed(eqs)
+    return not any(_unify(p[side], q[side], {})
+                   for i, p in enumerate(eqs) for q in eqs[:i] for side in (0, 1))
+
+
+def _small(eqs) -> bool:
+    """eqs are within the caps."""
+    if len(eqs) > _MAX_CLAUSES:
+        return False
+    todo, n = [e for eq in eqs for e in eq], 0
+    while todo:
+        n += 1
+        if n > _MAX_NODES:
+            return False
+        e = todo.pop()
+        if type(e) is Pair:
+            todo += (e.fst, e.snd)
+        elif type(e) is not Star and type(e) is not Hole:
+            todo.append(e.value)
+    return True
+
+
+def _is_id(lhs, rhs) -> bool:
+    """lhs = rhs is the identity: one side, with no sum tag and no hole twice."""
+    if lhs != rhs:
+        return False
+    seen, todo = set(), [lhs]
+    while todo:
+        e = todo.pop()
+        if type(e) is Hole:
+            if e in seen:
+                return False
+            seen.add(e)
+        elif type(e) is InL or type(e) is InR:
+            return False
+        todo += (getattr(e, p) for p in e.__match_args__)
+    return True
+
+
+@lru_cache(maxsize=2048)
+def _fused(op: str, f: Morph, g: Morph) -> Optional[Morph]:
+    """g . f (op "."), f * g ("*") or f + g ("+") of two primitives given by
+    equations, as one primitive, or None past the caps.
+
+    Composition unifies each right side of f with each left side of g and
+    keeps the instances; the tensors pair the sides or tag them.  Evaluation
+    takes the first clause that matches, so this is sound when, as in every
+    primitive here, no two left sides overlap and no two right sides do:
+    then at most one clause of each operand, and of the result, applies.
+    The three operations keep that property, which primitive asserts."""
+    if (len(f.eqs) + len(g.eqs) if op == "+" else len(f.eqs) * len(g.eqs)) > _MAX_CLAUSES:
+        return None
+    if op == "+":
+        eqs = ([(InL(lhs), InL(rhs)) for lhs, rhs in f.eqs]
+               + [(InR(lhs), InR(rhs)) for lhs, rhs in g.eqs])
+        src, tgt = Sum(f.src, g.src), Sum(f.tgt, g.tgt)
+    else:
+        fs, gs = f.eqs, _renamed(g.eqs)        # no hole of g is one of f's
+        if op == "*":
+            eqs = [(Pair(l1, l2), Pair(r1, r2)) for l1, r1 in fs for l2, r2 in gs]
+            src, tgt = Prod(f.src, g.src), Prod(f.tgt, g.tgt)
+        else:
+            eqs = []
+            for l1, r1 in fs:
+                for l2, r2 in gs:
+                    sub: dict = {}
+                    if _unify(r1, l2, sub):
+                        done: dict = {}
+                        lhs, rhs = _apply(l1, sub, done), _apply(r2, sub, done)
+                        if lhs is not None and rhs is not None:
+                            eqs.append((lhs, rhs))
+            src, tgt = f.src, g.tgt
+    if not _small(eqs):
+        return None
+    if len(eqs) == 1 and _is_id(*eqs[0]):
+        return identity(src)
+    return primitive(src, tgt, tuple(eqs), "eqs")
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +559,16 @@ Evaluator = Callable[[Elem, int], Union[Elem, _Outcome]]
 
 
 class Morph:
-    """A morphism src -> tgt: a primitive, given by its evaluators (most
-    compiled from equations), or a Node, which holds a combinator's parts as
-    data for run to evaluate.  On either, m.fwd(x, fuel) and m.bwd(y, fuel)
-    evaluate."""
-    __slots__ = ("src", "tgt", "fwd", "bwd", "label")
+    """A morphism src -> tgt: a primitive, given by its evaluators and, if
+    they come from equations, by the equations eqs as data (see primitive),
+    or a Node, which holds a combinator's parts as data for run to evaluate.
+    On either, m.fwd(x, fuel) and m.bwd(y, fuel) evaluate."""
+    __slots__ = ("src", "tgt", "fwd", "bwd", "label", "eqs")
 
     def __init__(self, src: ObjDesc, tgt: ObjDesc, fwd: Evaluator,
-                 bwd: Evaluator, label: str = ""):
+                 bwd: Evaluator, label: str = "", eqs: Optional[tuple] = None):
         self.src, self.tgt, self.fwd, self.bwd = src, tgt, fwd, bwd
-        self.label = label
+        self.label, self.eqs = label, eqs
 
     def __repr__(self) -> str:
         name = self.label or "morph"
@@ -486,12 +686,38 @@ class Trace(Node):
         return NO_FUEL
 
 
+def primitive(src: ObjDesc, tgt: ObjDesc, eqs: tuple, label: str = "") -> Morph:
+    """The primitive src -> tgt given by the equations eqs (see equations),
+    which it keeps, so that the combinators can fuse it with others.  Its
+    evaluators are compiled when first called, each direction apart: a
+    primitive built only to be fused is never compiled.  No two left sides
+    of eqs may overlap, nor two right sides (see _fused)."""
+    assert _disjoint(eqs), f"overlapping equations: {eqs}"
+    m = Morph(src, tgt, None, None, label, eqs)
+    m.fwd, m.bwd = partial(_first_call, m, True), partial(_first_call, m, False)
+    return m
+
+
+def _first_call(m: Morph, forward: bool, x: Elem, fuel: int):
+    evaluate = _compiled(m.eqs, forward)
+    setattr(m, "fwd" if forward else "bwd", evaluate)
+    return evaluate(x, fuel)
+
+
+_prim = lru_cache(maxsize=256)(primitive)       # the structural maps, built once
+
+
+def _fusible(m: Morph) -> bool:
+    return type(m) is Morph and m.eqs is not None
+
+
 def _same(x, fuel):
     return x
 
 
+@lru_cache(maxsize=256)
 def identity(a: ObjDesc) -> Morph:
-    return Morph(a, a, _same, _same, "id")
+    return Morph(a, a, _same, _same, "id", ((_A, _A),))
 
 
 def _is_identity(f: Morph) -> bool:
@@ -499,17 +725,12 @@ def _is_identity(f: Morph) -> bool:
 
 
 def zero_morph(a: ObjDesc, b: ObjDesc) -> Morph:
-    return Morph(a, b, *_NOTHING, "zero")
+    return _prim(a, b, (), "zero")
 
 
 def compose(g: Morph, f: Morph) -> Morph:
     """g after f."""
-    _check_composable(g, f)
-    if _is_identity(f):
-        return g
-    if _is_identity(g):
-        return f
-    return Compose(f.src, g.tgt, _parts(f) + _parts(g))
+    return compose_all(g, f)
 
 
 def _check_composable(g: Morph, f: Morph) -> None:
@@ -524,7 +745,8 @@ def _parts(f: Morph) -> tuple:
 
 def compose_all(*ms: Morph) -> Morph:
     """compose_all(h, g, f) = h . g . f, as by compose two at a time, but the
-    flattened composite is built once: time linear in the number of maps."""
+    flattened composite is built once: time linear in the number of maps.
+    Where two primitives given by equations meet, they fuse into one."""
     f = ms[-1]
     kept = [] if _is_identity(f) else [f]
     for g in ms[-2::-1]:
@@ -532,18 +754,40 @@ def compose_all(*ms: Morph) -> Morph:
         if not _is_identity(g):
             kept.append(g)
         f = g
-    if len(kept) < 2:
-        return kept[0] if kept else ms[0]
-    return Compose(kept[0].src, kept[-1].tgt, tuple([p for m in kept for p in _parts(m)]))
+    parts: list = []
+    for m in kept:
+        more, i = _parts(m), 0
+        while i < len(more) and parts and _fusible(parts[-1]) and _fusible(more[i]):
+            fused = _fused(".", parts[-1], more[i])
+            if fused is None:
+                break
+            parts.pop()
+            i += 1
+            if not _is_identity(fused):
+                parts.append(fused)
+        parts += more[i:]
+    if len(parts) < 2:
+        return parts[0] if parts else identity(ms[-1].src)
+    return Compose(parts[0].src, parts[-1].tgt, tuple(parts))
 
 
 def dagger(f: Morph) -> Morph:
     label = f.label and f.label + "^"
     if type(f) is Morph:
+        if _is_identity(f):
+            return f
+        if f.eqs is not None:
+            return _dagger_eqs(f)
         return Morph(f.tgt, f.src, f.bwd, f.fwd, label)
     if type(f) is Dagger:
         return f.inner
     return Dagger(f.tgt, f.src, f, label=label)
+
+
+@lru_cache(maxsize=1024)
+def _dagger_eqs(f: Morph) -> Morph:
+    """The primitive f read the other way: its equations with sides swapped."""
+    return primitive(f.tgt, f.src, tuple((rhs, lhs) for lhs, rhs in f.eqs), f.label + "^")
 
 
 def restrict(f: Morph) -> Morph:
@@ -584,6 +828,10 @@ def inj2(a: ObjDesc, b: ObjDesc) -> Morph:
 
 
 def oplus(f: Morph, g: Morph) -> Morph:
+    if _is_identity(f) and _is_identity(g):
+        return identity(Sum(f.src, g.src))
+    if _fusible(f) and _fusible(g) and (fused := _fused("+", f, g)) is not None:
+        return fused
     return Oplus(Sum(f.src, g.src), Sum(f.tgt, g.tgt), f, g)
 
 
@@ -600,16 +848,16 @@ def inj_n(i: int, objs: list[ObjDesc]) -> Morph:
         raise TypeMismatch("index out of range")
     if len(objs) == 1:
         return identity(objs[0])
-    return Morph(objs[i], _sum_all(objs), *_inj(i, len(objs)), f"inj{i + 1}")
+    return _prim(objs[i], _sum_all(objs), _inj(i, len(objs)), f"inj{i + 1}")
 
 
 @lru_cache(maxsize=None)
-def _inj(i: int, n: int) -> tuple[Evaluator, Evaluator]:
+def _inj(i: int, n: int) -> tuple:
     """a = InR(...InR(InL(a))) with i InRs; the last summand has no InL."""
     shape = _A if i == n - 1 else InL(_A)
     for _ in range(i):
         shape = InR(shape)
-    return equations((_A, shape))
+    return ((_A, shape),)
 
 
 def _sum_all(objs: list[ObjDesc]) -> ObjDesc:
@@ -624,94 +872,97 @@ def _sum_all(objs: list[ObjDesc]) -> ObjDesc:
 def otimes(f: Morph, g: Morph) -> Morph:
     if _is_identity(f) and _is_identity(g):
         return identity(Prod(f.src, g.src))
+    if _fusible(f) and _fusible(g) and (fused := _fused("*", f, g)) is not None:
+        return fused
     return Otimes(Prod(f.src, g.src), Prod(f.tgt, g.tgt), f, g)
 
 
-_DELTA = equations((_A, Pair(_A, _A)))
+_DELTA = ((_A, Pair(_A, _A)),)
 
 
 def delta(a: ObjDesc) -> Morph:
     """Duplication; its dagger is the partial equality test."""
-    return Morph(a, Prod(a, a), *_DELTA, "delta")
+    return _prim(a, Prod(a, a), _DELTA, "delta")
 
 
 # -- structural isomorphisms --------------------------------------------------
 
-_UNITL = equations((Pair(STAR, _A), _A))
-_UNITR = equations((Pair(_A, STAR), _A))
-_ASSOC = equations((Pair(_A, Pair(_B, _C)), Pair(Pair(_A, _B), _C)))
-_SWAP = equations((Pair(_A, _B), Pair(_B, _A)))
-_SUM_UNITL = equations((InR(_A), _A))
-_SUM_UNITR = equations((InL(_A), _A))
-_SUM_ASSOC = equations((InL(_A), InL(InL(_A))), (InR(InL(_B)), InL(InR(_B))),
-                       (InR(InR(_C)), InR(_C)))
-_SUM_SWAP = equations((InL(_A), InR(_A)), (InR(_B), InL(_B)))
-_DIST_L = equations((Pair(_A, InL(_B)), InL(Pair(_A, _B))),
-                    (Pair(_A, InR(_C)), InR(Pair(_A, _C))))
-_DIST_R = equations((Pair(InL(_A), _C), InL(Pair(_A, _C))),
-                    (Pair(InR(_B), _C), InR(Pair(_B, _C))))
-_FOLD = equations((_A, Roll(_A)))
+_UNITL = ((Pair(STAR, _A), _A),)
+_UNITR = ((Pair(_A, STAR), _A),)
+_ASSOC = ((Pair(_A, Pair(_B, _C)), Pair(Pair(_A, _B), _C)),)
+_SWAP = ((Pair(_A, _B), Pair(_B, _A)),)
+_SUM_UNITL = ((InR(_A), _A),)
+_SUM_UNITR = ((InL(_A), _A),)
+_SUM_ASSOC = ((InL(_A), InL(InL(_A))), (InR(InL(_B)), InL(InR(_B))),
+              (InR(InR(_C)), InR(_C)))
+_SUM_SWAP = ((InL(_A), InR(_A)), (InR(_B), InL(_B)))
+_DIST_L = ((Pair(_A, InL(_B)), InL(Pair(_A, _B))),
+           (Pair(_A, InR(_C)), InR(Pair(_A, _C))))
+_DIST_R = ((Pair(InL(_A), _C), InL(Pair(_A, _C))),
+           (Pair(InR(_B), _C), InR(Pair(_B, _C))))
+_FOLD = ((_A, Roll(_A)),)
+_UNFOLD = ((Roll(_A), _A),)
 
 
 def prod_unitl(a: ObjDesc) -> Morph:
-    return Morph(Prod(ONE, a), a, *_UNITL, "unitl")
+    return _prim(Prod(ONE, a), a, _UNITL, "unitl")
 
 
 def prod_unitr(a: ObjDesc) -> Morph:
-    return Morph(Prod(a, ONE), a, *_UNITR, "unitr")
+    return _prim(Prod(a, ONE), a, _UNITR, "unitr")
 
 
 def prod_assoc(a: ObjDesc, b: ObjDesc, c: ObjDesc) -> Morph:
     """A * (B * C) -> (A * B) * C"""
-    return Morph(Prod(a, Prod(b, c)), Prod(Prod(a, b), c), *_ASSOC, "assoc")
+    return _prim(Prod(a, Prod(b, c)), Prod(Prod(a, b), c), _ASSOC, "assoc")
 
 
 def prod_swap(a: ObjDesc, b: ObjDesc) -> Morph:
-    return Morph(Prod(a, b), Prod(b, a), *_SWAP, "swap")
+    return _prim(Prod(a, b), Prod(b, a), _SWAP, "swap")
 
 
 def sum_unitl(a: ObjDesc) -> Morph:
-    return Morph(Sum(ZERO, a), a, *_SUM_UNITL, "sum_unitl")
+    return _prim(Sum(ZERO, a), a, _SUM_UNITL, "sum_unitl")
 
 
 def sum_unitr(a: ObjDesc) -> Morph:
-    return Morph(Sum(a, ZERO), a, *_SUM_UNITR, "sum_unitr")
+    return _prim(Sum(a, ZERO), a, _SUM_UNITR, "sum_unitr")
 
 
 def sum_assoc(a: ObjDesc, b: ObjDesc, c: ObjDesc) -> Morph:
     """A + (B + C) -> (A + B) + C"""
-    return Morph(Sum(a, Sum(b, c)), Sum(Sum(a, b), c), *_SUM_ASSOC, "sum_assoc")
+    return _prim(Sum(a, Sum(b, c)), Sum(Sum(a, b), c), _SUM_ASSOC, "sum_assoc")
 
 
 def sum_swap(a: ObjDesc, b: ObjDesc) -> Morph:
-    return Morph(Sum(a, b), Sum(b, a), *_SUM_SWAP, "sum_swap")
+    return _prim(Sum(a, b), Sum(b, a), _SUM_SWAP, "sum_swap")
 
 
 def dist_l(a: ObjDesc, b: ObjDesc, c: ObjDesc) -> Morph:
     """A * (B + C) -> (A * B) + (A * C)"""
-    return Morph(Prod(a, Sum(b, c)), Sum(Prod(a, b), Prod(a, c)), *_DIST_L, "dist_l")
+    return _prim(Prod(a, Sum(b, c)), Sum(Prod(a, b), Prod(a, c)), _DIST_L, "dist_l")
 
 
 def dist_r(a: ObjDesc, b: ObjDesc, c: ObjDesc) -> Morph:
     """(A + B) * C -> (A * C) + (B * C)"""
-    return Morph(Prod(Sum(a, b), c), Sum(Prod(a, c), Prod(b, c)), *_DIST_R, "dist_r")
+    return _prim(Prod(Sum(a, b), c), Sum(Prod(a, c), Prod(b, c)), _DIST_R, "dist_r")
 
 
 def annihil_l(a: ObjDesc) -> Morph:
     # 0 * A -> 0 has an empty domain; both directions are vacuously total.
-    return Morph(Prod(ZERO, a), ZERO, *_NOTHING, "annihil_l")
+    return _prim(Prod(ZERO, a), ZERO, (), "annihil_l")
 
 
 def annihil_r(a: ObjDesc) -> Morph:
-    return Morph(Prod(a, ZERO), ZERO, *_NOTHING, "annihil_r")
+    return _prim(Prod(a, ZERO), ZERO, (), "annihil_r")
 
 
 def fold(mu: Mu) -> Morph:
-    return Morph(unfold_obj(mu), mu, *_FOLD, "fold")
+    return _prim(unfold_obj(mu), mu, _FOLD, "fold")
 
 
 def unfold(mu: Mu) -> Morph:
-    return Morph(mu, unfold_obj(mu), *_FOLD[::-1], "unfold")
+    return _prim(mu, unfold_obj(mu), _UNFOLD, "unfold")
 
 
 # ---------------------------------------------------------------------------

@@ -122,11 +122,6 @@ def tup(*args: Value) -> Value:
     return Value(TUPLE, tuple(args))
 
 
-def value_eq(a: Value, b: Value) -> bool:
-    """Decidable structural equality: identity, since values are hash-consed."""
-    return a is b
-
-
 def dupeq_value(v: Value) -> Optional[Value]:
     """The duplication/equality operator on values.
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import rfun
-from rfun import opsem
+from rfun import invcat, opsem
 from rfun.densem import (
     LTS, S, TS, ContextMismatch, DecodeError, SymbolTable, UnknownSymbol,
     decode_value,
@@ -254,6 +254,20 @@ def test_denotation_of_a_wide_constructor_agrees_with_interpreter():
         out = run_denotation(m, v, tbl)
         assert out == apply_forward(prog, "f", v) == val("D", *v.args)
         assert run_denotation(dagger(m), out, tbl) == apply_backward(prog, "f", out) == v
+
+
+def test_denotation_of_a_deep_leaf_runs_both_ways():
+    # Each constructor fuses with the one inside it until the caps stop it,
+    # so the leaf's map is a composite of capped primitives, run both ways
+    # without recursion.
+    n = 5_000
+    prog = parse_program("f x =: " + "S(" * n + "x" + ")" * n)
+    tbl = SymbolTable.from_program(prog, extra=["Z"])
+    m = no_recursion(function_morphism, prog, "f", tbl)
+    out = no_recursion(run_denotation, m, val("Z"), tbl)
+    assert out is peano(n) is apply_forward(prog, "f", val("Z"))
+    assert no_recursion(run_denotation, dagger(m), out, tbl) is val("Z")
+    assert no_recursion(run_denotation, dagger(m), peano(n - 1), tbl) is UNDEF
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +666,19 @@ def test_case_violation_messages_both_ways():
         op(parse_value("W(Z)"), False)
     assert str(exc.value) == ("backward case input matches an earlier branch pattern: "
                               "S(Z) vs pattern at (1, 20)")
+
+
+def test_a_second_load_only_looks_its_fusions_up():
+    # Every primitive a denotation is built from is cached, and fusion is
+    # cached on the identity of its operands, so loading again fuses nothing.
+    def load():
+        prog = load_program("arith.rfun")
+        return sem_program(prog, SymbolTable.from_program(prog))
+
+    load()
+    misses = invcat._fused.cache_info().misses
+    load()
+    assert invcat._fused.cache_info().misses == misses
 
 
 def test_sem_program_requires_static_validity():

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from rfun import invcat
 from rfun.invcat import (
-    NO_FUEL, UNDEF, ZERO, ONE, FirstJoin, Hole, IncompatibleJoin, InL, InR,
-    Morph, Mu, Pair, Prod, Roll, STAR, Star, Sum, TypeMismatch, Var,
+    NO_FUEL, UNDEF, ZERO, ONE, Compose, Dagger, FirstJoin, Hole,
+    IncompatibleJoin, InL, InR, Morph, Mu, Oplus, Otimes, Pair, Prod, Roll,
+    STAR, Star, Sum, TypeMismatch, Var,
     annihil_l, annihil_r, complement, compose, compose_all, dagger, delta,
     dist_l, dist_r, equations, fix, fold, identity, inj1, inj2, inj_n,
     join, obj_L, obj_S, obj_T, oplus, otimes, prod_assoc, prod_swap,
@@ -301,6 +303,16 @@ def test_forced_hash_collision_costs_time_not_correctness():
     assert deep_a != deep_b
 
 
+def test_shapes_compare_their_holes_by_name():
+    a, b = Pair(Hole("a"), STAR), Pair(Hole("b"), STAR)
+    assert a != b and not a == b
+    again = Pair(Hole("a"), STAR)
+    assert again is not a and again == a and hash(again) == hash(a)
+    assert Hole("a") is not Hole("a") and InL(Hole("a")) == InL(Hole("a"))
+    assert InL(Hole("a")) != InL(STAR) != InL(Hole("a"))
+    assert len({a, b, again, Pair(STAR, Hole("a"))}) == 3
+
+
 def test_equal_elements_share_their_hash():
     a, b = Pair(InL(STAR), Roll(STAR)), Pair(InL(STAR), Roll(STAR))
     assert a is not b and a == b and hash(a) == hash(b) == a.h
@@ -494,6 +506,175 @@ def test_equations_on_deep_shapes_compile():
 
 def _needs_depth(obj):
     return has_mu(obj)
+
+
+# ---------------------------------------------------------------------------
+# Fusion: the smart constructors against the nodes they replace
+# ---------------------------------------------------------------------------
+
+def _prim_term(rng, src, depth):
+    """A random fix-free term out of src: primitives under nodes built from
+    the node classes, so that no smart constructor fuses them."""
+    leaves = ["id", "delta", "inj1", "inj2", "zero"]
+    match src:
+        case Sum(_, Sum()):
+            leaves.append("sum_assoc")
+        case Sum(Sum(), _):
+            leaves.append("sum_assoc^")
+        case Prod(_, Prod()):
+            leaves.append("assoc")
+        case Prod(Sum(), _):
+            leaves.append("dist_r")
+    if isinstance(src, Sum):
+        leaves += ["proj1", "proj2", "sum_swap"]
+    if isinstance(src, Prod):
+        leaves += ["swap", "eq_test"] + ["unitl"] * (src.left == ONE)
+        leaves += ["dist_l"] * isinstance(src.right, Sum)
+        leaves += ["eq_test"] * 3 * (src.left == src.right)
+    nodes = ["compose", "restrict", "roundtrip", "dagger"] + ["oplus"] * isinstance(src, Sum)
+    nodes += ["otimes"] * isinstance(src, Prod)
+    match rng.choice(leaves + nodes * (depth > 0)):
+        case "id":
+            return identity(src)
+        case "delta":
+            return delta(src)
+        case "inj1":
+            return inj1(src, rng.choice(SMALL_OBJS))
+        case "inj2":
+            return inj2(rng.choice(SMALL_OBJS), src)
+        case "zero":
+            return zero_morph(src, rng.choice(SMALL_OBJS))
+        case "sum_assoc":
+            return sum_assoc(src.left, src.right.left, src.right.right)
+        case "sum_assoc^":
+            a, b, c = src.left.left, src.left.right, src.right
+            return Dagger(src, Sum(a, Sum(b, c)), sum_assoc(a, b, c))
+        case "assoc":
+            return prod_assoc(src.left, src.right.left, src.right.right)
+        case "dist_l":
+            return dist_l(src.left, src.right.left, src.right.right)
+        case "dist_r":
+            return dist_r(src.left.left, src.left.right, src.right)
+        case "proj1":
+            return dagger(inj1(src.left, src.right))
+        case "proj2":
+            return dagger(inj2(src.left, src.right))
+        case "sum_swap":
+            return sum_swap(src.left, src.right)
+        case "swap":
+            return prod_swap(src.left, src.right)
+        case "unitl":
+            return prod_unitl(src.right)
+        case "eq_test":
+            if src.left == src.right:
+                return dagger(delta(src.left))
+            return prod_swap(src.left, src.right)
+        case "compose":
+            f = _prim_term(rng, src, depth - 1)
+            g = _prim_term(rng, f.tgt, depth - 1)
+            return Compose(src, g.tgt, (f, g))
+        case "restrict":                # h^ . h
+            h = _prim_term(rng, src, depth - 1)
+            return Compose(src, src, (h, Dagger(h.tgt, h.src, h)))
+        case "roundtrip":               # h^ . h . f
+            f = _prim_term(rng, src, depth - 1)
+            h = _prim_term(rng, f.tgt, depth - 1)
+            return Compose(src, f.tgt, (f, h, Dagger(h.tgt, h.src, h)))
+        case "dagger":                  # of a map into src, after one out of it
+            f = _prim_term(rng, src, depth - 1)
+            h = _prim_term(rng, rng.choice(SMALL_OBJS), depth - 1)
+            k = _prim_term(rng, h.tgt, depth - 1)
+            if k.tgt != f.tgt:
+                return f
+            return Compose(src, h.tgt, (f, Dagger(k.tgt, k.src, k)))
+        case "oplus":
+            f = _prim_term(rng, src.left, depth - 1)
+            g = _prim_term(rng, src.right, depth - 1)
+            return Oplus(src, Sum(f.tgt, g.tgt), f, g)
+        case "otimes":
+            f = _prim_term(rng, src.left, depth - 1)
+            g = _prim_term(rng, src.right, depth - 1)
+            return Otimes(src, Prod(f.tgt, g.tgt), f, g)
+    raise AssertionError
+
+
+def _smart(t):
+    """The term t rebuilt by the smart constructors, which fuse primitives."""
+    match t:
+        case Compose():
+            return compose_all(*reversed([_smart(p) for p in t.parts]))
+        case Dagger():
+            return dagger(_smart(t.inner))
+        case Oplus():
+            return oplus(_smart(t.left), _smart(t.right))
+        case Otimes():
+            return otimes(_smart(t.left), _smart(t.right))
+    return t
+
+
+def _fusion_disagreements(seed, count=1_000):
+    """Where the fused term and the term of nodes differ, forward on every
+    element of the source or backward on every element of the target,
+    UNDEF included; and how many terms fused to one primitive."""
+    rng, out, fused_whole = random.Random(seed), [], 0
+    for _ in range(count):
+        t = _prim_term(rng, rng.choice(SMALL_OBJS), 3)
+        if count_elems(t.src) * count_elems(t.tgt) > 400:
+            continue                    # keep the enumerations small
+        m = _smart(t)
+        assert m.src == t.src and m.tgt == t.tgt
+        fused_whole += type(m) is Morph
+        out += [(t, "fwd", x) for x in elems(t.src) if m.fwd(x, FUEL) != t.fwd(x, FUEL)]
+        out += [(t, "bwd", y) for y in elems(t.tgt) if m.bwd(y, FUEL) != t.bwd(y, FUEL)]
+    return out, fused_whole
+
+
+def test_fused_primitives_agree_with_the_nodes_they_replace():
+    bad, fused_whole = _fusion_disagreements(0xF05E)
+    assert bad == []
+    assert fused_whole >= 900           # the caps leave most small terms whole
+
+
+def test_fusion_oracle_catches_a_dropped_equality_test(monkeypatch):
+    # Taking a clause lhs = lhs with a hole met twice for the identity drops
+    # the test that the two parts are equal: delta . delta^, the identity on
+    # the diagonal only, would become the identity everywhere.
+    def is_id_with_repeats(lhs, rhs):
+        todo = [lhs]
+        while todo:
+            e = todo.pop()
+            if type(e) is InL or type(e) is InR:
+                return False
+            todo += (getattr(e, p) for p in e.__match_args__)
+        return lhs == rhs
+
+    invcat._fused.cache_clear()
+    monkeypatch.setattr(invcat, "_is_id", is_id_with_repeats)
+    try:
+        bad, _ = _fusion_disagreements(0xF05E)
+    finally:
+        invcat._fused.cache_clear()
+    assert any(type(x) is Pair and x.fst != x.snd for _, _, x in bad), \
+        "the oracle missed a fusion that drops an equality test"
+
+
+def test_fusion_cancels_inverse_neighbours():
+    mu = obj_S()
+    assert compose(fold(mu), unfold(mu)) is identity(mu)
+    assert compose(dagger(delta(TRI)), delta(TRI)) is identity(TRI)
+    assert compose(prod_swap(TRI, BOOL), prod_swap(BOOL, TRI)) is identity(Prod(BOOL, TRI))
+    kept = compose(delta(TRI), dagger(delta(TRI)))      # the diagonal stays a test
+    assert type(kept) is Morph and kept is not identity(TRI)
+    assert kept.fwd(Pair(InL(STAR), InR(InL(STAR))), FUEL) is UNDEF
+
+
+def test_fusion_is_cached_and_capped():
+    f, g = prod_swap(BOOL, TRI), delta(Prod(TRI, BOOL))
+    assert compose(g, f) is compose(g, f)
+    six = oplus(sum_assoc(ONE, ONE, ONE), sum_assoc(ONE, BOOL, ONE))
+    assert type(six) is Morph and len(six.eqs) == 6
+    assert type(oplus(six, six)) is Morph
+    assert type(otimes(six, six)) is Otimes         # 36 clauses: over the cap
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import copy
 import gc
+import operator
 import pickle
 import random
 import tracemalloc
@@ -13,7 +14,7 @@ from rfun.harness import gen_value
 from rfun.opsem import apply_backward, apply_forward
 from rfun.syntax import parse_value, render_value
 from rfun.values import (
-    TUPLE, Value, dupeq_value, tup, val, value_eq,
+    TUPLE, Value, dupeq_value, tup, val,
 )
 
 from helpers import (
@@ -26,20 +27,20 @@ SZ = val("S", Z)
 
 
 def test_value_eq_reflexive():
-    assert value_eq(Z, Z)
-    assert value_eq(tup(SZ, SZ), tup(SZ, SZ))
+    assert Z is Z
+    assert tup(SZ, SZ) is tup(SZ, SZ)
 
 
 def test_value_eq_ctor_mismatch():
-    assert not value_eq(SZ, Z)
-    assert not value_eq(val("S", Z), val("S", SZ))
-    assert not value_eq(tup(Z), tup(Z, Z))
+    assert SZ is not Z
+    assert val("S", Z) is not val("S", SZ)
+    assert tup(Z) is not tup(Z, Z)
 
 
 def test_deep_value_eq_does_not_recurse():
     a, b = peano(50_000), peano(50_000)
-    assert no_recursion(value_eq, a, b)
-    assert not no_recursion(value_eq, a, peano(50_001))
+    assert no_recursion(operator.eq, a, b)
+    assert not no_recursion(operator.eq, a, peano(50_001))
 
 
 def test_dupeq_singleton_duplicates():
@@ -135,8 +136,8 @@ def test_deep_numerals_are_identical_and_compare_in_constant_time():
     assert a is b
     # Equality and hashing are object's own: no walk, whatever the depth.
     assert Value.__eq__ is object.__eq__ and Value.__hash__ is object.__hash__
-    assert a == b and value_eq(a, b)
-    assert a != peano(99_999) and not value_eq(a, peano(100_001))
+    assert a == b and a is b
+    assert a != peano(99_999) and a is not peano(100_001)
 
 
 def _table_size():
