@@ -110,6 +110,8 @@ def cmd_check(args) -> int:
                 if case["verdict"] == "mismatch":
                     print(f"  case {case['index']} input {case['input']}: "
                           f"opsem={case['opsem']} densem={case['densem']}")
+        print("first-match checks discharged statically: "
+              + ", ".join(f"{sem} {n}" for sem, n in report["discharged"].items()))
     return EXIT_OK if report["mismatches"] == 0 else EXIT_FAULT
 
 

@@ -35,7 +35,7 @@ from .invcat import (
 )
 from .opsem import DEFAULT_FUEL, UnknownFunction
 from .syntax import (
-    ELeaf, ELet, Expr, LDup, LeftExpr, LVar, Program,
+    ECase, ELeaf, ELet, Expr, LCtor, LDup, LeftExpr, LVar, Program,
     check_static_or_raise, constructors, lvars,
 )
 from .values import TUPLE, Value, fold_tree
@@ -396,7 +396,7 @@ def sem_expr(e: Expr, ctx: tuple[str, ...], xi: Morph,
             # Not a join of the arms: the case commits to the first arm
             # whose pattern (forward) or leaf (backward) matches and raises
             # IncompatibleJoin on a value that an earlier arm claims.
-            case = Case(before[-1].tgt, TS, arms, tbl, [None] * len(e), label="case")
+            case = Case(before[-1].tgt, TS, arms, tbl, [None] * len(e), e, None, label="case")
             built.append(compose_all(case, *reversed(before)))
             continue
         consumed = e.uses if kind is ELet else e.scrutinee
@@ -432,9 +432,12 @@ class Case(Node):
     commits to the first arm with a leaf matching and flags a recovered input
     matching an earlier pattern.  A committed arm does not fall through and a
     flag raises IncompatibleJoin, so the rule is self-dual: the dagger is the
-    case of the inverted program.
+    case of the inverted program.  source holds the case's arms as the
+    program states them, from which the first run derives checks:
+    checks[forward][i] lists the earlier arms whose test can fire on arm i's
+    output (see _checks).
     """
-    __slots__ = ("arms", "tbl", "tests")
+    __slots__ = ("arms", "tbl", "tests", "source", "checks")
 
     def frames(self, forward, x, fuel):
         # An arm's first map decides the commit where it is undefined exactly
@@ -449,8 +452,10 @@ class Case(Node):
                 continue
             if type(y) is not _Outcome:
                 y = yield (body if forward else enter), forward, y
-            if type(y) is not _Outcome:
-                for j in range(i):      # the earlier arms' tests from the other side
+            if type(y) is not _Outcome and i:
+                if self.checks is None:
+                    self.checks = _checks(self.source)
+                for j in self.checks[forward][i]:   # the earlier arms' tests from the other side
                     if (yield self.test(j, not forward), True, y) is not UNDEF:
                         raise IncompatibleJoin(
                             f"case result of arm {i} matches a leaf of arm {j}" if forward
@@ -467,6 +472,48 @@ class Case(Node):
             guards = [pattern_idem(l, self.tbl) for l in self.arms[i][2]]
             self.tests[i] = guards[0] if len(guards) == 1 else join(guards)
         return self.tests[i]
+
+
+def _clash(a: LeftExpr, b: LeftExpr) -> bool:
+    """Whether no tree matches both left expressions: somewhere both fix a
+    constructor, with different names or arities.  |_ _| fixes none."""
+    pairs = [(a, b)]
+    for a, b in pairs:                  # breadth first: the loop sees what it appends
+        if type(a) is LCtor and type(b) is LCtor:
+            if (a.ctor, len(a.args)) != (b.ctor, len(b.args)):
+                return True
+            pairs += zip(a.args, b.args)
+    return False
+
+
+def _checks(arms: tuple) -> tuple[tuple, tuple]:
+    """Per direction (backward, forward) and per arm i of a case's arms
+    (pattern, body, leaves, earlier leaves), the earlier arms j whose test
+    can fire on arm i's output: backward, pattern j, unless it clashes with
+    pattern i; forward, j's leaves, unless each clashes with each of i's."""
+    return (
+        tuple(tuple(j for j in range(i) if not _clash(arms[i][0], arms[j][0]))
+              for i in range(len(arms))),
+        tuple(tuple(j for j in range(i)
+                    if not all(_clash(l, m) for l in arms[i][2] for m in arms[j][2]))
+              for i in range(len(arms))),
+    )
+
+
+def discharged(prog: Program) -> int:
+    """How many first-match checks of prog's cases the denotation skips
+    because the patterns or leaves clash: one per case, direction and pair
+    of an arm and an earlier arm (see _checks)."""
+    check_static_or_raise(prog)
+    todo, count = [d.body for d in prog.defs], 0
+    while todo:
+        e = todo.pop()
+        if type(e) is ELet:
+            todo.append(e.body)
+        elif type(e) is ECase:
+            count += sum(i - len(row) for table in _checks(e.arms) for i, row in enumerate(table))
+            todo += (body for _, body in e.branches)
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,15 @@ bound on call depth in both), and compares outcomes.  Statuses correspond as
     violation    <->  violation   (first-match assertion / incompatible join)
 
 The report is plain data with a stable layout: same program, entry, seed and
-fuel give byte-identical JSON.
+fuel give byte-identical JSON.  It also says how many first-match checks each
+semantics discharged statically, where the patterns or leaves clash.
 """
 from __future__ import annotations
 
 import random
 from typing import Optional
 
+from . import densem, opsem
 from .densem import SymbolTable, function_morphism, run_denotation, sem_program
 from .invcat import NO_FUEL, UNDEF, IncompatibleJoin, Morph
 from .opsem import DEFAULT_FUEL, FirstMatchViolation, apply_forward
@@ -108,14 +110,17 @@ def check_function(prog: Program, entry: str, samples: int, seed: int,
 def check_program(prog: Program, entry: Optional[str] = None, samples: int = 50,
                   seed: int = 0, fuel: int = DEFAULT_FUEL,
                   den_fuel: Optional[int] = None, depth: int = 6) -> dict:
-    """Reports for one entry, or for every definition when entry is None.
+    """Reports for one entry, or for every definition when entry is None,
+    with the first-match checks each semantics discharged statically.
     den_fuel, kept for positional callers, must be None or fuel."""
     if den_fuel not in (None, fuel):
         raise ValueError(f"one fuel meters both semantics, not {fuel} and {den_fuel}")
     tbl = SymbolTable.from_program(prog)
     pm = sem_program(prog, tbl)
+    discharged = {"opsem": opsem.discharged(prog), "densem": densem.discharged(prog)}
     if entry is not None:
-        return check_function(prog, entry, samples, seed, fuel, depth, tbl, pm)
+        return {**check_function(prog, entry, samples, seed, fuel, depth, tbl, pm),
+                "discharged": discharged}
     reports = [check_function(prog, d.name, samples, seed, fuel, depth, tbl, pm)
                for d in prog.defs]
     return {
@@ -124,5 +129,6 @@ def check_program(prog: Program, entry: Optional[str] = None, samples: int = 50,
         "fuel": fuel,
         "samples": samples,
         "mismatches": sum(r["mismatches"] for r in reports),
+        "discharged": discharged,
         "reports": reports,
     }

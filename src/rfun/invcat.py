@@ -379,10 +379,17 @@ def _compiled(eqs, forward: bool) -> Evaluator:
 def evaluator(body: str, n: int = 0) -> Evaluator:
     """The function of x and fuel with this body, and of its n constants
     k0, k1, ..., which a caller gives as the defaults of a copy; compiled
-    once per text."""
+    once per text.  The body trusts x's shape, so an element of another
+    object, which lacks a part the body reads, raises TypeMismatch."""
     params = "".join(f", k{i}" for i in range(n))
-    exec(f"def evaluate(x, fuel{params}):\n{body}", globals(), scope := {})
+    body = "".join(f"    {ln}\n" for ln in body.splitlines())
+    exec(f"def evaluate(x, fuel{params}):\n    try:\n{body}    except AttributeError:\n"
+         f"        raise _misfit(x) from None\n", globals(), scope := {})
     return scope["evaluate"]
+
+
+def _misfit(x: Elem) -> TypeMismatch:
+    return TypeMismatch(f"element {x!r} is not of the primitive's object")
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,26 @@ Evaluation follows the judgement <q, sigma> |- e v v.  A program is checked
 once, when either semantics first uses it (StaticError before any step),
 and on the interpreter's first call each definition is compiled once, by a
 loop, into code over slot-indexed registers: one slot per variable name,
-the parameter's 0, which check_static's ban on shadowing makes sound.  One
-eval/apply machine runs that code both ways (a let backward is the let
+the parameter's 0, which check_static's ban on shadowing makes sound.  Each
+left expression becomes generated Python, a builder and a matcher that binds
+the slots of its variables, and each case one generated dispatch per
+direction: forward it builds the scrutinee and tries the arms' patterns in
+order, backward it tries the arms' leaves in order (the last arm commits
+untested); it binds the slots of the arm it commits to and returns that
+arm.  Each text is compiled once per process: slots, constructors and
+constant values are the defaults of a copy of the compiled function, so
+alike shapes share one text.
+
+One eval/apply machine runs that code both ways (a let backward is the let
 forward with its sides and direction swapped) on an explicit continuation
 stack, so nothing recurses in Python, at any value, leaf or call depth.  It
 trusts the static guarantees and checks only the symmetric first-match
-policy.  Values are hash-consed: |_ _|'s equality test is one identity test.
+policy, and of that only what the patterns leave open: when a case is
+compiled, it drops the check of a result against an earlier arm's leaf
+(forward) or of a recovered input against an earlier arm's pattern
+(backward) wherever the two left expressions clash on a constructor or an
+arity, so that no value matches both; |_ _| may give any value.  Values are
+hash-consed: |_ _|'s equality test is one identity test.
 
 Fuel bounds the depth of nested calls, as in the denotation, and not a
 terminating run's total work.  A result other than OUT_OF_FUEL at fuel F is
@@ -18,14 +32,16 @@ NO_MATCH and OUT_OF_FUEL are the same objects as invcat's UNDEF and NO_FUEL.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from functools import lru_cache
+from types import FunctionType
+from typing import Callable, Iterable, Optional, Union
 
 from .invcat import NO_FUEL as OUT_OF_FUEL, UNDEF as NO_MATCH, _Outcome
 from .syntax import (
-    ELeaf, ELet, Expr, LCtor, LeftExpr, LVar, Program, StaticError,
-    check_expr, lvars, render_value, walk,
+    ECase, ELeaf, ELet, Expr, LCtor, LDup, LeftExpr, LVar, Program,
+    StaticError, check_expr, lvars, render_value, walk,
 )
-from .values import Value, dupeq_value
+from .values import Value, dupeq_value as dupeq
 
 DEFAULT_FUEL = 10_000
 Subst = dict[str, Value]
@@ -50,74 +66,191 @@ class FirstMatchViolation(RfunRuntimeError):
     first-match policy assigns to an earlier branch."""
 
 
-def _left(l: LeftExpr, slots: dict[str, int]) -> tuple:
-    """(builder, matcher) of l, whose variables have the given slots.
+def _violation(what: str, v: Value, pos) -> FirstMatchViolation:
+    return FirstMatchViolation(f"{what}: {render_value(v)} vs pattern at {pos}")
 
-    A lone variable is its slot number.  Otherwise both are tuples of one
-    instruction per node: a slot (a variable), a Value (a constructor of no
-    arguments), (ctor, n) (of n > 0 arguments) or None (|_ _|).  The matcher
-    lists the nodes in pre-order, children last to first; the builder in
-    reverse: post-order."""
-    if type(l) is LVar:
-        return slots[l.name], slots[l.name]
-    match, todo = [], [l]
+
+_RESULT = "case result matches a leaf of an earlier branch"
+_INPUT = "backward case input matches an earlier branch pattern"
+_FLAT = 16      # the deepest expression a builder nests before a variable names it
+
+
+class _Gen:
+    """The lines of a generated function and its constants: slots,
+    constructors, values and arms, each distinct one the default k<i> of a
+    copy of the function compiled from the text, which names none of them."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.consts: list = []
+        self.names: dict = {}
+        self.ind = "    "                # a line's indent in the function's body
+
+    def k(self, c) -> str:
+        key = (type(c), c) if type(c) in (int, str) else id(c)
+        if key not in self.names:
+            self.names[key] = f"k{len(self.consts)}"
+            self.consts.append(c)
+        return self.names[key]
+
+    def add(self, line: str) -> None:
+        self.lines.append(self.ind + line)
+
+    def attempt(self, l: LeftExpr, slots: Optional[dict], then: str) -> None:
+        """A block that runs then if the value in v matches l, binding l's
+        variables given slots, and else falls through."""
+        self.add("while True:")
+        self.ind = "        "
+        _match(self, l, slots, "break")
+        self.add(then)
+        self.ind = "    "
+
+    def function(self, params: str) -> Callable:
+        text = "\n".join((f"def f({', '.join((params, *self.names.values()))}):", *self.lines))
+        return FunctionType(_compiled(text).__code__, globals(), None, tuple(self.consts))
+
+
+@lru_cache(maxsize=1024)
+def _compiled(text: str) -> Callable:
+    exec(text, globals(), scope := {})
+    return scope["f"]
+
+
+def _chain(n: LCtor) -> tuple[int, LeftExpr]:
+    """How many times in a row, from n down, n's constructor wraps a single
+    argument, and what the last one wraps."""
+    r, inner = 0, n
+    while type(inner) is LCtor and inner.ctor == n.ctor and len(inner.args) == 1:
+        r, inner = r + 1, inner.args[0]
+    return r, inner
+
+
+def _peel(v: Value, ctor: str, r: int) -> Optional[Value]:
+    """What r layers of the unary constructor ctor wrap in v, or None."""
+    for _ in range(r):
+        if v.ctor != ctor or len(v.args) != 1:
+            return None
+        v, = v.args
+    return v
+
+
+def _wrap(v: Value, ctor: str, r: int) -> Value:
+    for _ in range(r):
+        v = Value(ctor, (v,))
+    return v
+
+
+def _match(g: _Gen, l: LeftExpr, slots: Optional[dict], fail: str) -> None:
+    """Lines that run fail unless the value in v matches l and, given slots,
+    store l's variables at theirs in env.  A part at depth i of the loop's
+    stack is t<i>, so a chain of any depth takes one name; a chain of _FLAT
+    or more of one unary constructor is one call of _peel."""
+    todo = [(l, "v")]
+    while todo:
+        n, var = todo.pop()
+        kind = type(n)
+        r, inner = _chain(n) if kind is LCtor else (0, n)
+        if kind is LDup or r >= _FLAT:
+            t = f"t{len(todo)}"
+            peel = f"dupeq({var})" if kind is LDup else f"_peel({var}, {g.k(n.ctor)}, {g.k(r)})"
+            g.add(f"{t} = {peel}")
+            g.add(f"if {t} is None: {fail}")
+            todo.append((n.arg if kind is LDup else inner, t))
+        elif kind is LVar:
+            if slots is not None:
+                g.add(f"env[{g.k(slots[n.name])}] = {var}")
+        elif not n.args:
+            g.add(f"if {var} is not {g.k(Value(n.ctor))}: {fail}")
+        else:
+            g.add(f"if {var}.ctor != {g.k(n.ctor)} or len({var}.args) != {len(n.args)}: {fail}")
+            parts = []
+            for a in n.args:
+                if type(a) is not LVar:
+                    parts.append(f"t{len(todo)}")
+                    todo.append((a, parts[-1]))
+                else:
+                    parts.append("_" if slots is None else f"env[{g.k(slots[a.name])}]")
+            if parts.count("_") < len(parts):
+                g.add(f"{', '.join(parts)}, = {var}.args")
+
+
+def _build(g: _Gen, l: LeftExpr, slots: dict, fail: str) -> str:
+    """The expression of the value l builds from env, after the lines it
+    needs, which run fail where |_ _| is undefined.  A variable names each
+    |_ _|'s result and each expression _FLAT deep, so the text stays flat,
+    and a chain of _FLAT or more of one unary constructor is one call of
+    _wrap."""
+    built, todo = [], [l]               # built: (text, depth), first part first
     while todo:
         n = todo.pop()
-        if type(n) is LVar:
-            match.append(slots[n.name])
-        elif type(n) is LCtor:
-            match.append((n.ctor, len(n.args)) if n.args else Value(n.ctor))
-            todo += n.args
+        kind = type(n)
+        if kind is LVar:
+            built.append((f"env[{g.k(slots[n.name])}]", 0))
+        elif kind is LCtor and not n.args:
+            built.append((g.k(Value(n.ctor)), 0))
+        elif kind is not tuple:
+            r, inner = _chain(n) if kind is LCtor else (0, n)
+            if r >= _FLAT:
+                todo += ((n, r), inner)
+            else:
+                todo.append((n, 0))
+                todo += reversed(n.args) if kind is LCtor else (n.arg,)
         else:
-            match.append(None)
-            todo.append(n.arg)
-    return tuple(reversed(match)), tuple(match)
+            n, r = n
+            if r:
+                text, depth = built.pop()
+                text, depth = f"_wrap({text}, {g.k(n.ctor)}, {g.k(r)})", depth + 1
+            elif type(n) is LDup:
+                text, depth = f"dupeq({built.pop()[0]})", _FLAT
+            else:
+                parts = built[len(built) - len(n.args):]
+                del built[len(built) - len(n.args):]
+                text = f"Value({g.k(n.ctor)}, ({', '.join(t for t, _ in parts)},))"
+                depth = 1 + max(d for _, d in parts)
+            if depth == _FLAT:
+                b = f"b{len(g.lines)}"
+                g.add(f"{b} = {text}")
+                if type(n) is LDup:
+                    g.add(f"if {b} is None: {fail}")
+                text, depth = b, 0
+            built.append((text, depth))
+    return built[0][0]
 
 
-def _build(env: list, code) -> Optional[Value]:
-    """The value code builds from env, or None where |_ _| is undefined."""
-    if type(code) is int:
-        return env[code]
-    stack = []
-    for op in code:
-        if type(op) is int:
-            stack.append(env[op])
-        elif type(op) is tuple:
-            n = len(stack) - op[1]
-            stack[n:] = (Value(op[0], tuple(stack[n:])),)
-        elif op is None:
-            stack[-1] = v = dupeq_value(stack[-1])
-            if v is None:
-                return None
-        else:
-            stack.append(op)
-    return stack[0]
+def _builder(l: LeftExpr, slots: dict) -> Callable:
+    """builder(env): the value l builds, or None where |_ _| is undefined."""
+    g = _Gen()
+    g.add(f"return {_build(g, l, slots, 'return None')}")
+    return g.function("env")
 
 
-def _match(env, code, v: Value) -> bool:
-    """Whether v matches code, binding its variables in env as it goes.  A
-    failed match may have bound some; env may be a dict if only the verdict
-    counts."""
-    if type(code) is int:
-        env[code] = v
-        return True
-    stack = [v]
-    for op in code:
-        v = stack.pop()
-        if type(op) is int:
-            env[op] = v
-        elif type(op) is tuple:
-            if v.ctor != op[0] or len(v.args) != op[1]:
-                return False
-            stack += v.args
-        elif op is None:
-            v = dupeq_value(v)
-            if v is None:
-                return False
-            stack.append(v)
-        elif v is not op:
-            return False
-    return True
+def _matcher(l: LeftExpr, slots: dict) -> Callable:
+    """matcher(env, v): True, with l's variables bound in env, if v matches
+    l, else None, with some perhaps bound."""
+    g = _Gen()
+    _match(g, l, slots, "return None")
+    g.add("return True")
+    return g.function("env, v")
+
+
+def _checks(g: _Gen, earlier: list[LeftExpr], what: str) -> None:
+    """Lines raising FirstMatchViolation on the first of earlier that the
+    value in v matches."""
+    for m in earlier:
+        g.attempt(m, None, f"raise _violation({g.k(what)}, v, {g.k(m.pos)})")
+
+
+def _apart(a: LeftExpr, b: LeftExpr) -> bool:
+    """Whether no value matches both a and b: at a position both reach
+    through constructors, they clash on a constructor or an arity."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if type(a) is LCtor and type(b) is LCtor:
+            if a.ctor != b.ctor or len(a.args) != len(b.args):
+                return True
+            todo += zip(a.args, b.args)
+    return False
 
 
 def _slots(names: Iterable[str], e: Union[Expr, LeftExpr]) -> dict[str, int]:
@@ -145,7 +278,7 @@ def instantiate(subst: Subst, l: LeftExpr) -> Optional[Value]:
     for what, names in (("unbound", slots.keys() - subst), ("leftover", subst.keys() - slots)):
         if names:
             raise SubstitutionError(f"{what} variable(s) {sorted(names)}")
-    return _build([subst[name] for name in slots], _left(l, slots)[0])
+    return _builder(l, slots)([subst[name] for name in slots])
 
 
 def match_pattern(v: Value, l: LeftExpr) -> Optional[Subst]:
@@ -156,62 +289,109 @@ def match_pattern(v: Value, l: LeftExpr) -> Optional[Subst]:
     """
     slots = _linear_slots(l)
     env = [None] * len(slots)
-    return dict(zip(slots, env)) if _match(env, _left(l, slots)[1], v) else None
+    return dict(zip(slots, env)) if _matcher(l, slots)(env, v) else None
 
 
-LEAF, LET, CASE, CALL, K_BIND, K_CASE, K_UNCASE, K_PROJ = range(8)
+LEAF, LET, CASE, CALL, K_BIND, K_TEST, K_PROJ = range(7)
 _PROJ = (K_PROJ,)
 
 
-def _expr(e: Expr, slots: dict[str, int], fns: dict[str, list]) -> tuple:
-    """The code of e, by one post-order loop: (LEAF, builder, matcher),
-    (LET, forward call, backward call, body) or (CASE, scrutinee builder,
-    scrutinee matcher, arms).  A call (CALL, builds, binds, then, callee,
-    callee runs forward) builds one side of a let, calls, and binds the
-    other; then is the let's body forward, None backward, where the sides
-    and direction swap.  An arm is (pattern matcher, body, earlier leaves,
-    own leaves, pattern builder, earlier patterns), with each leaf or
-    pattern the first-match policy checks as (matcher, pos).  The last arm's
-    own leaves are None: a value none matches fails at the leaf it reaches."""
-    todo, done = [e], []    # done: (code, its leaves' (matcher, pos)), first body on top
+def _case(n: ECase, bodies: list, slots: dict) -> tuple[tuple, int]:
+    """(CASE, forward dispatch, backward dispatch) of the case n, whose arms'
+    bodies have the codes bodies, and how many of its first-match checks
+    the patterns discharge.  A dispatch returns the arm it commits to,
+    (K_TEST, test, body), or None; test(env, v), a continuation when not
+    None, checks the arm's result forward, and backward rebuilds its input
+    from the pattern, checks it and binds the scrutinee's slots.  A check of
+    arm i against an earlier arm j counts as discharged when it tests
+    nothing: forward, each leaf of j clashes with each leaf of i; backward,
+    pattern j clashes with pattern i."""
+    fwd, bwd, discharged = _Gen(), _Gen(), 0
+    fwd.add(f"v = {_build(fwd, n.scrutinee, slots, 'return None')}")
+    for i, ((pat, body, own, _), code) in enumerate(zip(n.arms, bodies)):
+        leaves, pats = [], []
+        for p, _, theirs, _ in n.arms[:i]:
+            kept = [m for m in theirs if not all(_apart(l, m) for l in own)]
+            clash = _apart(pat, p)
+            leaves += kept
+            pats += () if clash else (p,)
+            discharged += (not kept) + clash
+        test = None
+        if leaves:
+            g = _Gen()
+            _checks(g, leaves, _RESULT)
+            g.add("return True")
+            test = g.function("env, v")
+        fwd.attempt(pat, slots, f"return {fwd.k((K_TEST, test, code))}")
+
+        g = _Gen()
+        g.add(f"v = {_build(g, pat, slots, 'return None')}")
+        _checks(g, pats, _INPUT)
+        _match(g, n.scrutinee, slots, "return None")
+        g.add("return True")
+        test = g.function("env, v")
+        if type(body) is ELeaf:         # matched and bound here, not run again
+            bwd.attempt(body.left, slots, f"return {bwd.k((K_TEST, test, None))}")
+        else:
+            arm = bwd.k((K_TEST, test, code))
+            if i == len(bodies) - 1:
+                bwd.add(f"return {arm}")
+            else:
+                for l in own:
+                    bwd.attempt(l, None, f"return {arm}")
+    fwd.add("return None")
+    bwd.add("return None")
+    return (CASE, fwd.function("env"), bwd.function("env, v")), discharged
+
+
+def _expr(e: Expr, slots: dict[str, int], fns: dict[str, list]) -> tuple[tuple, int]:
+    """The code of e, by one post-order loop, and how many first-match
+    checks its cases discharge: (LEAF, builder, matcher), (LET, forward
+    call, backward call, body) or (CASE, forward dispatch, backward
+    dispatch).  A call (CALL, builds, binds, then, callee, callee runs
+    forward) builds one side of a let, calls, and binds the other; then is
+    the let's body forward, None backward, where the sides and direction
+    swap."""
+    todo, done, discharged = [e], [], 0     # done: codes, first body on top
     while todo:
         n = todo.pop()
         if type(n) is ELeaf:
-            b, m = _left(n.left, slots)
-            done.append(((LEAF, b, m), ((m, n.left.pos),)))
+            done.append((LEAF, _builder(n.left, slots), _matcher(n.left, slots)))
         elif type(n) is not tuple:
             todo += ((n,), n.body) if type(n) is ELet else ((n,), *(b for _, b in n.branches))
         elif type(n[0]) is ELet:
-            (n,), (body, leaves) = n, done.pop()
-            (ub, um), (bb, bm), fn = _left(n.uses, slots), _left(n.binds, slots), fns[n.fname]
-            done.append(((LET, (CALL, ub, bm, body, fn, not n.backward),
-                          (CALL, bb, um, None, fn, n.backward), body), leaves))
+            (n,), body, fn = n, done.pop(), fns[n[0].fname]
+            done.append((LET, (CALL, _builder(n.uses, slots), _matcher(n.binds, slots),
+                               body, fn, not n.backward),
+                         (CALL, _builder(n.binds, slots), _matcher(n.uses, slots),
+                          None, fn, n.backward), body))
         else:
-            (n,), arms, leaves, pats = n, [], (), ()
-            for j, (pat, _) in enumerate(n.branches, 1 - len(n.branches)):  # j = 0 at the last
-                (body, own), (pb, pm) = done.pop(), _left(pat, slots)
-                arms.append((pm, body, leaves, own if j else None, pb, pats))
-                leaves, pats = leaves + own, pats + ((pm, pat.pos),)
-            done.append(((CASE, *_left(n.scrutinee, slots), tuple(arms)), leaves))
-    return done[0][0]
+            code, k = _case(n[0], [done.pop() for _ in n[0].branches], slots)
+            done.append(code)
+            discharged += k
+    return done[0], discharged
 
 
-def _code(prog: Program) -> dict[str, list]:
-    """Name -> [body code, slot count], compiled once and kept on prog."""
-    fns = prog.__dict__.get("_opsem_code")
-    if fns is None:
-        fns = {name: [None, 0] for name in prog.checked_defs}
+def _code(prog: Program) -> tuple[dict[str, list], int]:
+    """Name -> [body code, slot count], and how many first-match checks the
+    patterns discharge, compiled once and kept on prog."""
+    compiled = prog.__dict__.get("_opsem_code")
+    if compiled is None:
+        fns, discharged = {name: [None, 0] for name in prog.checked_defs}, 0
         for name, d in prog.checked_defs.items():
             slots = _slots((d.param,), d.body)
-            fns[name][:] = _expr(d.body, slots, fns), len(slots)
-        prog.__dict__["_opsem_code"] = fns
-    return fns
+            code, k = _expr(d.body, slots, fns)
+            fns[name][:] = code, len(slots)
+            discharged += k
+        compiled = prog.__dict__["_opsem_code"] = fns, discharged
+    return compiled
 
 
-def _first_match(earlier: tuple, v: Value, what: str) -> None:
-    for m, pos in earlier:
-        if _match({}, m, v):
-            raise FirstMatchViolation(f"{what}: {render_value(v)} vs pattern at {pos}")
+def discharged(prog: Program) -> int:
+    """How many first-match checks of prog's cases compiling it discharged
+    statically: one per case, direction and pair of an arm and an earlier
+    arm whose left expressions clash (see _case)."""
+    return _code(prog)[1]
 
 
 def _run(e: Optional[tuple], forward: bool, env: list, reg: Optional[Value],
@@ -222,8 +402,7 @@ def _run(e: Optional[tuple], forward: bool, env: list, reg: Optional[Value],
         call                               a let backward's call
         (K_BIND, binds, env, fuel, then)   bind a call's result in the
                                            caller's env and fuel, run then
-        (K_CASE, earlier leaves)           check a case's result
-        (K_UNCASE, scrutinee matcher, arm) rebuild, check, bind a scrutinee
+        (K_TEST, test, body)               a case arm's test(env, reg)
         _PROJ                              a backward run's parameter value
     A call runs its callee in a fresh env on one unit of fuel less, so the
     caller's env waits in K_BIND uncopied.  A step that finds no match
@@ -233,33 +412,20 @@ def _run(e: Optional[tuple], forward: bool, env: list, reg: Optional[Value],
             tag = e[0]
             if tag == LEAF:
                 if forward:
-                    reg = _build(env, e[1])
-                elif not _match(env, e[2], reg):
-                    reg = None
-                if reg is None:
+                    reg = e[1](env)
+                    if reg is None:
+                        return NO_MATCH
+                elif e[2](env, reg) is None:
                     return NO_MATCH
                 e = None
                 continue
             if tag == CASE:
-                if forward:
-                    v = _build(env, e[1])
-                    if v is None:
-                        return NO_MATCH
-                    for arm in e[3]:
-                        if _match(env, arm[0], v):
-                            break
-                    else:
-                        return NO_MATCH
-                    if arm[2]:
-                        stack.append((K_CASE, arm[2]))
-                else:
-                    for arm in e[3]:
-                        if arm[3] is None or any(_match({}, m, reg) for m, _ in arm[3]):
-                            break
-                    else:
-                        return NO_MATCH
-                    stack.append((K_UNCASE, e[2], arm))
-                e = arm[1]
+                arm = e[1](env) if forward else e[2](env, reg)
+                if arm is None:
+                    return NO_MATCH
+                if arm[1] is not None:
+                    stack.append(arm)
+                e = arm[2]
                 continue
             if not forward:             # a let backward: its body, then its call
                 stack.append(e[2])
@@ -272,26 +438,19 @@ def _run(e: Optional[tuple], forward: bool, env: list, reg: Optional[Value],
             call = stack.pop()
             tag = call[0]
             if tag != CALL:
-                if tag == K_BIND:
+                if tag == K_TEST:
+                    if call[1](env, reg) is None:
+                        return NO_MATCH
+                elif tag == K_BIND:
                     _, binds, env, fuel, e = call
-                    if not _match(env, binds, reg):
+                    if binds(env, reg) is None:
                         return NO_MATCH
                     forward = True      # unused if e is None: a backward caller
-                elif tag == K_CASE:
-                    _first_match(call[1], reg, "case result matches a leaf of an earlier branch")
-                elif tag == K_UNCASE:
-                    v = _build(env, call[2][4])
-                    if v is None:
-                        return NO_MATCH
-                    _first_match(call[2][5], v,
-                                 "backward case input matches an earlier branch pattern")
-                    if not _match(env, call[1], v):
-                        return NO_MATCH
                 else:
                     reg = env[0]
                 continue
         _, builds, binds, e, fn, forward = call
-        w = _build(env, builds)
+        w = builds(env)
         if w is None:
             return NO_MATCH
         if fuel <= 0:
@@ -311,7 +470,7 @@ def _fn(prog: Program, fname: str) -> list:
     # Entry points only: check_static rejects calls to undefined functions.
     if fname not in prog.checked_defs:
         raise UnknownFunction(f"no definition for {fname!r}")
-    return _code(prog)[fname]
+    return _code(prog)[0][fname]
 
 
 def eval_expr(prog: Program, subst: Subst, e: Expr, fuel: int = DEFAULT_FUEL) -> EvalResult:
@@ -324,7 +483,7 @@ def eval_expr(prog: Program, subst: Subst, e: Expr, fuel: int = DEFAULT_FUEL) ->
         raise StaticError(violations)
     slots = _slots(subst, e)
     env = [*subst.values(), *[None] * (len(slots) - len(subst))]
-    return _run(_expr(e, slots, _code(prog)), True, env, None, fuel, [])
+    return _run(_expr(e, slots, _code(prog)[0])[0], True, env, None, fuel, [])
 
 
 def apply_forward(prog: Program, fname: str, v: Value, fuel: int = DEFAULT_FUEL) -> EvalResult:

@@ -116,7 +116,9 @@ def test_deeply_chained_lets_run_check_and_invert(tmp_path):
     r = rfun("run", str(prog), "--entry", "f", "--backward", "--input", "S(Z)")
     assert (r.returncode, r.stdout, r.stderr) == (0, "S(Z)\n", "")
     r = rfun("check", str(prog), "--entry", "f", "--samples", "2")
-    assert (r.returncode, r.stdout, r.stderr) == (0, "f: 2 cases, 0 mismatches\n", "")
+    assert (r.returncode, r.stdout, r.stderr) == (0, "f: 2 cases, 0 mismatches\n"
+                                                  "first-match checks discharged statically:"
+                                                  " opsem 0, densem 0\n", "")
     r = rfun("invert", str(prog))
     assert (r.returncode, r.stderr) == (0, "")
     assert alpha_eq(parse_program(r.stdout), invert_program(parse_program(text)))
@@ -134,7 +136,9 @@ def test_deeply_nested_leaf_runs_checks_and_inverts(tmp_path):
     r = rfun("run", str(prog), "--entry", "f", "--backward", "--input", leaf)
     assert (r.returncode, r.stdout, r.stderr) == (0, "Z\n", "")
     r = rfun("check", str(prog), "--entry", "f")
-    assert (r.returncode, r.stdout, r.stderr) == (0, "f: 50 cases, 0 mismatches\n", "")
+    assert (r.returncode, r.stdout, r.stderr) == (0, "f: 50 cases, 0 mismatches\n"
+                                                  "first-match checks discharged statically:"
+                                                  " opsem 1, densem 1\n", "")
     r = rfun("invert", str(prog))
     assert (r.returncode, r.stderr) == (0, "")
     assert r.stdout == ("f! x' =:\n  case x' of {\n    " + leaf
@@ -197,6 +201,8 @@ def test_check_json_report_schema_and_determinism():
     assert {c["verdict"] for c in report["cases"]} == {"match"}
     assert all({"input", "opsem", "densem", "verdict"} <= set(c)
                for c in report["cases"])
+    # first-match checks each semantics discharged statically, program-wide
+    assert report["discharged"] == {"opsem": 2, "densem": 2}
 
 
 def test_check_all_entries_summary():

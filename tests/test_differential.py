@@ -24,6 +24,7 @@ import random
 
 import pytest
 
+from rfun import densem, opsem
 from rfun.densem import SymbolTable, function_morphism, run_denotation, sem_program
 from rfun.harness import vocabulary
 from rfun.invcat import NO_FUEL, UNDEF, IncompatibleJoin, dagger
@@ -159,15 +160,16 @@ def strict_agree(op, den) -> bool:
 # The differential run
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("seed", range(8))
-def test_random_programs_agree_both_ways(seed):
+def differential_runs(seed: int, programs: int = 25):
+    """(program, function, input, backward?, interpreter outcome, denotation
+    outcome) on 12 inputs per function of each of programs generated
+    programs, both ways."""
     rng = random.Random(0xD1FF + seed)
-    programs = checks = violations = 0
-    while programs < 25:
+    while programs:
         prog = gen_program(rng)
         if check_static(prog):
             continue
-        programs += 1
+        programs -= 1
         vocab = vocabulary(prog)
         tbl = SymbolTable.from_program(prog)
         pm = sem_program(prog, tbl)
@@ -176,17 +178,44 @@ def test_random_programs_agree_both_ways(seed):
             for _ in range(12):
                 v = random_value(rng, vocab, 4)
                 for backward in (False, True):
-                    op = op_outcome(prog, d.name, v, backward)
-                    den = den_outcome(morph, v, tbl, backward)
-                    assert strict_agree(op, den), (
-                        f"{'backward' if backward else 'forward'} disagreement "
-                        f"on {d.name}: {op!r} vs {den!r}\ninput {v!r}\n"
-                        f"program:\n{prog!r}")
-                    checks += 1
-                    violations += is_violation(op)
+                    yield (prog, d.name, v, backward, op_outcome(prog, d.name, v, backward),
+                           den_outcome(morph, v, tbl, backward))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_programs_agree_both_ways(seed):
+    checks = violations = 0
+    for prog, fname, v, backward, op, den in differential_runs(seed):
+        assert strict_agree(op, den), (
+            f"{'backward' if backward else 'forward'} disagreement "
+            f"on {fname}: {op!r} vs {den!r}\ninput {v!r}\n"
+            f"program:\n{prog!r}")
+        checks += 1
+        violations += is_violation(op)
     # the test must keep teeth: many cases, and the policy exercised
     assert checks >= 300, checks
     assert violations >= 1, violations
+
+
+@pytest.mark.parametrize("semantics", ["opsem", "densem"])
+def test_an_unsound_discharge_shows(monkeypatch, semantics):
+    # Each semantics skips the first-match checks that its own clash test
+    # proves can never fire.  A clash test that calls every pair disjoint
+    # skips them all; the differential run and bad_first_match must see it.
+    if semantics == "opsem":
+        monkeypatch.setattr(opsem, "_apart", lambda a, b: True)
+    else:
+        monkeypatch.setattr(densem, "_clash", lambda a, b: True)
+    prog = load_program("bad_first_match.rfun")
+    tbl = SymbolTable.from_program(prog)
+    v = Value("S", (Value("Z"),))
+    op, den = op_outcome(prog, "bad", v), den_outcome(function_morphism(prog, "bad", tbl), v, tbl)
+    assert {op, den} == {"violation", Value("A")}
+    for seed in range(8):
+        if any(not strict_agree(op, den) for *_, op, den in differential_runs(seed)):
+            break
+    else:
+        pytest.fail("no generated program shows the unsound discharge")
 
 
 def test_corpus_agrees_exactly_on_a_fuel_ladder():

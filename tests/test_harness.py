@@ -2,14 +2,18 @@ import json
 
 import pytest
 
+from rfun import densem, opsem
+from rfun.densem import SymbolTable, function_morphism
 from rfun.harness import (
-    check_function, check_program, gen_value, opsem_outcome, outcomes_agree,
-    vocabulary,
+    check_function, check_program, densem_outcome, gen_value, opsem_outcome,
+    outcomes_agree, vocabulary,
 )
-from rfun.syntax import parse_program
+from rfun.invcat import dagger
+from rfun.opsem import FirstMatchViolation
+from rfun.syntax import parse_program, parse_value
 from rfun.values import TUPLE
 
-from helpers import load_program
+from helpers import FIXTURES, load_program
 
 import random
 
@@ -122,3 +126,46 @@ def test_opsem_outcome_shape():
     from rfun.values import tup
     out = opsem_outcome(prog, "plus", tup(peano(0), peano(1)), 100)
     assert out == {"status": "value", "value": "<Z, S(Z)>"}
+
+
+# Per fixture, the first-match checks (one per case, direction and pair of
+# an arm and an earlier arm) whose left expressions clash.  In arith, plus
+# keeps its forward check (<x', S(u')> against |_ <x> _|) and discharges its
+# backward one (<x, S(u)> against <x, Z>); so does fib (z against
+# <S(Z), S(Z)>; S(m) against Z).  mirror discharges both.
+DISCHARGED = {"arith": 2, "arith_inv": 2, "bad_first_match": 1, "extra": 5, "id": 0,
+              "iseq": 1, "loop": 0, "mirror": 2, "plus_sugared": 1}
+
+
+def test_both_semantics_discharge_the_same_checks_on_every_fixture():
+    # Each semantics derives its table from the program on its own.
+    paths = sorted(FIXTURES.glob("*.rfun"))
+    assert [p.stem for p in paths] == sorted(DISCHARGED)
+    for path in paths:
+        prog = load_program(path.name)
+        assert opsem.discharged(prog) == densem.discharged(prog) == DISCHARGED[path.stem]
+        assert check_program(prog, samples=0)["discharged"] == {
+            "opsem": DISCHARGED[path.stem], "densem": DISCHARGED[path.stem]}
+    prog = load_program("mirror.rfun")
+    assert check_program(prog, "mirror", samples=0)["discharged"]["opsem"] == 2
+
+
+def test_violation_messages_on_the_fixtures():
+    # Skipping checks that can never fire leaves the first check that does
+    # fire, and so every message, as it was.
+    bad, iseq = load_program("bad_first_match.rfun"), load_program("iseq.rfun")
+    tbl = SymbolTable.from_program(bad)
+    v = parse_value("S(Z)")
+    assert opsem_outcome(bad, "bad", v, 100)["detail"] == (
+        "case result matches a leaf of an earlier branch: A vs pattern at (6, 10)")
+    assert densem_outcome(function_morphism(bad, "bad", tbl), v, tbl, 100)["detail"] == (
+        "case result of arm 1 matches a leaf of arm 0")
+    tbl = SymbolTable.from_program(iseq)
+    v = parse_value("Diff(<>, <>)")
+    with pytest.raises(FirstMatchViolation) as exc:
+        opsem.apply_backward(iseq, "iseq", v)
+    assert str(exc.value) == ("backward case input matches an earlier branch pattern: "
+                              "<<>, <>> vs pattern at (7, 5)")
+    morph = dagger(function_morphism(iseq, "iseq", tbl))
+    assert densem_outcome(morph, v, tbl, 100)["detail"] == (
+        "case input recovered by arm 1 matches the pattern of arm 0")

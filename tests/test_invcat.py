@@ -832,3 +832,17 @@ def test_fix_under_every_combinator_runs_on_the_main_thread():
 def test_fix_type_check():
     with pytest.raises(TypeMismatch):
         fix(lambda h: delta(BOOL), BOOL, BOOL)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: otimes(inj1(ONE, ONE), inj1(ONE, ONE)),
+    lambda: prod_swap(ONE, ONE),
+], ids=["fused-tensor", "plain-primitive"])
+def test_a_primitive_rejects_an_element_of_another_object(make):
+    # Generated evaluators trust the element's shape; one that lacks a part
+    # they read is a TypeMismatch, as in the nodes' rules, both ways.
+    m = make()
+    with pytest.raises(TypeMismatch):
+        m.fwd(STAR, 5)
+    with pytest.raises(TypeMismatch):
+        m.bwd(STAR, 5)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rfun import invcat
+from rfun import invcat, opsem
 from rfun.densem import SymbolTable, function_morphism, run_denotation
 from rfun.opsem import (
     NO_MATCH, OUT_OF_FUEL, FirstMatchViolation, SubstitutionError,
@@ -366,3 +366,45 @@ def test_least_fuel_of_rlet_both_ways():
     u, v = tup(peano(2), peano(5)), tup(peano(2), peano(3))
     assert _least_fuel(lambda f: apply_forward(p, "sub", u, fuel=f)) == 4
     assert _least_fuel(lambda f: apply_backward(p, "sub", v, fuel=f)) == 4
+
+
+def test_nested_cases_run_both_ways_from_a_few_shared_texts():
+    # 5,000 nested one-branch cases: each case's code is generated from the
+    # same few texts, which differ only in the slots and constructors passed
+    # as defaults, so compiling them compiles a constant number of texts.
+    n = 5000
+    src = ("f x0 =: " + "".join(f"case x{i} of {{ S(x{i + 1}) -> " for i in range(n))
+           + f"x{n}" + " }" * n)
+    opsem._compiled.cache_clear()
+    p = parse_program(src)
+    assert no_recursion(apply_forward, p, "f", peano(n + 1)) == SZ
+    assert no_recursion(apply_backward, p, "f", SZ) == peano(n + 1)
+    assert apply_forward(p, "f", peano(n - 1)) is NO_MATCH
+    assert opsem._compiled.cache_info().currsize <= 10
+
+
+def test_apart_left_expressions_clash_on_a_constructor_or_an_arity():
+    S, Zl = (lambda a: LCtor("S", (a,))), LCtor("Z")
+    x, y = LVar("x"), LVar("y")
+    assert opsem._apart(Zl, S(x))
+    assert opsem._apart(S(Zl), S(S(y)))
+    assert opsem._apart(LCtor(TUPLE, (x,)), LCtor(TUPLE, (x, y)))   # arity
+    assert not opsem._apart(S(x), S(S(y)))
+    assert not opsem._apart(x, Zl)
+    # |_ _| may give any value
+    assert not opsem._apart(LDup(LCtor(TUPLE, (x,))), Zl)
+    assert not opsem._apart(S(LDup(LCtor(TUPLE, (x,)))), S(Zl))
+
+
+def test_a_kept_check_still_fires_beside_discharged_ones():
+    # Of the six checks only one is kept: arm 2's result against arm 0's
+    # leaf W(v).  Every other pair of leaves, and every pair of patterns,
+    # clashes.
+    p = parse_program("h x =: case x of { S(S(v)) -> W(v); S(Z) -> B; Z -> W(Z) }")
+    assert opsem.discharged(p) == 5
+    with pytest.raises(FirstMatchViolation) as exc:
+        apply_forward(p, "h", Z)
+    assert str(exc.value) == ("case result matches a leaf of an earlier branch: "
+                              "W(Z) vs pattern at (1, 31)")
+    assert apply_backward(p, "h", val("B")) == SZ
+    assert apply_backward(p, "h", val("W", Z)) == val("S", SZ)
