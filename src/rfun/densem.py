@@ -392,7 +392,7 @@ def sem_expr(e: Expr, ctx: tuple[str, ...], xi: Morph,
         if kind is tuple:               # a case's arms, after the map into rest * T(S)
             rest = identity(before[-1].tgt.left)
             arms = tuple((otimes(rest, dagger(_sem_left(pat, _wires(lvars(pat)), tbl))),
-                          built.pop(), own, isinstance(body, ELeaf)) for pat, body, own, _ in e)
+                          built.pop(), own, isinstance(body, ELeaf)) for pat, body, own in e)
             # Not a join of the arms: the case commits to the first arm
             # whose pattern (forward) or leaf (backward) matches and raises
             # IncompatibleJoin on a value that an earlier arm claims.
@@ -414,7 +414,7 @@ def sem_expr(e: Expr, ctx: tuple[str, ...], xi: Morph,
             todo.append((e.body, (None, *rest, *outs), before))
             continue
         todo.append((e.arms, None, before))
-        for pat, body, _, _ in e.arms:  # built last first, so popped first first
+        for pat, body, _ in e.arms:  # built last first, so popped first first
             inner = (None, *rest, *_wires(lvars(pat)))
             todo.append((body, inner, []))
     return built[0]
@@ -488,9 +488,9 @@ def _clash(a: LeftExpr, b: LeftExpr) -> bool:
 
 def _checks(arms: tuple) -> tuple[tuple, tuple]:
     """Per direction (backward, forward) and per arm i of a case's arms
-    (pattern, body, leaves, earlier leaves), the earlier arms j whose test
-    can fire on arm i's output: backward, pattern j, unless it clashes with
-    pattern i; forward, j's leaves, unless each clashes with each of i's."""
+    (pattern, body, leaves), the earlier arms j whose test can fire on arm
+    i's output: backward, pattern j, unless it clashes with pattern i;
+    forward, j's leaves, unless each clashes with each of i's."""
     return (
         tuple(tuple(j for j in range(i) if not _clash(arms[i][0], arms[j][0]))
               for i in range(len(arms))),

@@ -9,7 +9,9 @@ is defined, ``bwd(y) = x`` and conversely.
 
 A primitive morphism (``Morph``: the structural isos, the injections,
 duplication) is given by its equations between element shapes, which it
-keeps as data and ``equations`` reads both ways into its two evaluators.
+keeps as data and ``equations`` reads both ways into its two evaluators,
+generated Python emitted through ``Gen``, which the interpreter uses too:
+one cache of compiled texts, with constants passed as defaults.
 Composition, both tensors and the dagger of such primitives fuse them into
 one by rewriting the equations (``_fused``), so a subterm with no other
 combinator runs as one generated function per direction.  Every other
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import count
-from types import FunctionType
+from types import CodeType, FunctionType
 from typing import Callable, Optional, Union
 
 # ---------------------------------------------------------------------------
@@ -294,63 +296,95 @@ _A, _B, _C = Hole("a"), Hole("b"), Hole("c")
 _FLAT = 16      # the deepest expression code holds before a variable names it
 
 
-def _text(e, at: Optional[dict] = None, code: Optional[list] = None,
-          consts: Optional[list] = None) -> str:
-    """Constructor text of an element or shape, built children first.  As
-    code, given at, the variable of each hole, code, the lines before it, and
-    consts, the list that receives each largest part with no hole (named
-    k0, k1, ... in order), the unit is STAR and a variable names each
-    expression _FLAT deep."""
-    def name(part) -> str:
-        consts.append(part)
-        return f"k{len(consts) - 1}"
+class Gen:
+    """The lines of a generated function and its constants: each distinct
+    one (by value if an int or a str, else by identity) is the default k<i>
+    of a copy of the function compiled from the text, which names none of
+    them, so alike shapes share one text.  Both semantics emit through it."""
 
+    def __init__(self):
+        self.lines: list[str] = []
+        self.consts: list = []
+        self.names: dict = {}
+        self.ind = "    "                # a line's indent in the function's body
+
+    def k(self, c) -> str:
+        key = (type(c), c) if type(c) in (int, str) else id(c)
+        if key not in self.names:
+            self.names[key] = f"k{len(self.consts)}"
+            self.consts.append(c)
+        return self.names[key]
+
+    def add(self, line: str) -> None:
+        self.lines.append(self.ind + line)
+
+    def function(self, params: str, scope: dict) -> Callable:
+        """The function of params and the constants with these lines as its
+        body, over the globals scope."""
+        text = "\n".join((f"def f({', '.join((params, *self.names.values()))}):", *self.lines))
+        return FunctionType(_code(text), scope, None, tuple(self.consts))
+
+
+@lru_cache(maxsize=2048)
+def _code(text: str) -> CodeType:
+    """The code of the function text defines, compiled once per text."""
+    exec(text, {}, scope := {})
+    return scope["f"].__code__
+
+
+def _text(e, at: Optional[dict] = None, g: Optional[Gen] = None) -> str:
+    """Constructor text of an element or shape, built children first.  As
+    code, given at, the variable of each hole, and g, which takes the lines
+    before it and each largest part with no hole as a constant, the unit is
+    STAR and a variable names each expression _FLAT deep."""
     built, todo = [], [e]               # built: (text, depth, the part if hole-free)
     while todo:
         e = todo.pop()
         if type(e) is tuple:            # a constructor, over its built parts
             e, = e
             n = len(built) - len(e.__match_args__)
-            if at is not None and all(p is not None for _, _, p in built[n:]):
+            if g is not None and all(p is not None for _, _, p in built[n:]):
                 built[n:] = [(None, 0, e)]      # named, if at all, as a whole
                 continue
-            texts = [name(p) if t is None else t for t, _, p in built[n:]]
+            texts = [g.k(p) if t is None else t for t, _, p in built[n:]]
             text = f"{type(e).__name__}({', '.join(texts)})"
             depth = 1 + max((d for _, d, _ in built[n:]), default=0)
-            if code is not None and depth == _FLAT:
-                code.append(f"t{len(code)} = {text}")
-                text, depth = f"t{len(code) - 1}", 0
+            if g is not None and depth == _FLAT:
+                g.add(f"t{len(g.lines)} = {text}")
+                text, depth = f"t{len(g.lines) - 1}", 0
             built[n:] = [(text, depth, None)]
         elif type(e) is Hole:
-            built.append((e if at is None else at[e], 0, None))
-        elif type(e) is Star and at is not None:
+            built.append((e if g is None else at[e], 0, None))
+        elif type(e) is Star and g is not None:
             built.append(("STAR", 0, e))
         else:
             todo += ((e,), *(getattr(e, p) for p in reversed(e.__match_args__)))
     text, _, whole = built[0]
-    return name(whole) if text is None else text
+    return g.k(whole) if text is None else text
 
 
-def _clause(lhs, rhs, consts: list) -> str:
-    """Code returning rhs built from an element x of the shape lhs, else breaking.
-    Variables name each pair below the top and expressions _FLAT deep, and no
-    hole, so shapes alike share it; the parts of rhs with no hole are
-    constants, appended to consts."""
-    code, at, todo = [], {}, [("x", 0, lhs)]
+def _clause(lhs, rhs, g: Gen) -> None:
+    """A block returning rhs built from an element x of the shape lhs, else
+    breaking.  Variables name each pair below the top and expressions _FLAT
+    deep, and no hole, so shapes alike share it; the parts of rhs with no
+    hole are constants."""
+    g.add("while True:")
+    g.ind += "    "
+    at, todo = {}, [("x", 0, lhs)]
     while todo:                         # parents first, so tests guard reads
         var, depth, e = todo.pop()
         if type(e) is Hole:
             if e in at:
-                code.append(f"if {at[e]} != {var}: break")
+                g.add(f"if {at[e]} != {var}: break")
             at.setdefault(e, var)
         elif type(e) is InL or type(e) is InR:
-            code.append(f"if type({var}) is not {type(e).__name__}: break")
+            g.add(f"if type({var}) is not {type(e).__name__}: break")
         if (depth == _FLAT or type(e) is Pair and depth > 1) and e.__match_args__:
-            code.append(f"t{len(code)} = {var}")
-            var, depth = f"t{len(code) - 1}", 0
+            g.add(f"t{len(g.lines)} = {var}")
+            var, depth = f"t{len(g.lines) - 1}", 0
         todo += ((f"{var}.{part}", depth + 1, getattr(e, part)) for part in e.__match_args__)
-    built = _text(rhs, at, code, consts)
-    return "    while True:\n" + "".join(f"        {ln}\n" for ln in code + [f"return {built}"])
+    g.add(f"return {_text(rhs, at, g)}")
+    g.ind = g.ind[:-4]
 
 
 def equations(*eqs: tuple[Elem, Elem]) -> tuple[Evaluator, Evaluator]:
@@ -363,29 +397,22 @@ def equations(*eqs: tuple[Elem, Elem]) -> tuple[Evaluator, Evaluator]:
 
 def _compiled(eqs, forward: bool) -> Evaluator:
     """The evaluator reading each equation left to right if forward, else
-    right to left."""
-    consts: list = []                   # a clause is a loop left by break
+    right to left, as one loop left by break per clause.  It trusts x's
+    shape, so an element of another object, which lacks a part it reads,
+    raises TypeMismatch."""
+    g = Gen()
+    g.add("try:")
+    g.ind = "        "
     try:
-        body = "".join(_clause(*(eq if forward else eq[::-1]), consts) for eq in eqs)
+        for eq in eqs:
+            _clause(*(eq if forward else eq[::-1]), g)
     except KeyError as hole:
         raise TypeMismatch(f"hole {hole} is on one side of an equation only") from None
-    shared = evaluator(body + "    return UNDEF\n", len(consts))
-    if not consts:
-        return shared
-    return FunctionType(shared.__code__, shared.__globals__, None, tuple(consts))
-
-
-@lru_cache(maxsize=1024)
-def evaluator(body: str, n: int = 0) -> Evaluator:
-    """The function of x and fuel with this body, and of its n constants
-    k0, k1, ..., which a caller gives as the defaults of a copy; compiled
-    once per text.  The body trusts x's shape, so an element of another
-    object, which lacks a part the body reads, raises TypeMismatch."""
-    params = "".join(f", k{i}" for i in range(n))
-    body = "".join(f"    {ln}\n" for ln in body.splitlines())
-    exec(f"def evaluate(x, fuel{params}):\n    try:\n{body}    except AttributeError:\n"
-         f"        raise _misfit(x) from None\n", globals(), scope := {})
-    return scope["evaluate"]
+    g.add("return UNDEF")
+    g.ind = "    "
+    g.add("except AttributeError:")
+    g.add("    raise _misfit(x) from None")
+    return g.function("x, fuel", globals())
 
 
 def _misfit(x: Elem) -> TypeMismatch:

@@ -10,9 +10,10 @@ the slots of its variables, and each case one generated dispatch per
 direction: forward it builds the scrutinee and tries the arms' patterns in
 order, backward it tries the arms' leaves in order (the last arm commits
 untested); it binds the slots of the arm it commits to and returns that
-arm.  Each text is compiled once per process: slots, constructors and
-constant values are the defaults of a copy of the compiled function, so
-alike shapes share one text.
+arm.  The code is emitted through invcat.Gen, as the denotation's
+primitives are: each text is compiled once per process, and slots,
+constructors and constant values are the defaults of a copy of the
+compiled function, so alike shapes share one text.
 
 One eval/apply machine runs that code both ways (a let backward is the let
 forward with its sides and direction swapped) on an explicit continuation
@@ -32,11 +33,9 @@ NO_MATCH and OUT_OF_FUEL are the same objects as invcat's UNDEF and NO_FUEL.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from types import FunctionType
 from typing import Callable, Iterable, Optional, Union
 
-from .invcat import NO_FUEL as OUT_OF_FUEL, UNDEF as NO_MATCH, _Outcome
+from .invcat import NO_FUEL as OUT_OF_FUEL, UNDEF as NO_MATCH, Gen, _FLAT, _Outcome
 from .syntax import (
     ECase, ELeaf, ELet, Expr, LCtor, LDup, LeftExpr, LVar, Program,
     StaticError, check_expr, lvars, render_value, walk,
@@ -72,48 +71,6 @@ def _violation(what: str, v: Value, pos) -> FirstMatchViolation:
 
 _RESULT = "case result matches a leaf of an earlier branch"
 _INPUT = "backward case input matches an earlier branch pattern"
-_FLAT = 16      # the deepest expression a builder nests before a variable names it
-
-
-class _Gen:
-    """The lines of a generated function and its constants: slots,
-    constructors, values and arms, each distinct one the default k<i> of a
-    copy of the function compiled from the text, which names none of them."""
-
-    def __init__(self):
-        self.lines: list[str] = []
-        self.consts: list = []
-        self.names: dict = {}
-        self.ind = "    "                # a line's indent in the function's body
-
-    def k(self, c) -> str:
-        key = (type(c), c) if type(c) in (int, str) else id(c)
-        if key not in self.names:
-            self.names[key] = f"k{len(self.consts)}"
-            self.consts.append(c)
-        return self.names[key]
-
-    def add(self, line: str) -> None:
-        self.lines.append(self.ind + line)
-
-    def attempt(self, l: LeftExpr, slots: Optional[dict], then: str) -> None:
-        """A block that runs then if the value in v matches l, binding l's
-        variables given slots, and else falls through."""
-        self.add("while True:")
-        self.ind = "        "
-        _match(self, l, slots, "break")
-        self.add(then)
-        self.ind = "    "
-
-    def function(self, params: str) -> Callable:
-        text = "\n".join((f"def f({', '.join((params, *self.names.values()))}):", *self.lines))
-        return FunctionType(_compiled(text).__code__, globals(), None, tuple(self.consts))
-
-
-@lru_cache(maxsize=1024)
-def _compiled(text: str) -> Callable:
-    exec(text, globals(), scope := {})
-    return scope["f"]
 
 
 def _chain(n: LCtor) -> tuple[int, LeftExpr]:
@@ -140,7 +97,7 @@ def _wrap(v: Value, ctor: str, r: int) -> Value:
     return v
 
 
-def _match(g: _Gen, l: LeftExpr, slots: Optional[dict], fail: str) -> None:
+def _match(g: Gen, l: LeftExpr, slots: Optional[dict], fail: str) -> None:
     """Lines that run fail unless the value in v matches l and, given slots,
     store l's variables at theirs in env.  A part at depth i of the loop's
     stack is t<i>, so a chain of any depth takes one name; a chain of _FLAT
@@ -174,7 +131,7 @@ def _match(g: _Gen, l: LeftExpr, slots: Optional[dict], fail: str) -> None:
                 g.add(f"{', '.join(parts)}, = {var}.args")
 
 
-def _build(g: _Gen, l: LeftExpr, slots: dict, fail: str) -> str:
+def _build(g: Gen, l: LeftExpr, slots: dict, fail: str) -> str:
     """The expression of the value l builds from env, after the lines it
     needs, which run fail where |_ _| is undefined.  A variable names each
     |_ _|'s result and each expression _FLAT deep, so the text stays flat,
@@ -219,25 +176,35 @@ def _build(g: _Gen, l: LeftExpr, slots: dict, fail: str) -> str:
 
 def _builder(l: LeftExpr, slots: dict) -> Callable:
     """builder(env): the value l builds, or None where |_ _| is undefined."""
-    g = _Gen()
+    g = Gen()
     g.add(f"return {_build(g, l, slots, 'return None')}")
-    return g.function("env")
+    return g.function("env", globals())
 
 
 def _matcher(l: LeftExpr, slots: dict) -> Callable:
     """matcher(env, v): True, with l's variables bound in env, if v matches
     l, else None, with some perhaps bound."""
-    g = _Gen()
+    g = Gen()
     _match(g, l, slots, "return None")
     g.add("return True")
-    return g.function("env, v")
+    return g.function("env, v", globals())
 
 
-def _checks(g: _Gen, earlier: list[LeftExpr], what: str) -> None:
+def _attempt(g: Gen, l: LeftExpr, slots: Optional[dict], then: str) -> None:
+    """A block that runs then if the value in v matches l, binding l's
+    variables given slots, and else falls through."""
+    g.add("while True:")
+    g.ind += "    "
+    _match(g, l, slots, "break")
+    g.add(then)
+    g.ind = g.ind[:-4]
+
+
+def _checks(g: Gen, earlier: list[LeftExpr], what: str) -> None:
     """Lines raising FirstMatchViolation on the first of earlier that the
     value in v matches."""
     for m in earlier:
-        g.attempt(m, None, f"raise _violation({g.k(what)}, v, {g.k(m.pos)})")
+        _attempt(g, m, None, f"raise _violation({g.k(what)}, v, {g.k(m.pos)})")
 
 
 def _apart(a: LeftExpr, b: LeftExpr) -> bool:
@@ -306,11 +273,11 @@ def _case(n: ECase, bodies: list, slots: dict) -> tuple[tuple, int]:
     arm i against an earlier arm j counts as discharged when it tests
     nothing: forward, each leaf of j clashes with each leaf of i; backward,
     pattern j clashes with pattern i."""
-    fwd, bwd, discharged = _Gen(), _Gen(), 0
+    fwd, bwd, discharged = Gen(), Gen(), 0
     fwd.add(f"v = {_build(fwd, n.scrutinee, slots, 'return None')}")
-    for i, ((pat, body, own, _), code) in enumerate(zip(n.arms, bodies)):
+    for i, ((pat, body, own), code) in enumerate(zip(n.arms, bodies)):
         leaves, pats = [], []
-        for p, _, theirs, _ in n.arms[:i]:
+        for p, _, theirs in n.arms[:i]:
             kept = [m for m in theirs if not all(_apart(l, m) for l in own)]
             clash = _apart(pat, p)
             leaves += kept
@@ -318,30 +285,30 @@ def _case(n: ECase, bodies: list, slots: dict) -> tuple[tuple, int]:
             discharged += (not kept) + clash
         test = None
         if leaves:
-            g = _Gen()
+            g = Gen()
             _checks(g, leaves, _RESULT)
             g.add("return True")
-            test = g.function("env, v")
-        fwd.attempt(pat, slots, f"return {fwd.k((K_TEST, test, code))}")
+            test = g.function("env, v", globals())
+        _attempt(fwd, pat, slots, f"return {fwd.k((K_TEST, test, code))}")
 
-        g = _Gen()
+        g = Gen()
         g.add(f"v = {_build(g, pat, slots, 'return None')}")
         _checks(g, pats, _INPUT)
         _match(g, n.scrutinee, slots, "return None")
         g.add("return True")
-        test = g.function("env, v")
+        test = g.function("env, v", globals())
         if type(body) is ELeaf:         # matched and bound here, not run again
-            bwd.attempt(body.left, slots, f"return {bwd.k((K_TEST, test, None))}")
+            _attempt(bwd, body.left, slots, f"return {bwd.k((K_TEST, test, None))}")
         else:
             arm = bwd.k((K_TEST, test, code))
             if i == len(bodies) - 1:
                 bwd.add(f"return {arm}")
             else:
                 for l in own:
-                    bwd.attempt(l, None, f"return {arm}")
+                    _attempt(bwd, l, None, f"return {arm}")
     fwd.add("return None")
     bwd.add("return None")
-    return (CASE, fwd.function("env"), bwd.function("env, v")), discharged
+    return (CASE, fwd.function("env", globals()), bwd.function("env, v", globals())), discharged
 
 
 def _expr(e: Expr, slots: dict[str, int], fns: dict[str, list]) -> tuple[tuple, int]:

@@ -107,10 +107,9 @@ class ECase:
 
     @cached_property
     def arms(self) -> tuple[tuple, ...]:
-        """Per branch: its pattern, its body, the body's leaves, and the
-        leaves of every earlier branch, which the symmetric first-match
-        policy checks against.  Derived once per case, with those of every
-        case under it (see _fill_arms)."""
+        """Per branch: its pattern, its body and the body's leaves, which the
+        symmetric first-match policy checks later branches against.  Derived
+        once per case, with those of every case under it (see _fill_arms)."""
         _fill_arms(self)
         return self.__dict__["arms"]
 
@@ -162,13 +161,13 @@ def _fill_arms(e: Expr) -> tuple[LeftExpr, ...]:
             todo += ((n,), *(body for _, body in n.branches))
         else:
             n, = n
-            arms, earlier = [], ()
+            arms, leaves = [], ()
             for pat, body in n.branches:    # the first body's leaves on top
                 own = done.pop()
-                arms.append((pat, body, own, earlier))
-                earlier += own
+                arms.append((pat, body, own))
+                leaves += own
             n.__dict__["arms"] = tuple(arms)
-            done.append(earlier)
+            done.append(leaves)
     return done[0]
 
 

@@ -267,6 +267,32 @@ def test_import_leaves_the_recursion_limit_alone():
     assert before == after
 
 
+def test_both_semantics_compile_through_one_text_cache():
+    # A fresh process, in which no primitive of arith's denotation is
+    # compiled yet: the interpreter's first run and the denotation's first
+    # run each compile texts into invcat's one cache.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from rfun import invcat\n"
+        "from rfun.densem import SymbolTable, function_morphism, run_denotation\n"
+        "from rfun.opsem import apply_forward\n"
+        "from rfun.syntax import parse_program, parse_value\n"
+        "prog = parse_program(open(sys.argv[1]).read())\n"
+        "v, texts = parse_value('<S(Z), S(S(Z))>'), invcat._code.cache_info\n"
+        "invcat._code.cache_clear()\n"
+        "apply_forward(prog, 'plus', v)\n"
+        "run = texts().currsize\n"
+        "tbl = SymbolTable.from_program(prog)\n"
+        "run_denotation(function_morphism(prog, 'plus', tbl), v, tbl)\n"
+        "print(run, texts().currsize - run)\n")
+    r = subprocess.run([sys.executable, "-c", script, str(FIXTURES / "arith.rfun")],
+                       capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert r.returncode == 0, r.stderr
+    opsem_texts, densem_texts = map(int, r.stdout.split())
+    assert opsem_texts > 0 and densem_texts > 0
+
+
 def test_unknown_command_fails():
     r = rfun("frobnicate")
     assert r.returncode != 0

@@ -486,6 +486,18 @@ def test_equation_sides_must_hold_the_same_holes():
     equations((a, Pair(a, a)))          # a hole met twice is an equality test
 
 
+def test_a_hole_free_part_built_twice_is_one_constant():
+    # The built side's hole-free parts are defaults of the evaluator, one
+    # per distinct part, so a part built twice is passed once.
+    a, part = Hole("a"), InL(STAR)
+    fwd, bwd = equations((a, Pair(part, Pair(a, part))))
+    assert len(fwd.__defaults__) == 1 and fwd.__defaults__[0] is part
+    y = fwd(InR(STAR), FUEL)
+    assert y == Pair(part, Pair(InR(STAR), part)) and y.fst is y.snd.snd is part
+    assert bwd(y, FUEL) == InR(STAR)
+    assert bwd(Pair(InR(STAR), Pair(STAR, part)), FUEL) is UNDEF
+
+
 def test_injection_into_a_wide_sum_is_one_step():
     objs = [ONE] * 300
     for i in (0, 150, 298, 299):

@@ -375,12 +375,12 @@ def test_nested_cases_run_both_ways_from_a_few_shared_texts():
     n = 5000
     src = ("f x0 =: " + "".join(f"case x{i} of {{ S(x{i + 1}) -> " for i in range(n))
            + f"x{n}" + " }" * n)
-    opsem._compiled.cache_clear()
+    invcat._code.cache_clear()
     p = parse_program(src)
     assert no_recursion(apply_forward, p, "f", peano(n + 1)) == SZ
     assert no_recursion(apply_backward, p, "f", SZ) == peano(n + 1)
     assert apply_forward(p, "f", peano(n - 1)) is NO_MATCH
-    assert opsem._compiled.cache_info().currsize <= 10
+    assert invcat._code.cache_info().currsize <= 10
 
 
 def test_apart_left_expressions_clash_on_a_constructor_or_an_arity():
