@@ -24,7 +24,7 @@ parts, so that layouts of any size hash and compare without recursion.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 from .invcat import (
@@ -70,12 +70,15 @@ class SymbolTable:
     every program that is explicit about nothing else.
     """
     names: tuple[str, ...]
+    _indices: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.names or self.names[0] != TUPLE:
             raise ValueError("symbol 1 must be the tuple constructor")
-        if len(set(self.names)) != len(self.names):
+        indices = {n: i for i, n in enumerate(self.names, 1)}
+        if len(indices) != len(self.names):
             raise ValueError("constructor names must be distinct")
+        object.__setattr__(self, "_indices", indices)
 
     @staticmethod
     def from_names(names) -> "SymbolTable":
@@ -95,8 +98,8 @@ class SymbolTable:
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name) + 1
-        except ValueError:
+            return self._indices[name]
+        except KeyError:
             raise UnknownSymbol(f"constructor {name!r} is not in the symbol table") from None
 
     def name(self, index: int) -> str:
@@ -126,15 +129,36 @@ def sym_elem(index: int) -> Elem:
     return Roll(e)
 
 
-def encode_value(v: Value, tbl: SymbolTable) -> Elem:
-    return fold_tree(v, lambda w: (tbl.index(w.ctor), w.args), _encode_node)
+def encode_value(v: Value, tbl: SymbolTable, memo: dict | None = None) -> Elem:
+    """The element of T(S) encoding v: each node c(v1, ..., vn) becomes the
+    Roll of the pair of c's symbol and the list of the vi's elements.
 
-
-def _encode_node(index: int, children: list[Elem]) -> Elem:
-    spine: Elem = _NIL
-    for child in reversed(children):
-        spine = Roll(InR(Pair(child, spine)))
-    return Roll(Pair(sym_elem(index), spine))
+    One loop over an explicit stack builds each node after its children.
+    memo maps values already encoded under tbl to their elements, and gains
+    every node of v.  Values are interned, so a subtree met again, in v or in
+    an earlier value encoded with the same memo, is encoded once and its
+    element shared.  Without a memo the call uses a fresh one."""
+    if memo is None:
+        memo = {}
+    todo = [v]
+    while todo:
+        w = todo.pop()
+        if w in memo:
+            continue
+        args = w.args
+        ready = True
+        for c in args:
+            if c not in memo:
+                if ready:
+                    todo.append(w)
+                    ready = False
+                todo.append(c)
+        if ready:
+            spine: Elem = _NIL
+            for c in reversed(args):
+                spine = Roll(InR(Pair(memo[c], spine)))
+            memo[w] = Roll(Pair(sym_elem(tbl.index(w.ctor)), spine))
+    return memo[v]
 
 
 def decode_value(e: Elem, tbl: SymbolTable) -> Value:
@@ -550,12 +574,13 @@ def function_morphism(prog: Program, fname: str,
 
 
 def run_denotation(m: Morph, v: Value, tbl: SymbolTable,
-                   fuel: int = DEFAULT_FUEL):
-    """Evaluate a T(S) -> T(S) morphism on an encoded value.
+                   fuel: int = DEFAULT_FUEL, memo: dict | None = None):
+    """Evaluate a T(S) -> T(S) morphism on an encoded value (encoded through
+    memo, as encode_value does).
 
     Returns a decoded Value, UNDEF or NO_FUEL; IncompatibleJoin propagates.
     """
-    r = m.fwd(encode_value(v, tbl), fuel)
+    r = m.fwd(encode_value(v, tbl, memo), fuel)
     if isinstance(r, _Outcome):
         return r
     return decode_value(r, tbl)

@@ -55,8 +55,20 @@ def test_symbol_table_orders_by_first_occurrence(arith):
     assert SymbolTable.from_program(prog).names == (TUPLE, "C", "E", "D", "B", "A", "F")
     assert tbl.index(TUPLE) == 1
     assert tbl.index("S") == 3
-    with pytest.raises(UnknownSymbol):
+    with pytest.raises(UnknownSymbol, match="constructor 'Missing' is not in the symbol table"):
         tbl.index("Missing")
+
+
+def test_symbol_table_index_is_not_part_of_its_value():
+    a = SymbolTable.from_names(["Z", "S"])
+    b = SymbolTable((TUPLE, "Z", "S"))
+    assert a == b and hash(a) == hash(b) and a != SymbolTable.from_names(["S", "Z"])
+    assert repr(a) == "SymbolTable(names=('<>', 'Z', 'S'))"
+    assert [a.index(n) for n in a.names] == [1, 2, 3]
+    with pytest.raises(AttributeError):
+        a.names = (TUPLE,)
+    with pytest.raises(ValueError, match="distinct"):
+        SymbolTable((TUPLE, "Z", "Z"))
 
 
 def test_encode_leaf_shape(arith):
@@ -82,6 +94,21 @@ def test_decode_encode_roundtrip_on_fib_output(arith):
     prog, tbl, _ = arith
     w = apply_forward(prog, "fib", peano(4))
     assert decode_value(encode_value(w, tbl), tbl) == w
+
+
+def test_a_shared_memo_gives_the_fresh_encodings(arith):
+    _, tbl, _ = arith
+    x = tup(peano(2), val("Z"))
+    memo = {}
+    pair = encode_value(tup(x, x), tbl, memo)
+    first = pair.value.snd.value.value
+    assert first.fst is first.snd.value.value.fst       # <x, x>: x encoded once
+    assert pair == encode_value(tup(x, x), tbl)
+    deeper = encode_value(val("S", peano(2)), tbl, memo)
+    assert deeper == encode_value(val("S", peano(2)), tbl)
+    assert deeper.value.snd.value.value.fst is memo[peano(2)]
+    assert encode_value(x, tbl, memo) is memo[x] == encode_value(x, tbl)
+    assert set(memo) == {tup(x, x), x, val("S", peano(2)), peano(2), peano(1), val("Z")}
 
 
 def test_decode_encode_roundtrip_seeded(arith):
@@ -115,7 +142,14 @@ def test_deep_encodings_compare_without_recursion():
     q = val("Q")
     for _ in range(DEEP):
         q = val("S", q)
-    assert no_recursion(operator.ne, a, no_recursion(encode_value, q, tbl))
+    c = no_recursion(encode_value, q, tbl)
+    assert no_recursion(operator.ne, a, c)
+    # through one memo: the second value reuses the first's DEEP nodes
+    memo = {}
+    assert no_recursion(operator.eq, no_recursion(encode_value, q, tbl, memo), c)
+    d = no_recursion(encode_value, val("S", q), tbl, memo)
+    assert d.value.snd.value.value.fst is memo[q] and len(memo) == DEEP + 2
+    assert no_recursion(operator.eq, d, no_recursion(encode_value, val("S", q), tbl))
 
 
 @pytest.mark.parametrize("elem, what", [

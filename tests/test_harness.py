@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rfun import densem, opsem
+from rfun import densem, harness, opsem
 from rfun.densem import SymbolTable, function_morphism
 from rfun.harness import (
     check_function, check_program, densem_outcome, gen_value, opsem_outcome,
@@ -11,7 +11,7 @@ from rfun.harness import (
 from rfun.invcat import dagger
 from rfun.opsem import FirstMatchViolation
 from rfun.syntax import parse_program, parse_value
-from rfun.values import TUPLE
+from rfun.values import TUPLE, Value, tup
 
 from helpers import FIXTURES, load_program
 
@@ -169,3 +169,43 @@ def test_violation_messages_on_the_fixtures():
     morph = dagger(function_morphism(iseq, "iseq", tbl))
     assert densem_outcome(morph, v, tbl, 100)["detail"] == (
         "case input recovered by arm 1 matches the pattern of arm 0")
+
+
+def _wrong(r):
+    """A wrong interned value in place of a value result r."""
+    return tup(r) if isinstance(r, Value) else r
+
+
+def test_a_wrong_decoded_value_is_a_mismatch(monkeypatch):
+    prog = load_program("arith.rfun")
+    honest = check_program(prog, samples=30, seed=4)
+    values = sum(c["densem"]["status"] == "value"
+                 for r in honest["reports"] for c in r["cases"])
+    assert honest["mismatches"] == 0 and values > 0
+    decode = densem.decode_value
+    monkeypatch.setattr(densem, "decode_value", lambda e, tbl: _wrong(decode(e, tbl)))
+    assert check_program(prog, samples=30, seed=4)["mismatches"] == values
+
+
+def test_a_wrong_interpreter_value_is_a_mismatch(monkeypatch):
+    prog = load_program("arith.rfun")
+    honest = check_program(prog, samples=30, seed=4)
+    values = sum(c["opsem"]["status"] == "value"
+                 for r in honest["reports"] for c in r["cases"])
+    assert values > 0
+    run = harness.apply_forward
+    monkeypatch.setattr(harness, "apply_forward", lambda *args: _wrong(run(*args)))
+    assert check_program(prog, samples=30, seed=4)["mismatches"] == values
+    assert check_program(prog, "plus", samples=30, seed=4)["mismatches"] > 0
+
+
+def test_one_report_whichever_way_a_definition_is_checked():
+    for path in sorted(FIXTURES.glob("*.rfun")):
+        prog = load_program(path.name)
+        whole = check_program(prog, None, 20, 3, 200)
+        for d, report in zip(prog.defs, whole["reports"]):
+            alone = check_program(prog, d.name, 20, 3, 200)
+            assert alone.pop("discharged") == whole["discharged"]
+            texts = {json.dumps(r, sort_keys=True)
+                     for r in (report, alone, check_function(prog, d.name, 20, 3, 200))}
+            assert len(texts) == 1, (path.name, d.name)
