@@ -21,7 +21,7 @@ from .densem import (
     SymbolTable, decode_value, dupeq_morphism, encode_value,
     function_morphism, run_denotation, sem_expr, sem_left, sem_program,
 )
-from .harness import check_function, check_program
+from .harness import check_program
 
 __version__ = "0.1.0"
 
@@ -45,5 +45,5 @@ __all__ = [
     "SymbolTable", "decode_value", "dupeq_morphism", "encode_value",
     "function_morphism", "run_denotation", "sem_expr", "sem_left",
     "sem_program",
-    "check_function", "check_program", "run_deep",
+    "check_program", "run_deep",
 ]

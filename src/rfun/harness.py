@@ -1,12 +1,12 @@
 """Cross-validation harness: interpreter vs. denotation, case by case.
 
-For a program the harness draws seeded, depth-bounded random inputs over the
-program's own constructor vocabulary, once: every definition checked (or the
-one entry) runs on the same samples.  Within one call each sample is encoded
-once, through one encoding memo, and each value is rendered once.  On each
-sample it runs the operational semantics and the denotational morphism at
-one fuel (a bound on call depth in both) and compares outcomes.  Statuses
-correspond as
+check_program is the one entry point: for a program, or one entry of it, it
+draws seeded, depth-bounded random inputs over the program's own constructor
+vocabulary, once, and every definition checked runs on the same samples.
+Within one call each sample is encoded once, through one encoding memo, and
+each value is rendered once.  On each sample it runs the operational
+semantics and the denotational morphism at one fuel (a bound on call depth
+in both) and compares outcomes.  Statuses correspond as
 
     value        <->  value (decoded, equal)
     no-match     <->  undefined
@@ -19,6 +19,7 @@ semantics discharged statically, where the patterns or leaves clash.
 """
 from __future__ import annotations
 
+import functools
 import random
 from typing import Optional
 
@@ -73,16 +74,6 @@ def densem_outcome(morph: Morph, v: Value, tbl: SymbolTable, fuel: int,
     return _status(r, "undefined", render)
 
 
-class _Texts(dict):
-    """Values' renderings, each rendered once.  Values are interned, so one
-    value, and one text, stands for all that are equal: an input checked
-    against every definition, or a result both semantics agree on."""
-
-    def __missing__(self, v: Value) -> str:
-        text = self[v] = render_value(v)
-        return text
-
-
 _AGREEING = {"value": "value", "no-match": "undefined",
              "out-of-fuel": "out-of-fuel", "violation": "violation"}
 
@@ -92,56 +83,14 @@ def outcomes_agree(op: dict, den: dict) -> bool:
             and op.get("value") == den.get("value"))
 
 
-def _reports(prog: Program, entries: list[str], samples: int, seed: int,
-             fuel: int, depth: int, tbl: SymbolTable, pm: Optional[Morph]) -> list[dict]:
-    """One adequacy report per entry, all on the same samples, drawn once.
-    Each sample is encoded once (one encoding memo for the call) and each
-    value rendered once."""
-    morphs = [function_morphism(prog, entry, tbl, pm) for entry in entries]
-    vocab = vocabulary(prog)
-    rng = random.Random(seed)
-    inputs = [gen_value(rng, vocab, depth) for _ in range(samples)]
-    memo: dict = {}
-    render = _Texts().__getitem__
-    reports = []
-    for entry, morph in zip(entries, morphs):
-        cases = []
-        mismatches = 0
-        for i, v in enumerate(inputs):
-            op = opsem_outcome(prog, entry, v, fuel, render)
-            den = densem_outcome(morph, v, tbl, fuel, memo, render)
-            verdict = "match" if outcomes_agree(op, den) else "mismatch"
-            mismatches += verdict == "mismatch"
-            cases.append({"index": i, "input": render(v),
-                          "opsem": op, "densem": den, "verdict": verdict})
-        reports.append({
-            "program": None,          # caller fills in the file name
-            "entry": entry,
-            "seed": seed,
-            "fuel": fuel,
-            "samples": samples,
-            "mismatches": mismatches,
-            "cases": cases,
-        })
-    return reports
-
-
-def check_function(prog: Program, entry: str, samples: int, seed: int,
-                   fuel: int = DEFAULT_FUEL, depth: int = 6,
-                   tbl: Optional[SymbolTable] = None,
-                   program_morph: Optional[Morph] = None) -> dict:
-    """Adequacy report for one entry point; deterministic in the seed."""
-    if tbl is None:
-        tbl = SymbolTable.from_program(prog)
-    return _reports(prog, [entry], samples, seed, fuel, depth, tbl, program_morph)[0]
-
-
 def check_program(prog: Program, entry: Optional[str] = None, samples: int = 50,
                   seed: int = 0, fuel: int = DEFAULT_FUEL,
                   den_fuel: Optional[int] = None, depth: int = 6) -> dict:
     """Reports for one entry, or for every definition when entry is None,
     with the first-match checks each semantics discharged statically.  The
-    samples are drawn once and shared by every definition checked.
+    samples are drawn once and shared by every definition checked; within
+    the call each is encoded once (one encoding memo) and each value is
+    rendered once (values are interned, so the cache keys by identity).
     den_fuel, kept for positional callers, must be None or fuel."""
     if den_fuel not in (None, fuel):
         raise ValueError(f"one fuel meters both semantics, not {fuel} and {den_fuel}")
@@ -149,7 +98,26 @@ def check_program(prog: Program, entry: Optional[str] = None, samples: int = 50,
     pm = sem_program(prog, tbl)
     discharged = {"opsem": opsem.discharged(prog), "densem": densem.discharged(prog)}
     entries = [d.name for d in prog.defs] if entry is None else [entry]
-    reports = _reports(prog, entries, samples, seed, fuel, depth, tbl, pm)
+    morphs = [function_morphism(prog, e, tbl, pm) for e in entries]
+    vocab = vocabulary(prog)
+    rng = random.Random(seed)
+    inputs = [gen_value(rng, vocab, depth) for _ in range(samples)]
+    memo: dict = {}
+    render = functools.cache(render_value)
+    reports = []
+    for e, morph in zip(entries, morphs):
+        cases = []
+        mismatches = 0
+        for i, v in enumerate(inputs):
+            op = opsem_outcome(prog, e, v, fuel, render)
+            den = densem_outcome(morph, v, tbl, fuel, memo, render)
+            agree = outcomes_agree(op, den)
+            mismatches += not agree
+            cases.append({"index": i, "input": render(v), "opsem": op, "densem": den,
+                          "verdict": "match" if agree else "mismatch"})
+        reports.append({"program": None,          # caller fills in the file name
+                        "entry": e, "seed": seed, "fuel": fuel, "samples": samples,
+                        "mismatches": mismatches, "cases": cases})
     if entry is not None:
         return {**reports[0], "discharged": discharged}
     return {

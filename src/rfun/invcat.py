@@ -52,6 +52,9 @@ class _Outcome:
     def __repr__(self) -> str:
         return self.name
 
+    def __reduce__(self) -> str:
+        return self.name        # the module global: copies and unpickles are it
+
 
 UNDEF = _Outcome("UNDEF")
 NO_FUEL = _Outcome("NO_FUEL")

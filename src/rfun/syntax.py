@@ -145,6 +145,11 @@ class Program:
             _fill_arms(d.body)          # derived now, not mid-run
         return {d.name: d for d in self.defs}
 
+    def __reduce__(self):
+        """Pickle the definitions alone: the caches kept on the program are
+        rebuilt on first use."""
+        return Program, (self.defs,)
+
 
 def _fill_arms(e: Expr) -> tuple[LeftExpr, ...]:
     """The leaves of e, deriving on the way the arms of every case under e in

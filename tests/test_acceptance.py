@@ -17,7 +17,7 @@ from rfun.densem import (
     SymbolTable, dupeq_morphism, encode_value, function_morphism, pack,
     run_denotation, sem_program, unpack,
 )
-from rfun.harness import check_function, densem_outcome, opsem_outcome
+from rfun.harness import check_program, densem_outcome, opsem_outcome
 from rfun.invcat import (
     NO_FUEL, ONE, STAR, UNDEF, Morph, Prod, Sum, compose, compose_all,
     dagger, delta, identity, join, obj_L, oplus, otimes, prod_assoc,
@@ -346,8 +346,8 @@ def test_acceptance_5_adequacy():
     ]
     total_cases = 0
     for prog, entry in corpus:
-        rep = check_function(prog, entry, samples=24, seed=SEED,
-                             fuel=100_000, depth=5)
+        rep = check_program(prog, entry, samples=24, seed=SEED,
+                            fuel=100_000, depth=5)
         assert rep["mismatches"] == 0, (entry, [
             c for c in rep["cases"] if c["verdict"] == "mismatch"])
         total_cases += len(rep["cases"])

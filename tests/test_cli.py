@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from rfun.inverter import alpha_eq, invert_program
 from rfun.syntax import parse_program
 
@@ -203,6 +205,32 @@ def test_check_json_report_schema_and_determinism():
                for c in report["cases"])
     # first-match checks each semantics discharged statically, program-wide
     assert report["discharged"] == {"opsem": 2, "densem": 2}
+
+
+# Reports pinned byte for byte, so that a change to the harness that alters
+# a report shows.  Paths are relative to the repository root, because the
+# report names the program file as given.
+GOLDEN = [
+    ("arith.json", ("tests/fixtures/arith.rfun", "--samples", "20", "--seed", "7")),
+    ("extra_bounce.json", ("tests/fixtures/extra.rfun", "--entry", "bounce",
+                           "--samples", "20", "--fuel", "200")),
+]
+
+
+@pytest.mark.parametrize("golden, args", GOLDEN)
+def test_check_json_reproduces_the_golden_reports(golden, args):
+    r = rfun("check", *args, "--json", cwd=SRC.parent)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (SRC.parent / "tests" / "golden" / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", [("run", "--input", "Z"), ("check",)])
+def test_an_unknown_entry_is_a_one_line_fault(command):
+    path = str(FIXTURES / "arith.rfun")
+    r = rfun(command[0], path, "--entry", "nope", *command[1:])
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == f"{path}: no function named 'nope'\n"
 
 
 def test_check_all_entries_summary():

@@ -619,7 +619,6 @@ h x =: case x of { S(u) -> let w = k u in w; Z -> Z }
 
 
 def test_case_commits_like_the_interpreter_both_ways():
-    from rfun.harness import check_function
     from rfun.invcat import IncompatibleJoin
     from rfun.opsem import FirstMatchViolation
     prog = parse_program(COMMITTED_ARM)
@@ -633,7 +632,7 @@ def test_case_commits_like_the_interpreter_both_ways():
     # backward, Z commits to the first branch, where k! rejects it
     assert apply_backward(prog, "h", val("Z")) is NO_MATCH
     assert run_denotation(dagger(h), val("Z"), tbl) is UNDEF
-    assert check_function(prog, "h", samples=60, seed=3, depth=3)["mismatches"] == 0
+    assert check_program(prog, "h", samples=60, seed=3, depth=3)["mismatches"] == 0
 
 
 def test_bad_first_match_dagger_follows_apply_backward():

@@ -5,11 +5,11 @@ import pytest
 from rfun import densem, harness, opsem
 from rfun.densem import SymbolTable, function_morphism
 from rfun.harness import (
-    check_function, check_program, densem_outcome, gen_value, opsem_outcome,
+    check_program, densem_outcome, gen_value, opsem_outcome,
     outcomes_agree, vocabulary,
 )
 from rfun.invcat import dagger
-from rfun.opsem import FirstMatchViolation
+from rfun.opsem import FirstMatchViolation, UnknownFunction
 from rfun.syntax import parse_program, parse_value
 from rfun.values import TUPLE, Value, tup
 
@@ -43,7 +43,7 @@ def test_gen_value_grounds_out():
 
 def test_check_plus_has_no_mismatches():
     prog = load_program("arith.rfun")
-    report = check_function(prog, "plus", samples=50, seed=11)
+    report = check_program(prog, "plus", samples=50, seed=11)
     assert report["mismatches"] == 0
     assert len(report["cases"]) == 50
     statuses = {c["opsem"]["status"] for c in report["cases"]}
@@ -52,7 +52,7 @@ def test_check_plus_has_no_mismatches():
 
 def test_check_zero_samples_is_empty_and_clean():
     prog = load_program("arith.rfun")
-    report = check_function(prog, "plus", samples=0, seed=5)
+    report = check_program(prog, "plus", samples=0, seed=5)
     assert report["cases"] == [] and report["mismatches"] == 0
 
 
@@ -74,7 +74,7 @@ def test_check_covers_all_functions_without_entry():
 
 def test_violating_program_agrees_on_violation():
     prog = load_program("bad_first_match.rfun")
-    report = check_function(prog, "bad", samples=60, seed=2, depth=3)
+    report = check_program(prog, "bad", samples=60, seed=2, depth=3)
     kinds = {(c["opsem"]["status"], c["densem"]["status"])
              for c in report["cases"]}
     assert ("violation", "violation") in kinds
@@ -83,10 +83,17 @@ def test_violating_program_agrees_on_violation():
 
 def test_divergent_program_agrees_on_out_of_fuel():
     prog = load_program("loop.rfun")
-    report = check_function(prog, "loop", samples=5, seed=1,
-                            fuel=500, depth=2)
+    report = check_program(prog, "loop", samples=5, seed=1,
+                           fuel=500, depth=2)
     assert report["mismatches"] == 0
     assert all(c["opsem"]["status"] == "out-of-fuel" for c in report["cases"])
+
+
+def test_check_program_rejects_an_unknown_entry():
+    prog = load_program("arith.rfun")
+    for samples in (0, 5):
+        with pytest.raises(UnknownFunction, match="'nope'"):
+            check_program(prog, "nope", samples=samples)
 
 
 def test_check_program_takes_a_second_fuel_only_when_it_is_the_same():
@@ -206,6 +213,5 @@ def test_one_report_whichever_way_a_definition_is_checked():
         for d, report in zip(prog.defs, whole["reports"]):
             alone = check_program(prog, d.name, 20, 3, 200)
             assert alone.pop("discharged") == whole["discharged"]
-            texts = {json.dumps(r, sort_keys=True)
-                     for r in (report, alone, check_function(prog, d.name, 20, 3, 200))}
-            assert len(texts) == 1, (path.name, d.name)
+            assert json.dumps(alone, sort_keys=True) == json.dumps(report, sort_keys=True), (
+                path.name, d.name)

@@ -265,6 +265,18 @@ def test_join_second_preimage_raises_lazily():
         j.fwd(f, FUEL)                  # second answers, first can reach it
 
 
+def test_join_out_of_fuel_after_an_answer_and_in_the_preimage_check():
+    spin = fix(lambda r: r, BOOL, BOOL)     # out of fuel everywhere
+    t = InL(STAR)
+    # a later component out of fuel: the answer found stands
+    assert join([identity(BOOL), spin]).fwd(t, FUEL) == t
+    assert join([identity(BOOL), spin]).bwd(t, FUEL) == t
+    # an earlier component out of fuel checking the answer's second preimage
+    blind = Morph(BOOL, BOOL, lambda x, fuel: UNDEF, lambda y, fuel: NO_FUEL)
+    assert join([blind, identity(BOOL)]).fwd(t, FUEL) is NO_FUEL
+    assert join([dagger(blind), identity(BOOL)]).bwd(t, FUEL) is NO_FUEL
+
+
 def test_join_type_checks():
     with pytest.raises(TypeMismatch):
         join([])
@@ -678,6 +690,21 @@ def test_fusion_cancels_inverse_neighbours():
     kept = compose(delta(TRI), dagger(delta(TRI)))      # the diagonal stays a test
     assert type(kept) is Morph and kept is not identity(TRI)
     assert kept.fwd(Pair(InL(STAR), InR(InL(STAR))), FUEL) is UNDEF
+
+
+def test_fusion_drops_a_clause_no_finite_element_fits():
+    # delta gives <n, n>, the succession test wants <n, S(n)>: unifying them
+    # binds n to S(n), so the composite's one clause is dropped.
+    nat = obj_S()
+    n = Hole("n")
+    succ_pair = invcat.primitive(Prod(nat, nat), nat, ((Pair(n, Roll(InR(n))), n),))
+    fused = compose(succ_pair, delta(nat))
+    assert type(fused) is Morph and fused.eqs == ()
+    nodes = Compose(nat, nat, (delta(nat), succ_pair))
+    numerals = elems(nat, 20)
+    ptwise_eq(fused, nodes, numerals)
+    for y in numerals:
+        assert fused.bwd(y, FUEL) is nodes.bwd(y, FUEL) is UNDEF
 
 
 def test_fusion_is_cached_and_capped():

@@ -133,6 +133,24 @@ def test_alpha_eq_distinguishes_shapes():
     assert not alpha_eq(c, d)
 
 
+@pytest.mark.parametrize("a, b", [
+    # a node's kind: a variable against a constructor, a leaf against a let
+    ("f x =: x", "f x =: S(x)"),
+    ("g x =: x; f x =: x", "g x =: x; f x =: let y = g x in y"),
+    # a let's callee, and its direction
+    ("g x =: x; h x =: x; f x =: let y = g x in y",
+     "g x =: x; h x =: x; f x =: let y = h x in y"),
+    ("g x =: x; f x =: let y = g x in y", "g x =: x; f x =: rlet x = g y in y"),
+    # a case's branch count, when the one branch of the shorter is alike
+    ("f x =: case x of { Z -> Z; S(u) -> S(u) }", "f x =: case x of { S(u) -> S(u) }"),
+    ("f x =: case x of { Z -> Z; S(u) -> S(u) }", "f x =: case x of { Z -> Z }"),
+])
+def test_alpha_eq_rejects_a_different_kind_callee_direction_or_branch_count(a, b):
+    a, b = parse_program(a), parse_program(b)
+    assert not alpha_eq(a, b) and not alpha_eq(b, a)
+    assert alpha_eq(a, a) and alpha_eq(b, b)
+
+
 def test_alpha_eq_requires_consistent_renaming():
     a = parse_program("f x =: case x of { <u, v> -> <u, v> }")
     b = parse_program("f x =: case x of { <u, v> -> <v, u> }")

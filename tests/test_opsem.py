@@ -1,9 +1,12 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 from rfun import invcat, opsem
 from rfun.densem import SymbolTable, function_morphism, run_denotation
+from rfun.harness import check_program
 from rfun.opsem import (
     NO_MATCH, OUT_OF_FUEL, FirstMatchViolation, SubstitutionError,
     UnknownFunction, apply_backward, apply_forward, eval_expr, instantiate,
@@ -49,6 +52,14 @@ def test_instantiate_domain_must_match():
         instantiate({}, LVar("x"))
     with pytest.raises(SubstitutionError):
         instantiate({"x": Z, "y": Z}, LVar("x"))
+
+
+def test_instantiate_and_match_reject_a_non_linear_left_expression():
+    twice = LCtor(TUPLE, (LVar("x"), LVar("x")))
+    with pytest.raises(SubstitutionError, match="non-linear"):
+        instantiate({"x": Z}, twice)
+    with pytest.raises(SubstitutionError, match="non-linear"):
+        match_pattern(tup(Z, Z), twice)
 
 
 def test_match_inverts_instantiate():
@@ -123,6 +134,27 @@ def test_fib_against_oracle():
 def test_eval_expr_direct():
     p = load_program("id.rfun")
     assert eval_expr(p, {"w": SZ}, ELeaf(LVar("w"))) == SZ
+
+
+def _body(text):
+    """The body of the one definition in text, whose cases have no arms yet."""
+    return parse_program(text).defs[0].body
+
+
+def test_eval_expr_runs_a_let_and_a_case():
+    # Neither case is under a definition of p, so eval_expr derives its arms.
+    p = load_program("arith.rfun")
+    step = _body("g n =: let p = fib n in case p of { <x, y> -> let q = plus <y, x> in q }")
+    assert "arms" not in step.body.__dict__
+    for n in range(4):          # one step of fib: fib(n + 1) from fib n
+        assert eval_expr(p, {"n": peano(n)}, step) == apply_forward(p, "fib", peano(n + 1))
+    assert "arms" in step.body.__dict__
+    assert eval_expr(p, {"n": val("Q")}, step) is NO_MATCH
+    # The second arm's leaf is checked against the first arm's: its derived leaves.
+    clash = _body("g n =: let p = plus n in case p of { <x, Z> -> L(x); <x, S(y)> -> L(<x, y>) }")
+    assert eval_expr(p, {"n": tup(Z, Z)}, clash) == val("L", Z)
+    with pytest.raises(FirstMatchViolation):
+        eval_expr(p, {"n": tup(Z, SZ)}, clash)
 
 
 def test_statically_invalid_input_raises_before_running():
@@ -408,3 +440,32 @@ def test_a_kept_check_still_fires_beside_discharged_ones():
                               "W(Z) vs pattern at (1, 31)")
     assert apply_backward(p, "h", val("B")) == SZ
     assert apply_backward(p, "h", val("W", Z)) == val("S", SZ)
+
+
+# ---------------------------------------------------------------------------
+# Copies and pickles
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("outcome", [NO_MATCH, OUT_OF_FUEL])
+def test_outcomes_keep_their_identity_when_copied_or_pickled(outcome):
+    assert copy.copy(outcome) is outcome
+    assert copy.deepcopy(outcome) is outcome
+    assert pickle.loads(pickle.dumps(outcome)) is outcome
+
+
+def test_a_copied_no_match_is_still_no_match():
+    p = load_program("arith.rfun")
+    assert copy.deepcopy([apply_forward(p, "plus", Z)])[0] is NO_MATCH
+
+
+def test_a_program_that_has_run_pickles_and_runs_again():
+    p = load_program("arith.rfun")
+    v = tup(peano(2), peano(3))
+    w = apply_forward(p, "plus", v)
+    check_program(p, samples=10, seed=1)
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and q is not p
+    assert apply_forward(q, "plus", v) == w
+    assert apply_backward(q, "plus", w) == v
+    assert apply_forward(q, "plus", Z) is NO_MATCH
+    assert apply_backward(q, "fib", tup(peano(5), peano(8))) == peano(4)

@@ -75,6 +75,13 @@ def test_dupeq_brackets_lex_tightly():
     assert a == b
 
 
+def test_empty_argument_list_reads_as_a_bare_constructor():
+    assert parse_program("f x =: case x of { C() -> D(<>, E()) }") == \
+        parse_program("f x =: case x of { C -> D(<>, E) }")
+    assert parse_value("C()") is parse_value("C")
+    assert parse_value("S(C(), <C()>)") is parse_value("S(C, <C>)")
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse_program("f x =: case x of { Z -> }")
