@@ -24,19 +24,18 @@ parts, so that layouts of any size hash and compare without recursion.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 from .invcat import (
     ONE, UNDEF, Elem, FirstJoin, Hole, IncompatibleJoin, InL, InR, Morph, Node,
     ObjDesc, Pair, Prod, Roll, STAR, _Outcome, _sum_all, complement, compose,
-    compose_all, dagger, delta, fix, fold, identity, inj_n, join, obj_L,
+    compose_all, dagger, delta, fix, fold, identity, inj_n, obj_L,
     obj_S, obj_T, oplus_all, otimes, primitive, prod_unitl, restrict,
 )
 from .opsem import DEFAULT_FUEL, UnknownFunction
 from .syntax import (
-    ECase, ELeaf, ELet, Expr, LCtor, LDup, LeftExpr, LVar, Program,
-    check_static_or_raise, constructors, lvars,
+    ECase, ELeaf, ELet, Expr, LCtor, LDup, LeftExpr, LVar, Program, _Node,
+    _set_pos, _setters, check_static_or_raise, constructors, lvars,
 )
 from .values import TUPLE, Value, fold_tree
 
@@ -62,23 +61,25 @@ class ContextMismatch(Exception):
 # Symbol tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymbolTable:
+class SymbolTable(_Node):
     """Bijection between constructor names and the symbol indices 1, 2, ...
 
     The tuple constructor always has index 1, so encodings are stable across
-    every program that is explicit about nothing else.
+    every program that is explicit about nothing else.  Tables are equal
+    when their names are.
     """
-    names: tuple[str, ...]
-    _indices: dict[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("names", "_indices")
+    __match_args__ = ("names",)
 
-    def __post_init__(self):
-        if not self.names or self.names[0] != TUPLE:
+    def __init__(self, names: tuple[str, ...]):
+        if not names or names[0] != TUPLE:
             raise ValueError("symbol 1 must be the tuple constructor")
-        indices = {n: i for i, n in enumerate(self.names, 1)}
-        if len(indices) != len(self.names):
+        indices = {n: i for i, n in enumerate(names, 1)}
+        if len(indices) != len(names):
             raise ValueError("constructor names must be distinct")
-        object.__setattr__(self, "_indices", indices)
+        _set_names(self, names)
+        _set_indices(self, indices)
+        _set_pos(self, None)
 
     @staticmethod
     def from_names(names) -> "SymbolTable":
@@ -106,6 +107,9 @@ class SymbolTable:
         if not 1 <= index <= len(self.names):
             raise UnknownSymbol(f"symbol index {index} out of range")
         return self.names[index - 1]
+
+
+_set_names, _set_indices = _setters(SymbolTable)
 
 
 def _value_ctors(v: Value):
@@ -489,12 +493,15 @@ class Case(Node):
 
     def test(self, i: int, pattern: bool) -> Morph:
         """Arm i's enter map if pattern, else the guard of the trees that
-        match a leaf of arm i, built on first use."""
+        match a leaf of arm i, built on first use: a FirstJoin of the leaves'
+        pattern guards, restriction idempotents with no fixed point in them,
+        which agree wherever two are defined and never run out of fuel."""
         if pattern:
             return self.arms[i][0]
         if self.tests[i] is None:
-            guards = [pattern_idem(l, self.tbl) for l in self.arms[i][2]]
-            self.tests[i] = guards[0] if len(guards) == 1 else join(guards)
+            guards = tuple(pattern_idem(l, self.tbl) for l in self.arms[i][2])
+            self.tests[i] = (guards[0] if len(guards) == 1
+                             else FirstJoin(TS, TS, guards, label="join"))
         return self.tests[i]
 
 

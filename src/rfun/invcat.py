@@ -32,7 +32,6 @@ The interpreter's NO_MATCH and OUT_OF_FUEL are these same two objects.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import count
 from types import CodeType, FunctionType
@@ -80,51 +79,59 @@ class _Obj:
     """Objects are interned: building one returns the object built before
     with the same kind and parts, so equality and hashing are identity, O(1)
     at any depth (a context of many variables is a deep product).  Objects
-    are few and small, so the table keeps every one."""
+    are few and small, so the table keeps every one.  An object's parts are
+    set once, when it is first built, and never change."""
+    __slots__ = ()
     _table: dict[tuple, "_Obj"] = {}
 
     def __new__(cls, *parts):
         key = (cls, *parts)
         obj = _Obj._table.get(key)
         if obj is None:
-            obj = _Obj._table[key] = super().__new__(cls)
+            if len(parts) != len(cls.__match_args__):
+                raise TypeError(f"{cls.__name__} takes {len(cls.__match_args__)} parts")
+            obj = super().__new__(cls)
+            for name, part in zip(cls.__match_args__, parts):
+                object.__setattr__(obj, name, part)
+            _Obj._table[key] = obj
         return obj
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
+    def __repr__(self) -> str:
+        parts = (f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({', '.join(parts)})"
 
-@dataclass(frozen=True, eq=False)
+
 class Zero(_Obj):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class One(_Obj):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Sum(_Obj):
-    left: "ObjDesc"
-    right: "ObjDesc"
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False)
 class Prod(_Obj):
-    left: "ObjDesc"
-    right: "ObjDesc"
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False)
 class Mu(_Obj):
     """Least fixed point; the body refers to the binder via de Bruijn Var."""
-    body: "ObjDesc"
+    __slots__ = __match_args__ = ("body",)
 
 
-@dataclass(frozen=True, eq=False)
 class Var(_Obj):
-    index: int
+    __slots__ = __match_args__ = ("index",)
 
 
 ObjDesc = Union[Zero, One, Sum, Prod, Mu, Var]
@@ -696,8 +703,10 @@ class Join(Node):
 
 
 class FirstJoin(Node):
-    """The join of parts disjoint by construction, in domain and in
-    codomain: the first part defined at the point answers, unchecked."""
+    """The join of parts that cannot disagree, unchecked: parts disjoint by
+    construction in domain and in codomain, or restriction idempotents that
+    never run out of fuel, which agree wherever two are defined.  The first
+    part defined at the point answers."""
     __slots__ = ("parts",)
 
     def frames(self, forward, x, fuel):

@@ -107,7 +107,8 @@ def alpha_eq(p: Program, q: Program) -> bool:
 
     Function and constructor names must match exactly; definitions must come
     in the same order.  Renamings are scoped: a binder opens a fresh scope, so
-    distinct branches may reuse names independently.
+    distinct branches may reuse names independently.  A free variable matches
+    only itself, never the image of a bound one.
     """
     if len(p.defs) != len(q.defs) or any(a.name != b.name for a, b in zip(p.defs, q.defs)):
         return False
@@ -122,7 +123,10 @@ def alpha_eq(p: Program, q: Program) -> bool:
         if kind is LVar:
             if bind:
                 env[a.name] = b.name
-            elif env.get(a.name) != b.name:
+            elif a.name in env:
+                if env[a.name] != b.name:
+                    return False
+            elif a.name != b.name or b.name in env.values():   # a free use
                 return False
         elif kind is LCtor:
             if a.ctor != b.ctor or len(a.args) != len(b.args):

@@ -339,10 +339,13 @@ def _expr(e: Expr, slots: dict[str, int], fns: dict[str, list]) -> tuple[tuple, 
     return done[0], discharged
 
 
+_set_compiled = Program.compiled.__set__
+
+
 def _code(prog: Program) -> tuple[dict[str, list], int]:
     """Name -> [body code, slot count], and how many first-match checks the
     patterns discharge, compiled once and kept on prog."""
-    compiled = prog.__dict__.get("_opsem_code")
+    compiled = getattr(prog, "compiled", None)
     if compiled is None:
         fns, discharged = {name: [None, 0] for name in prog.checked_defs}, 0
         for name, d in prog.checked_defs.items():
@@ -350,7 +353,7 @@ def _code(prog: Program) -> tuple[dict[str, list], int]:
             code, k = _expr(d.body, slots, fns)
             fns[name][:] = code, len(slots)
             discharged += k
-        compiled = prog.__dict__["_opsem_code"] = fns, discharged
+        _set_compiled(prog, compiled := (fns, discharged))
     return compiled
 
 

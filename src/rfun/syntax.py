@@ -29,8 +29,7 @@ loop over an explicit stack, so nesting depth costs heap, not Python stack.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import Iterable, Iterator, NoReturn, Optional, Union
 
 from .values import TUPLE, Value
@@ -49,44 +48,122 @@ class ParseError(Exception):
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LVar:
-    name: str
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False)
+class _Node:
+    """An immutable node: the fields __match_args__ names, and pos, which ==,
+    hash and repr leave out unless it is a field.  All three read a node in
+    one loop (_flat), so depth costs heap, not Python stack; a node equals
+    only nodes of its type.  __init__ and caches set slots by _setters."""
+    __slots__ = ("pos",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or _flat(self, False) == _flat(other, False)
+
+    def __hash__(self) -> int:
+        return hash(_flat(self, False))
+
+    def __repr__(self) -> str:
+        return "".join(_flat(self, True))
+
+    def __reduce__(self):       # the fields and pos: caches are derived again
+        fields = tuple(getattr(self, name) for name in self.__match_args__)
+        return type(self), fields if self.pos is None else (*fields, self.pos)
 
 
-@dataclass(frozen=True)
-class LCtor:
-    ctor: str
-    args: tuple["LeftExpr", ...] = ()
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False)
+def _flat(node: _Node, text: bool) -> tuple:
+    """node read pre-order by one loop over an explicit stack: for == and
+    hash, each node as its type and then its fields, each tuple as its
+    length and then its items; with text, the pieces of its repr, which
+    names every field: LCtor(ctor='S', args=(LVar(name='x'),))."""
+    out: list = []
+    todo: list = [node]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, _Node):
+            names = x.__match_args__
+            parts = [getattr(x, name) for name in names]
+            out.append(f"{type(x).__name__}(" if text else type(x))
+            close = ")"
+        elif type(x) is tuple:
+            names, parts = (), x
+            out.append("(" if text else len(x))
+            close = ",)" if len(x) == 1 else ")"
+        else:                           # a field's value, or a piece of text
+            out.append(x)
+            continue
+        if not text:
+            todo += reversed(parts)
+            continue
+        todo.append(close)
+        for i in reversed(range(len(parts))):
+            part = parts[i]
+            todo += (part if isinstance(part, (_Node, tuple)) else repr(part),
+                     (", " if i else "") + (f"{names[i]}=" if names else ""))
+    return tuple(out)
 
 
-@dataclass(frozen=True)
-class LDup:
-    arg: "LeftExpr"
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False)
+def _setters(cls: type) -> list:
+    """The setters of the slots cls adds, in order, which get past __setattr__."""
+    return [getattr(cls, name).__set__ for name in cls.__slots__]
+
+
+class LVar(_Node):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str, pos: Optional[Pos] = None):
+        _set_var_name(self, name)
+        _set_pos(self, pos)
+
+
+class LCtor(_Node):
+    __slots__ = __match_args__ = ("ctor", "args")
+
+    def __init__(self, ctor: str, args: tuple["LeftExpr", ...] = (),
+                 pos: Optional[Pos] = None):
+        _set_ctor(self, ctor)
+        _set_args(self, args)
+        _set_pos(self, pos)
+
+
+class LDup(_Node):
+    __slots__ = __match_args__ = ("arg",)
+
+    def __init__(self, arg: "LeftExpr", pos: Optional[Pos] = None):
+        _set_dup_arg(self, arg)
+        _set_pos(self, pos)
 
 
 LeftExpr = Union[LVar, LCtor, LDup]
 
 
-@dataclass(frozen=True)
-class ELeaf:
-    left: LeftExpr
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False)
+class ELeaf(_Node):
+    __slots__ = __match_args__ = ("left",)
+
+    def __init__(self, left: LeftExpr, pos: Optional[Pos] = None):
+        _set_left(self, left)
+        _set_pos(self, pos)
 
 
-@dataclass(frozen=True)
-class ELet:
+class ELet(_Node):
     """``let bound = fname arg in body``, or with backward set ``rlet``, which
     runs the callee backward: from its output, bound, to its argument, arg."""
-    bound: LeftExpr
-    fname: str
-    arg: LeftExpr
-    body: "Expr"
-    backward: bool = False
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False)
+    __slots__ = __match_args__ = ("bound", "fname", "arg", "body", "backward")
+
+    def __init__(self, bound: LeftExpr, fname: str, arg: LeftExpr, body: "Expr",
+                 backward: bool = False, pos: Optional[Pos] = None):
+        _set_bound(self, bound)
+        _set_fname(self, fname)
+        _set_let_arg(self, arg)
+        _set_let_body(self, body)
+        _set_backward(self, backward)
+        _set_pos(self, pos)
 
     @property
     def uses(self) -> LeftExpr:
@@ -99,56 +176,79 @@ class ELet:
         return self.arg if self.backward else self.bound
 
 
-@dataclass(frozen=True)
-class ECase:
-    scrutinee: LeftExpr
-    branches: tuple[tuple[LeftExpr, "Expr"], ...]
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False)
+class ECase(_Node):
+    """A case.  Its arms, derived on first use, hold per branch its pattern,
+    its body and the body's leaves, which the symmetric first-match policy
+    checks later branches against: derived once per case, with those of
+    every case under it (see _fill_arms)."""
+    __match_args__ = ("scrutinee", "branches")
+    __slots__ = (*__match_args__, "arms")
 
-    @cached_property
-    def arms(self) -> tuple[tuple, ...]:
-        """Per branch: its pattern, its body and the body's leaves, which the
-        symmetric first-match policy checks later branches against.  Derived
-        once per case, with those of every case under it (see _fill_arms)."""
+    def __init__(self, scrutinee: LeftExpr, branches: tuple[tuple[LeftExpr, "Expr"], ...],
+                 pos: Optional[Pos] = None):
+        _set_scrutinee(self, scrutinee)
+        _set_branches(self, branches)
+        _set_pos(self, pos)
+
+    def __getattr__(self, name: str) -> tuple[tuple, ...]:
+        if name != "arms":
+            raise AttributeError(f"'ECase' object has no attribute {name!r}")
         _fill_arms(self)
-        return self.__dict__["arms"]
+        return self.arms
 
 
 Expr = Union[ELeaf, ELet, ECase]
 
 
-@dataclass(frozen=True)
-class Def:
-    name: str
-    param: str
-    body: Expr
-    pos: Optional[Pos] = field(default=None, compare=False, repr=False)
+class Def(_Node):
+    __slots__ = __match_args__ = ("name", "param", "body")
+
+    def __init__(self, name: str, param: str, body: Expr, pos: Optional[Pos] = None):
+        _set_def_name(self, name)
+        _set_param(self, param)
+        _set_def_body(self, body)
+        _set_pos(self, pos)
 
 
-@dataclass(frozen=True)
-class Program:
-    defs: tuple[Def, ...]
+class Program(_Node):
+    """A program, with two caches: checked_defs, and compiled, the
+    interpreter's code, which opsem derives on the first run."""
+    __match_args__ = ("defs",)
+    __slots__ = (*__match_args__, "checked_defs", "compiled")
 
-    @cached_property
-    def checked_defs(self) -> dict[str, Def]:
-        """Name -> definition, for a program that check_static accepts.
+    def __init__(self, defs: tuple[Def, ...]):
+        _set_defs(self, defs)
+        _set_pos(self, None)
+
+    def __getattr__(self, name: str) -> dict[str, Def]:
+        """checked_defs: name -> definition, for a program that check_static
+        accepts.
 
         The first use runs the static checks and raises StaticError if they
         fail; after that the program counts as checked, so both semantics
         check a program once and then trust its guarantees.  Every case's
         arms are derived here as well.
         """
+        if name != "checked_defs":
+            raise AttributeError(f"'Program' object has no attribute {name!r}")
         violations = check_static(self)
         if violations:
             raise StaticError(violations)
         for d in self.defs:
             _fill_arms(d.body)          # derived now, not mid-run
-        return {d.name: d for d in self.defs}
+        _set_checked_defs(self, {d.name: d for d in self.defs})
+        return self.checked_defs
 
-    def __reduce__(self):
-        """Pickle the definitions alone: the caches kept on the program are
-        rebuilt on first use."""
-        return Program, (self.defs,)
+
+_set_pos, = _setters(_Node)
+_set_var_name, = _setters(LVar)
+_set_ctor, _set_args = _setters(LCtor)
+_set_dup_arg, = _setters(LDup)
+_set_left, = _setters(ELeaf)
+_set_bound, _set_fname, _set_let_arg, _set_let_body, _set_backward = _setters(ELet)
+_set_scrutinee, _set_branches, _set_arms = _setters(ECase)
+_set_def_name, _set_param, _set_def_body = _setters(Def)
+_set_defs, _set_checked_defs = _setters(Program)[:2]
 
 
 def _fill_arms(e: Expr) -> tuple[LeftExpr, ...]:
@@ -171,7 +271,7 @@ def _fill_arms(e: Expr) -> tuple[LeftExpr, ...]:
                 own = done.pop()
                 arms.append((pat, body, own))
                 leaves += own
-            n.__dict__["arms"] = tuple(arms)
+            _set_arms(n, tuple(arms))
             done.append(leaves)
     return done[0]
 
@@ -512,15 +612,26 @@ def constructors(prog: Program) -> list[tuple[str, int]]:
 # Static checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str   # duplicate-function, linearity, unbound-variable, unknown-function
-    message: str
-    pos: Optional[Pos]
+class Violation(_Node):
+    """A finding of the static checks: unlike an AST node's, its position
+    counts in == and hash."""
+    __slots__ = ("kind", "message")
+    __match_args__ = (*__slots__, "pos")
+
+    def __init__(self, kind: str, message: str, pos: Optional[Pos]):
+        _set_kind(self, kind)   # duplicate-function, linearity, unbound-variable, unknown-function
+        _set_message(self, message)
+        _set_pos(self, pos)
+
+    def __reduce__(self):
+        return Violation, (self.kind, self.message, self.pos)
 
     def __str__(self) -> str:
         where = f"{self.pos[0]}:{self.pos[1]}: " if self.pos else ""
         return f"{where}{self.kind}: {self.message}"
+
+
+_set_kind, _set_message = _setters(Violation)
 
 
 class StaticError(Exception):

@@ -33,6 +33,7 @@ from rfun.opsem import (
 )
 from rfun.syntax import (
     Def, ECase, ELeaf, ELet, LCtor, LDup, LVar, Program, check_static,
+    render_program,
 )
 from rfun.values import TUPLE, Value
 
@@ -189,7 +190,7 @@ def test_random_programs_agree_both_ways(seed):
         assert strict_agree(op, den), (
             f"{'backward' if backward else 'forward'} disagreement "
             f"on {fname}: {op!r} vs {den!r}\ninput {v!r}\n"
-            f"program:\n{prog!r}")
+            f"program:\n{render_program(prog)}")
         checks += 1
         violations += is_violation(op)
     # the test must keep teeth: many cases, and the policy exercised

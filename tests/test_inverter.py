@@ -157,6 +157,15 @@ def test_alpha_eq_requires_consistent_renaming():
     assert not alpha_eq(a, b)
 
 
+def test_alpha_eq_matches_a_free_variable_only_to_itself():
+    # y is free where it is used; check_static rejects both programs
+    p = parse_program("g x =: x; f x =: rlet y = g x in y")
+    assert alpha_eq(p, p)
+    a, b = parse_program("f x =: y"), parse_program("f y =: y")
+    assert not alpha_eq(a, b) and not alpha_eq(b, a)
+    assert alpha_eq(a, a) and alpha_eq(b, b)
+
+
 def test_inverse_keeps_variables_rebound_after_use_apart():
     # v is used and then bound again; inlining the rebuilt input for v must
     # stop at the new binder, in a let and in a case

@@ -1,5 +1,11 @@
+import copy
+import operator
+import os
+import pickle
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -410,3 +416,98 @@ def test_program_reader_errors(text, message, line, col):
         parse_program(text)
     assert str(err.value) == f"{line}:{col}: {message}"
     assert (err.value.line, err.value.col) == (line, col)
+
+
+# ---------------------------------------------------------------------------
+# Nodes: equality, hashing, printing, immutability, copies
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", list(_DEEP_PROGRAMS))
+def test_deep_programs_compare_hash_and_print_without_recursion(name):
+    a, b = parse_program(_DEEP_PROGRAMS[name]), parse_program(_DEEP_PROGRAMS[name])
+    assert a is not b
+    for x, y in ((a, b), (a.defs[-1], b.defs[-1]), (a.defs[-1].body, b.defs[-1].body)):
+        assert no_recursion(operator.eq, x, y)
+        assert no_recursion(hash, x) == no_recursion(hash, y)
+        assert no_recursion(repr, x) == no_recursion(repr, y)
+    text = no_recursion(repr, a)
+    assert text.startswith("Program(defs=(Def(name=")
+    assert len(text) < 1000 * DEEP       # linear in the node count
+    renamed = parse_program(_DEEP_PROGRAMS[name].replace("x", "w"))
+    assert no_recursion(operator.ne, a, renamed)
+
+
+def test_equality_and_hash_ignore_positions():
+    a = parse_program("f x =: case x of { Z -> Z; S(y) -> let z = g y in S(z) }; g y =: y")
+    b = parse_program("f x =:\n  case x of {\n    Z -> Z;\n"
+                      "    S(y) ->\n      let z = g y in S(z)\n  };\n\ng y =: y\n")
+    assert a.defs[0].body.branches[1][1].pos != b.defs[0].body.branches[1][1].pos
+    assert a == b and hash(a) == hash(b)
+    assert LVar("x", pos=(1, 2)) == LVar("x") and hash(LVar("x", pos=(1, 2))) == hash(LVar("x"))
+    assert a != parse_program("f x =: case x of { Z -> Z; S(y) -> let z = g y in S(z) }; g u =: u")
+
+
+def test_a_node_never_equals_a_node_of_another_type():
+    x = LVar("x")
+    assert ELeaf(x) != LDup(x) and LDup(x) != ELeaf(x)
+    assert LCtor("S", (x,)) != LCtor("S", (LDup(x),))
+    assert ELet(x, "f", x, ELeaf(x)) != ELet(x, "f", x, ELeaf(x), backward=True)
+    assert x != "x" and Program(()) != ()
+    assert len({ELeaf(x), LDup(x), ELeaf(LVar("x"))}) == 2
+
+
+def test_node_reprs_name_every_field_but_the_position():
+    assert repr(LCtor("S", (LVar("x", pos=(1, 2)),))) == "LCtor(ctor='S', args=(LVar(name='x'),))"
+    assert repr(LCtor("<>", (LVar("x"), LCtor("Z")))) == \
+        "LCtor(ctor='<>', args=(LVar(name='x'), LCtor(ctor='Z', args=())))"
+    body = parse_program("f x =: rlet y = g x in case y of { Z -> |_ y _| }").defs[0].body
+    assert repr(body) == (
+        "ELet(bound=LVar(name='y'), fname='g', arg=LVar(name='x'), body=ECase("
+        "scrutinee=LVar(name='y'), branches=((LCtor(ctor='Z', args=()), "
+        "ELeaf(left=LDup(arg=LVar(name='y')))),)), backward=True)")
+    assert repr(Program((Def("f", "x", ELeaf(LVar("x"))),))) == \
+        "Program(defs=(Def(name='f', param='x', body=ELeaf(left=LVar(name='x'))),))"
+    bad = check_static(parse_program("f x =: y"))[0]
+    assert repr(bad).startswith("Violation(kind='unbound-variable', message=")
+    assert repr(bad).endswith(", pos=(1, 8))")
+
+
+def test_nodes_are_immutable():
+    p = load_program("id.rfun")
+    case = parse_program("f x =: case x of { S(y) -> y }").defs[0].body
+    assert case.arms
+    for node, field in ((p, "defs"), (p, "checked_defs"), (p.defs[0], "name"), (case, "arms"),
+                        (case.scrutinee, "pos"), (case.scrutinee, "extra"),
+                        (SymbolTable.from_names([]), "names")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, None)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+    assert case.scrutinee == LVar("x") and case.scrutinee.pos == (1, 13)
+    assert p.checked_defs and case.arms[0][0] == LCtor("S", (LVar("y"),))
+
+
+def test_nodes_and_a_program_that_has_run_survive_pickle_and_copy():
+    node = parse_program("f x =: case x of { Z -> Z; S(y) -> S(y) }").defs[0]
+    p = load_program("arith.rfun")
+    apply_forward(p, "plus", parse_value("<S(Z), Z>"))
+    for x in (node, node.body, node.body.branches[1][0], p):
+        for again in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert again == x and type(again) is type(x) and again.pos == x.pos
+    q = pickle.loads(pickle.dumps(p))
+    assert apply_forward(q, "plus", parse_value("<S(Z), Z>")) == parse_value("<S(Z), S(Z)>")
+    bad = check_static(parse_program("f x =: y"))
+    assert pickle.loads(pickle.dumps(bad)) == bad and copy.deepcopy(bad) == bad
+    tbl = SymbolTable.from_program(p)
+    again = pickle.loads(pickle.dumps(tbl))
+    assert again == tbl and again.index("S") == tbl.index("S")
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    src = str(FIXTURES.parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = "import sys, rfun; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": path})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
