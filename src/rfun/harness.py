@@ -4,9 +4,11 @@ check_program is the one entry point: for a program, or one entry of it, it
 draws seeded, depth-bounded random inputs over the program's own constructor
 vocabulary, once, and every definition checked runs on the same samples.
 Within one call each sample is encoded once, through one encoding memo, and
-each value is rendered once.  On each sample it runs the operational
-semantics and the denotational morphism at one fuel (a bound on call depth
-in both) and compares outcomes.  Statuses correspond as
+each value is rendered once.  On each distinct sample it runs the
+operational semantics and the denotational morphism once per definition,
+at one fuel (a bound on call depth in both), and compares outcomes: both
+are deterministic, so a repeated draw reuses them, and the report still
+lists every draw.  Statuses correspond as
 
     value        <->  value (decoded, equal)
     no-match     <->  undefined
@@ -90,8 +92,10 @@ def check_program(prog: Program, entry: Optional[str] = None, samples: int = 50,
     with the first-match checks each semantics discharged statically.  The
     samples are drawn once and shared by every definition checked; within
     the call each is encoded once (one encoding memo) and each value is
-    rendered once (values are interned, so the cache keys by identity).
-    den_fuel, kept for positional callers, must be None or fuel."""
+    rendered once (values are interned, so the caches key by identity).
+    Each distinct sample runs once per definition in each semantics; every
+    later draw of it gets copies of those outcomes, and is still a case of
+    its own.  den_fuel, kept for positional callers, must be None or fuel."""
     if den_fuel not in (None, fuel):
         raise ValueError(f"one fuel meters both semantics, not {fuel} and {den_fuel}")
     tbl = SymbolTable.from_program(prog)
@@ -108,9 +112,13 @@ def check_program(prog: Program, entry: Optional[str] = None, samples: int = 50,
     for e, morph in zip(entries, morphs):
         cases = []
         mismatches = 0
+        first: dict = {}                # a sample's outcomes, from its first draw
         for i, v in enumerate(inputs):
-            op = opsem_outcome(prog, e, v, fuel, render)
-            den = densem_outcome(morph, v, tbl, fuel, memo, render)
+            if v in first:
+                op, den = map(dict, first[v])
+            else:
+                op, den = first[v] = (opsem_outcome(prog, e, v, fuel, render),
+                                      densem_outcome(morph, v, tbl, fuel, memo, render))
             agree = outcomes_agree(op, den)
             mismatches += not agree
             cases.append({"index": i, "input": render(v), "opsem": op, "densem": den,

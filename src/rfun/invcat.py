@@ -865,14 +865,6 @@ def join(fs: list[Morph]) -> Morph:
 
 # -- disjointness tensor ------------------------------------------------------
 
-def inj1(a: ObjDesc, b: ObjDesc) -> Morph:
-    return inj_n(0, [a, b])
-
-
-def inj2(a: ObjDesc, b: ObjDesc) -> Morph:
-    return inj_n(1, [a, b])
-
-
 def oplus(f: Morph, g: Morph) -> Morph:
     if _is_identity(f) and _is_identity(g):
         return identity(Sum(f.src, g.src))
@@ -934,9 +926,6 @@ def delta(a: ObjDesc) -> Morph:
 # -- structural isomorphisms --------------------------------------------------
 
 _UNITL = ((Pair(STAR, _A), _A),)
-_UNITR = ((Pair(_A, STAR), _A),)
-_ASSOC = ((Pair(_A, Pair(_B, _C)), Pair(Pair(_A, _B), _C)),)
-_SWAP = ((Pair(_A, _B), Pair(_B, _A)),)
 _SUM_UNITL = ((InR(_A), _A),)
 _SUM_UNITR = ((InL(_A), _A),)
 _SUM_ASSOC = ((InL(_A), InL(InL(_A))), (InR(InL(_B)), InL(InR(_B))),
@@ -952,19 +941,6 @@ _UNFOLD = ((Roll(_A), _A),)
 
 def prod_unitl(a: ObjDesc) -> Morph:
     return _prim(Prod(ONE, a), a, _UNITL, "unitl")
-
-
-def prod_unitr(a: ObjDesc) -> Morph:
-    return _prim(Prod(a, ONE), a, _UNITR, "unitr")
-
-
-def prod_assoc(a: ObjDesc, b: ObjDesc, c: ObjDesc) -> Morph:
-    """A * (B * C) -> (A * B) * C"""
-    return _prim(Prod(a, Prod(b, c)), Prod(Prod(a, b), c), _ASSOC, "assoc")
-
-
-def prod_swap(a: ObjDesc, b: ObjDesc) -> Morph:
-    return _prim(Prod(a, b), Prod(b, a), _SWAP, "swap")
 
 
 def sum_unitl(a: ObjDesc) -> Morph:

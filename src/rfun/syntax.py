@@ -50,9 +50,10 @@ class ParseError(Exception):
 
 class _Node:
     """An immutable node: the fields __match_args__ names, and pos, which ==,
-    hash and repr leave out unless it is a field.  All three read a node in
-    one loop (_flat), so depth costs heap, not Python stack; a node equals
-    only nodes of its type.  __init__ and caches set slots by _setters."""
+    hash and repr leave out unless it is a field.  These three and pickling
+    read a node in loops over explicit stacks, so depth costs heap, not
+    Python stack; a node equals only nodes of its type.  __init__ and caches
+    set slots by _setters."""
     __slots__ = ("pos",)
     __match_args__: tuple[str, ...] = ()
 
@@ -62,26 +63,55 @@ class _Node:
     __delattr__ = __setattr__
 
     def __eq__(self, other: object) -> bool:
+        """Both nodes read in step, in _flat's pre-order, to the first difference."""
         if type(other) is not type(self):
             return NotImplemented
-        return self is other or _flat(self, False) == _flat(other, False)
+        todo: list = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if isinstance(a, _Node) and type(b) is type(a):
+                names = a.__match_args__
+                a, b = [getattr(a, n) for n in names], [getattr(b, n) for n in names]
+            elif type(a) is not tuple or type(b) is not tuple or len(a) != len(b):
+                if a != b:              # a field's value, or parts of two shapes
+                    return False
+                continue
+            todo += zip(reversed(a), reversed(b))
+        return True
 
     def __hash__(self) -> int:
-        return hash(_flat(self, False))
+        return hash(_flat(self))
 
     def __repr__(self) -> str:
-        return "".join(_flat(self, True))
+        return "".join(_flat(self, text=True))
 
-    def __reduce__(self):       # the fields and pos: caches are derived again
-        fields = tuple(getattr(self, name) for name in self.__match_args__)
-        return type(self), fields if self.pos is None else (*fields, self.pos)
+    def __reduce__(self):       # flat, so that deep nodes pickle; caches are derived again
+        return _rebuild, (_flat(self, pos=True),)
 
 
-def _flat(node: _Node, text: bool) -> tuple:
-    """node read pre-order by one loop over an explicit stack: for == and
-    hash, each node as its type and then its fields, each tuple as its
-    length and then its items; with text, the pieces of its repr, which
-    names every field: LCtor(ctor='S', args=(LVar(name='x'),))."""
+def _rebuild(parts: tuple) -> _Node:
+    """The node whose parts _flat read with positions.  Reversed, they are
+    its post-order, last child first: (type, pos) and (tuple, n) take the
+    values built last, as many as the type has fields or n."""
+    built: list = []
+    for part in reversed(parts):
+        if type(part) is tuple:
+            make, arg = part
+            at = len(built) - (arg if make is tuple else len(make.__match_args__))
+            args = built[at:][::-1]
+            del built[at:]
+            part = tuple(args) if make is tuple else make(*args) if arg is None else make(*args, arg)
+        built.append(part)
+    return built[0]
+
+
+def _flat(node: _Node, text: bool = False, pos: bool = False) -> tuple:
+    """node read pre-order by one loop over an explicit stack: for hash (==
+    reads in this order too), each node as its type and then its fields,
+    each tuple as its length and then its items; with pos, for pickling,
+    each node as (type, pos) and each tuple as (tuple, length); with text,
+    the pieces of its repr, which names every field:
+    LCtor(ctor='S', args=(LVar(name='x'),))."""
     out: list = []
     todo: list = [node]
     while todo:
@@ -89,11 +119,11 @@ def _flat(node: _Node, text: bool) -> tuple:
         if isinstance(x, _Node):
             names = x.__match_args__
             parts = [getattr(x, name) for name in names]
-            out.append(f"{type(x).__name__}(" if text else type(x))
+            out.append(f"{type(x).__name__}(" if text else (type(x), x.pos) if pos else type(x))
             close = ")"
         elif type(x) is tuple:
             names, parts = (), x
-            out.append("(" if text else len(x))
+            out.append("(" if text else (tuple, len(x)) if pos else len(x))
             close = ",)" if len(x) == 1 else ")"
         else:                           # a field's value, or a piece of text
             out.append(x)

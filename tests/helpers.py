@@ -10,10 +10,10 @@ from typing import Iterator, Optional
 import pytest
 
 from rfun.invcat import (
-    NO_FUEL, ONE, STAR, UNDEF, Elem, InL, InR, Morph, Mu, ObjDesc, One, Pair,
-    Prod, Roll, Star, Sum, TypeMismatch, Var, Zero, compose, dagger, delta,
-    identity, inj1, inj2, join, obj_str, oplus, otimes, prod_swap, restrict,
-    sum_swap, unfold_obj, zero_morph,
+    NO_FUEL, ONE, STAR, UNDEF, Elem, Hole, InL, InR, Morph, Mu, ObjDesc, One,
+    Pair, Prod, Roll, Star, Sum, TypeMismatch, Var, Zero, compose, dagger,
+    delta, identity, inj_n, join, obj_str, oplus, otimes, primitive,
+    restrict, sum_swap, unfold_obj, zero_morph,
 )
 from rfun.harness import gen_value as random_value  # noqa: F401  (re-exported)
 from rfun.syntax import Program, check_static_or_raise, parse_program
@@ -25,6 +25,34 @@ BOOL = Sum(ONE, ONE)
 TRI = Sum(ONE, BOOL)
 PAIRB = Prod(BOOL, BOOL)
 SMALL_OBJS = [ONE, BOOL, TRI, PAIRB, Prod(ONE, BOOL), Sum(BOOL, PAIRB)]
+
+
+# Structural maps that only the law suite uses; the denotation needs none.
+
+def inj1(a: ObjDesc, b: ObjDesc) -> Morph:
+    return inj_n(0, [a, b])
+
+
+def inj2(a: ObjDesc, b: ObjDesc) -> Morph:
+    return inj_n(1, [a, b])
+
+
+_A, _B, _C = Hole("a"), Hole("b"), Hole("c")
+_prim = lru_cache(maxsize=256)(primitive)       # as invcat builds its structural maps
+
+
+def prod_unitr(a: ObjDesc) -> Morph:
+    return _prim(Prod(a, ONE), a, ((Pair(_A, STAR), _A),), "unitr")
+
+
+def prod_assoc(a: ObjDesc, b: ObjDesc, c: ObjDesc) -> Morph:
+    """A * (B * C) -> (A * B) * C"""
+    return _prim(Prod(a, Prod(b, c)), Prod(Prod(a, b), c),
+                 ((Pair(_A, Pair(_B, _C)), Pair(Pair(_A, _B), _C)),), "assoc")
+
+
+def prod_swap(a: ObjDesc, b: ObjDesc) -> Morph:
+    return _prim(Prod(a, b), Prod(b, a), ((Pair(_A, _B), Pair(_B, _A)),), "swap")
 
 
 def gen_morphism(rng: random.Random, src, depth: int) -> Morph:

@@ -20,8 +20,8 @@ from rfun.densem import (
 from rfun.harness import check_program, densem_outcome, opsem_outcome
 from rfun.invcat import (
     NO_FUEL, ONE, STAR, UNDEF, Morph, Prod, Sum, compose, compose_all,
-    dagger, delta, identity, join, obj_L, oplus, otimes, prod_assoc,
-    prod_swap, restrict, sum_swap, trace, zero_morph,
+    dagger, delta, identity, join, obj_L, oplus, otimes, restrict, sum_swap,
+    trace, zero_morph,
 )
 from rfun.inverter import alpha_eq, invert_name, invert_program
 from rfun.opsem import (
@@ -32,7 +32,7 @@ from rfun.values import Value, tup, val
 from helpers import (
     ARITH_VOCAB, BOOL, PAIRB, SMALL_OBJS, TRI, enumerate_elems, fib_pair,
     gen_morphism, leq_pointwise, load_program, no_recursion, peano,
-    random_value, sample_elem, unpeano,
+    prod_assoc, prod_swap, random_value, sample_elem, unpeano,
 )
 
 SEED = 0x5EED

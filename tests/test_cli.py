@@ -214,6 +214,8 @@ GOLDEN = [
     ("arith.json", ("tests/fixtures/arith.rfun", "--samples", "20", "--seed", "7")),
     ("extra_bounce.json", ("tests/fixtures/extra.rfun", "--entry", "bounce",
                            "--samples", "20", "--fuel", "200")),
+    ("loop.json", ("tests/fixtures/loop.rfun", "--samples", "100", "--fuel", "200")),
+    ("mirror.json", ("tests/fixtures/mirror.rfun", "--samples", "100", "--fuel", "200")),
 ]
 
 

@@ -17,7 +17,7 @@ from rfun.densem import (
 from rfun.invcat import (
     NO_FUEL, ONE, UNDEF, InL, InR, Morph, Pair, Prod, Roll, STAR,
     complement, compose, compose_all, dagger, fix, fold, identity, inj_n,
-    join, obj_L, otimes, prod_unitr, restrict, unfold, zero_morph,
+    join, obj_L, otimes, restrict, unfold, zero_morph,
 )
 from rfun.harness import check_program
 from rfun.inverter import invert_name, invert_program
@@ -29,7 +29,7 @@ from rfun.values import TUPLE, dupeq_value, tup, val
 
 from helpers import (
     ARITH_VOCAB, FIXTURES, enumerate_elems, load_program, no_recursion, peano,
-    random_value, sample_elem, well_formed,
+    prod_unitr, random_value, sample_elem, well_formed,
 )
 
 FUEL = 100_000

@@ -215,3 +215,50 @@ def test_one_report_whichever_way_a_definition_is_checked():
             assert alone.pop("discharged") == whole["discharged"]
             assert json.dumps(alone, sort_keys=True) == json.dumps(report, sort_keys=True), (
                 path.name, d.name)
+
+
+def _count_outcome_calls(monkeypatch) -> dict:
+    """The harness's calls of each semantics, counted by name."""
+    calls = {"opsem": 0, "densem": 0}
+    for name, outcome in (("opsem", opsem_outcome), ("densem", densem_outcome)):
+        def counted(*args, _name=name, _outcome=outcome):
+            calls[_name] += 1
+            return _outcome(*args)
+        monkeypatch.setattr(harness, f"{name}_outcome", counted)
+    return calls
+
+
+def test_each_distinct_sample_runs_once_in_each_semantics(monkeypatch):
+    calls = _count_outcome_calls(monkeypatch)
+    report = check_program(load_program("loop.rfun"), samples=100, fuel=200)
+    assert calls == {"opsem": 1, "densem": 1}
+    assert len(report["reports"][0]["cases"]) == 100 and report["mismatches"] == 0
+    prog = load_program("mirror.rfun")
+    rng = random.Random(0)
+    distinct = len({gen_value(rng, vocabulary(prog), 6) for _ in range(100)})
+    assert 1 < distinct < 100
+    calls.update(opsem=0, densem=0)
+    cases = check_program(prog, samples=100, seed=0)["reports"][0]["cases"]
+    assert calls == {"opsem": distinct, "densem": distinct}
+    assert [c["index"] for c in cases] == list(range(100))
+
+
+def test_every_repeated_draw_counts_as_a_mismatch(monkeypatch):
+    monkeypatch.setattr(harness, "densem_outcome", lambda *args: {"status": "undefined"})
+    report = check_program(load_program("loop.rfun"), samples=100, fuel=200)
+    assert report["mismatches"] == report["reports"][0]["mismatches"] == 100
+    assert {c["verdict"] for c in report["reports"][0]["cases"]} == {"mismatch"}
+
+
+def test_repeated_draws_share_no_outcome_dict():
+    for name in ("loop.rfun", "mirror.rfun"):
+        cases = check_program(load_program(name), samples=40, fuel=200)["reports"][0]["cases"]
+        assert len({c["input"] for c in cases}) < len(cases)
+        dicts = [c[side] for c in cases for side in ("opsem", "densem")]
+        assert len({id(d) for d in dicts}) == len(dicts)
+        for mutated in (0, len(cases) - 1):
+            before = json.loads(json.dumps(cases))
+            cases[mutated]["opsem"]["status"] = "changed"
+            cases[mutated]["opsem"]["value"] = "Changed"
+            assert [c for i, c in enumerate(cases) if i != mutated] == \
+                [c for i, c in enumerate(before) if i != mutated]

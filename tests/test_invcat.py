@@ -9,15 +9,14 @@ from rfun.invcat import (
     IncompatibleJoin, InL, InR, Morph, Mu, Oplus, Otimes, Pair, Prod, Roll,
     STAR, Star, Sum, TypeMismatch, Var,
     annihil_l, annihil_r, complement, compose, compose_all, dagger, delta,
-    dist_l, dist_r, equations, fix, fold, identity, inj1, inj2, inj_n,
-    join, obj_L, obj_S, obj_T, oplus, otimes, prod_assoc, prod_swap,
-    prod_unitl, prod_unitr, restrict, sum_assoc, sum_swap, sum_unitl,
-    sum_unitr, trace, unfold, unfold_obj, zero_morph,
+    dist_l, dist_r, equations, fix, fold, identity, inj_n, join, obj_L,
+    obj_S, obj_T, oplus, otimes, prod_unitl, restrict, sum_assoc, sum_swap,
+    sum_unitl, sum_unitr, trace, unfold, unfold_obj, zero_morph,
 )
 
 from helpers import (
-    count_elems, enumerate_elems, has_mu, leq_pointwise, min_depth,
-    sample_elem, well_formed,
+    count_elems, enumerate_elems, has_mu, inj1, inj2, leq_pointwise,
+    min_depth, prod_assoc, prod_swap, prod_unitr, sample_elem, well_formed,
 )
 
 FUEL = 1000

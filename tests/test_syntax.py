@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from rfun.syntax import (
     Def, ECase, ELeaf, ELet, LCtor, LDup, LVar, ParseError, Program,
     check_static, leaves, lvars, parse_program, parse_value, render_program,
-    render_value,
+    render_value, walk,
 )
 from rfun.densem import SymbolTable, function_morphism, run_denotation, sem_program
 from rfun.harness import vocabulary
@@ -435,6 +435,24 @@ def test_deep_programs_compare_hash_and_print_without_recursion(name):
     assert len(text) < 1000 * DEEP       # linear in the node count
     renamed = parse_program(_DEEP_PROGRAMS[name].replace("x", "w"))
     assert no_recursion(operator.ne, a, renamed)
+
+
+def test_deep_programs_that_differ_in_a_name_compare_unequal():
+    text = _DEEP_PROGRAMS["nested-cases"]
+    a, b = parse_program(text), parse_program("g" + text[1:])
+    assert a.defs[0].name == "f" and b.defs[0].name == "g"
+    assert no_recursion(operator.ne, a, b) and no_recursion(operator.ne, a.defs[0], b.defs[0])
+    assert not no_recursion(operator.eq, b, a)
+
+
+@pytest.mark.parametrize("name", list(_DEEP_PROGRAMS))
+def test_deep_programs_survive_pickle_and_deepcopy(name):
+    p = parse_program(_DEEP_PROGRAMS[name])
+    for again in (no_recursion(pickle.loads, no_recursion(pickle.dumps, p)),
+                  no_recursion(copy.deepcopy, p)):
+        assert again is not p and no_recursion(operator.eq, again, p)
+        assert [n.pos for d in again.defs for n in walk(d.body)] == \
+            [n.pos for d in p.defs for n in walk(d.body)]
 
 
 def test_equality_and_hash_ignore_positions():
